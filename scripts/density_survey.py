@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Exact splitting densities over a zoo of base groups and all subgroups.
 
-Prints |Gamma|, |H|, k, the enumerated density and the 1 - 1/2^k bound.
+Prints |Gamma|, |H|, k, the closed-form density 1 - N_bad/(|Gamma| 2^(k+1))
+and the 1 - 1/2^k bound.
 Usage: python3 scripts/density_survey.py [--max-k 3]
 """
 

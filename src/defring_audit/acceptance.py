@@ -278,14 +278,15 @@ def c08_density_bound(max_n: int = 10, seed: int = 0) -> tuple[bool, str]:
 
 
 def c09_density_spot_values(max_n: int = 10, seed: int = 0) -> tuple[bool, str]:
-    trivial = dens.trivial_group()
-    p1 = dens.SplitDensityProblem(trivial, frozenset({trivial.identity}), 1)
-    if dens.density(p1) != Fraction(3, 4):
-        return False, f"trivial Gamma k=1 density {dens.density(p1)} != 3/4"
-    z2 = dens.cyclic_group(2)
-    p2 = dens.SplitDensityProblem(z2, frozenset({z2.identity}), 1)
-    if dens.density(p2) != Fraction(7, 8):
-        return False, f"Z/2 Gamma k=1 density {dens.density(p2)} != 7/8"
+    spots = (("trivial", dens.trivial_group(), Fraction(3, 4)),
+             ("Z/2", dens.cyclic_group(2), Fraction(7, 8)))
+    for name, gamma, expected in spots:
+        problem = dens.SplitDensityProblem(gamma, frozenset({gamma.identity}), 1)
+        closed = dens.density(problem)
+        enumerated = Fraction(len(dens.xi(problem)), problem.group_order)
+        for route, value in (("closed form", closed), ("enumeration", enumerated)):
+            if value != expected:
+                return False, f"{name} Gamma k=1 density {value} != {expected} by {route}"
     return True, "spot densities 3/4 and 7/8 reproduced by enumeration"
 
 

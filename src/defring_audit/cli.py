@@ -242,13 +242,22 @@ def _ledger_verdicts(setting, h0_global, h0_global_dual, h0_locals, run_dual):
     return verdicts, diag, ok
 
 
+def _payload_int(payload, key: str) -> int:
+    """``payload[key]`` (default 0) coerced by ``int()``; a value it rejects is invalid input."""
+    value = payload.get(key, 0)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{key!r} must be an integer, got {value!r}") from exc
+
+
 def _run_ledger(payload):
     setting = _setting_from_json(payload)
     run_dual = "h0_global" in payload or "h0_locals" in payload
     return _ledger_verdicts(
         setting,
-        int(payload.get("h0_global", 0)),
-        int(payload.get("h0_global_dual", 0)),
+        _payload_int(payload, "h0_global"),
+        _payload_int(payload, "h0_global_dual"),
         payload.get("h0_locals"),
         run_dual,
     )
@@ -290,8 +299,10 @@ def _run_density(payload):
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad gamma spec: {exc}") from exc
     k = payload.get("k")
-    if not isinstance(k, int) or k < 1:
-        raise ScenarioError("density needs an integer 'k' >= 1")
+    try:
+        dens.check_density_k(k)
+    except ValueError as exc:
+        raise ScenarioError(f"density 'k': {exc}") from exc
     subgroup = _subgroup_from_json(gamma, gamma_spec, payload.get("subgroup"))
     try:
         problem = dens.SplitDensityProblem(gamma, subgroup, k)

@@ -8,18 +8,29 @@ H x {1} x Delta in fact lands in H x {1} x {1}; restricting to
 conjugation-closed such elements and dividing by |G| yields an exact
 density, which is always at least 1 - 1/2^k because every element with
 omega != 1 qualifies.
+
+Because Omega and Delta are elementary abelian, g^e = (gamma^e,
+omega*[e odd], delta*[e odd]), so the density has a closed form on Gamma
+alone: an element fails to split exactly when omega = 1, delta != 1 and
+some conjugate x of gamma has odd e_H(x), the least e >= 1 with x^e in H.
+Hence density = 1 - N_bad / (|Gamma| * 2^(k+1)), where N_bad is the total
+size of the Gamma-classes holding such an x.  ``xi_star`` and ``xi`` keep
+the exhaustive enumeration as a reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .ff import InternalCheckError
 
 MAX_GROUP_ORDER = 5040
+MAX_DENSITY_K = 64
 _FULL_ASSOCIATIVITY_ORDER = 48
 _SPOT_CHECK_TRIPLES = 300
 
@@ -46,29 +57,34 @@ class FiniteGroup:
             raise ValueError(f"group order {n} exceeds the budget {MAX_GROUP_ORDER}")
         if any(len(row) != n for row in table):
             raise ValueError("multiplication table must be square")
-        if any(not (0 <= x < n) for row in table for x in row):
+        if any(min(row) < 0 or max(row) >= n for row in table):
             raise ValueError("table entries must be element indices")
         self.order = n
         self.table = table
         self.name = name
 
+        points = tuple(range(n))
         identity = None
         for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            if table[e] == points and all(row[e] == x for x, row in enumerate(table)):
                 identity = e
                 break
         if identity is None:
             raise ValueError("no identity element")
         self.identity = identity
 
-        inverse = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == identity and table[b][a] == identity:
-                    inverse[a] = b
+        inverse = []
+        for a, row in enumerate(table):
+            # the first b with a*b = b*a = identity, found at C speed
+            b = -1
+            while True:
+                try:
+                    b = row.index(identity, b + 1)
+                except ValueError:
+                    raise ValueError(f"element {a} has no inverse") from None
+                if table[b][a] == identity:
                     break
-            if inverse[a] is None:
-                raise ValueError(f"element {a} has no inverse")
+            inverse.append(b)
         self.inverse = tuple(inverse)
 
         self._check_associativity()
@@ -77,18 +93,19 @@ class FiniteGroup:
         n = self.order
         t = self.table
         if n <= _FULL_ASSOCIATIVITY_ORDER:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            state = 123456789
-            sample = []
-            for _ in range(_SPOT_CHECK_TRIPLES):
-                out = []
-                for _ in range(3):
-                    state = (1103515245 * state + 12345) % (1 << 31)
-                    out.append(state % n)
-                sample.append(tuple(out))
-            triples = sample
-        for a, b, c in triples:
+            # (ab)c = a(bc) for every c: row ab equals row b read through row a
+            for a, b in itertools.product(range(n), repeat=2):
+                if t[t[a][b]] != tuple(map(t[a].__getitem__, t[b])):
+                    c = next(c for c in range(n) if t[t[a][b]][c] != t[a][t[b][c]])
+                    raise ValueError(f"multiplication table not associative at {(a, b, c)}")
+            return
+        state = 123456789
+        for _ in range(_SPOT_CHECK_TRIPLES):
+            out = []
+            for _ in range(3):
+                state = (1103515245 * state + 12345) % (1 << 31)
+                out.append(state % n)
+            a, b, c = out
             if t[t[a][b]][c] != t[a][t[b][c]]:
                 raise ValueError(f"multiplication table not associative at {(a, b, c)}")
 
@@ -144,17 +161,20 @@ def elementary_abelian_2(k: int) -> FiniteGroup:
     return FiniteGroup(table, name=f"(Z/2)^{k}")
 
 
-def _symmetric_perms(n: int) -> list[tuple[int, ...]]:
-    return list(itertools.permutations(range(n)))
-
-
+@lru_cache(maxsize=None)
 def symmetric_group(n: int) -> FiniteGroup:
+    """S_n on the permutations of range(n) in lexicographic order.
+
+    Memoised like ``mk_field``: the table is immutable and a batch builds
+    the same S_n for many scenarios.
+    """
     if n < 1 or n > 6:
         raise ValueError("symmetric groups are supported for 1 <= n <= 6")
-    perms = _symmetric_perms(n)
-    index = {p: i for i, p in enumerate(perms)}
+    perms = [bytes(p) for p in itertools.permutations(range(n))]
+    index = {p: i for i, p in enumerate(perms)}.__getitem__
+    # (a*b)(x) = a(b(x)) is b.translate(a), with a padded to a 256-byte table
     table = [
-        [index[tuple(a[b[x]] for x in range(n))] for b in perms]
+        tuple(map(index, map(bytes.translate, perms, itertools.repeat(a.ljust(256, b"\0")))))
         for a in perms
     ]
     return FiniteGroup(table, name=f"S{n}")
@@ -221,57 +241,119 @@ def _group_from_name(name: str) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
+def _join(
+    group: FiniteGroup, h_elems: list[int], h_mask: int, gens: tuple[int, ...], g: int
+) -> tuple[list[int], int]:
+    """Elements and bitmask of <H, g>, given H's elements and generators.
+
+    <H, g> is a union of right cosets H*r, and right multiplication by a
+    generator maps a coset to a coset, so a search over coset
+    representatives reaches them all; each coset is added whole.
+    """
+    t = group.table
+    elems = list(h_elems)
+    mask = h_mask
+    gens = gens + (g,)
+    reps = [group.identity]
+    for r in reps:
+        row = t[r]
+        for s in gens:
+            y = row[s]
+            if mask >> y & 1:
+                continue
+            for x in h_elems:
+                z = t[x][y]
+                elems.append(z)
+                mask |= 1 << z
+            reps.append(y)
+    return elems, mask
+
+
 def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> frozenset[int]:
     """The subgroup generated by the given element indices."""
-    gens = {group.identity}
+    elems, mask, gens = [group.identity], 1 << group.identity, ()
     for g in generators:
         if not (0 <= g < group.order):
             raise ValueError(f"generator {g} out of range")
-        gens.add(g)
-        gens.add(group.inv(g))
-    elems = set(gens)
-    frontier = list(gens)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.mul(x, g)
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
+        if not mask >> g & 1:
+            elems, mask = _join(group, elems, mask, gens, g)
+            gens += (g,)
     return frozenset(elems)
 
 
 def is_subgroup(group: FiniteGroup, subset: Iterable[int]) -> bool:
+    """Whether the subset is a subgroup, without testing every product.
+
+    The subset is grown from {1} by joins with its own elements; it is a
+    subgroup exactly when no join ever leaves it.
+    """
     h = frozenset(subset)
-    if group.identity not in h:
+    if group.identity not in h or any(not (0 <= a < group.order) for a in h):
         return False
-    return all(group.mul(a, b) in h for a in h for b in h) and all(
-        group.inv(a) in h for a in h
-    )
+    target = sum(1 << a for a in h)
+    elems, mask, gens = [group.identity], 1 << group.identity, ()
+    for a in sorted(h):
+        if not mask >> a & 1:
+            elems, mask = _join(group, elems, mask, gens, a)
+            gens += (a,)
+            if mask & ~target:
+                return False
+    return True
+
+
+def _cyclic_generators(group: FiniteGroup) -> list[int]:
+    """One generator of each cyclic subgroup, the least index among them."""
+    t = group.table
+    seen = set()
+    out = []
+    for a in group.elements():
+        mask, x = 0, a
+        while not mask >> x & 1:
+            mask |= 1 << x
+            x = t[x][a]
+        if mask not in seen:
+            seen.add(mask)
+            out.append(a)
+    return out
 
 
 def all_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
-    """Every subgroup, by saturating generator sets one element at a time."""
-    start = frozenset({group.identity})
-    found = {start}
+    """Every subgroup, as joins of found subgroups with cyclic subgroups.
+
+    Every subgroup is generated by finitely many elements, so it is
+    reached from {1} by joining one cyclic subgroup at a time.  Each
+    found H keeps the few generators it was reached with, and is joined
+    only with the cyclic subgroups it does not already contain.
+    """
+    cyclic = _cyclic_generators(group)
+    start = 1 << group.identity
+    found = {start: ((), [group.identity])}
     frontier = [start]
     while frontier:
         h = frontier.pop()
-        for a in group.elements():
-            if a in h:
+        gens, elems = found[h]
+        # <H, g> = <H, x> for every x in the coset H*g, which _join lists
+        # right after H; `done` holds H and the cosets already joined
+        done = h
+        for g in cyclic:
+            if done >> g & 1:
                 continue
-            k = subgroup_closure(group, tuple(h) + (a,))
+            k_elems, k = _join(group, elems, h, gens, g)
+            for x in k_elems[len(elems):2 * len(elems)]:
+                done |= 1 << x
             if k not in found:
-                found.add(k)
+                found[k] = (gens + (g,), k_elems)
                 frontier.append(k)
-    return sorted(found, key=lambda h: (len(h), sorted(h)))
+    subgroups = [frozenset(elems) for _gens, elems in found.values()]
+    return sorted(subgroups, key=lambda h: (len(h), sorted(h)))
 
 
 def perm_index_from_cycles(n: int, text: str) -> int:
     """Index of a permutation of S_n given in cycle notation, e.g. "(12)(34)".
 
     Points are the single digits 1..n; the empty string or "()" is the
-    identity.
+    identity.  The index is the lexicographic rank of the permutation,
+    which is its position in ``symmetric_group(n)``.
     """
     perm = list(range(n))
     text = text.strip()
@@ -286,13 +368,24 @@ def perm_index_from_cycles(n: int, text: str) -> int:
                 raise ValueError(f"bad cycle {cyc!r} for S{n}")
             for i, p in enumerate(pts):
                 perm[p] = pts[(i + 1) % len(pts)]
-    perms = _symmetric_perms(n)
-    return perms.index(tuple(perm))
+    rank = 0
+    for i, v in enumerate(perm):
+        smaller_later = sum(1 for w in perm[i + 1:] if w < v)
+        rank += smaller_later * math.factorial(n - 1 - i)
+    return rank
 
 
 # ---------------------------------------------------------------------------
 # Splitting density
 # ---------------------------------------------------------------------------
+
+
+def check_density_k(k) -> None:
+    """Reject a rank k of Omega = (Z/2)^k outside 1 <= k <= MAX_DENSITY_K."""
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= MAX_DENSITY_K:
+        raise ValueError(
+            f"k must be an integer with 1 <= k <= MAX_DENSITY_K = {MAX_DENSITY_K}, got {k!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -305,8 +398,7 @@ class SplitDensityProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "subgroup", frozenset(self.subgroup))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_density_k(self.k)
         if not is_subgroup(self.gamma, self.subgroup):
             raise ValueError("H must be a genuine subgroup of Gamma")
 
@@ -380,9 +472,37 @@ def xi(problem: SplitDensityProblem) -> frozenset[Triple]:
     return frozenset(out)
 
 
+def _bad_class_total(problem: SplitDensityProblem) -> int:
+    """N_bad: the total size of the Gamma-classes holding an x with odd e_H(x).
+
+    e_H(x) is found by powering x in the table.  Exactly the triples
+    (x, 1, delta) with delta != 1 and x in such a class fail to split.
+    """
+    gamma = problem.gamma
+    t = gamma.table
+    h = problem.subgroup
+    odd = []
+    for x in gamma.elements():
+        power, e = x, 1
+        while power not in h:
+            power = t[power][x]
+            e += 1
+            if e > gamma.order:
+                raise InternalCheckError("exponent search exceeded the order of Gamma")
+        odd.append(e % 2 == 1)
+    classes = gamma.conjugacy_classes()
+    if sorted(itertools.chain.from_iterable(classes)) != list(gamma.elements()):
+        raise InternalCheckError("conjugacy classes do not partition Gamma")
+    n_bad = sum(len(c) for c in classes if any(odd[x] for x in c))
+    # the identity lies in H with e_H = 1, so its class is always counted
+    if not 1 <= n_bad <= gamma.order:
+        raise InternalCheckError(f"N_bad = {n_bad} is not within 1..|Gamma|")
+    return n_bad
+
+
 def density(problem: SplitDensityProblem) -> Fraction:
-    """|xi| / |G| as an exact fraction in lowest terms."""
-    return Fraction(len(xi(problem)), problem.group_order)
+    """|xi| / |G| as an exact fraction in lowest terms, by the closed form."""
+    return 1 - Fraction(_bad_class_total(problem), problem.group_order)
 
 
 @dataclass(frozen=True)
@@ -399,16 +519,11 @@ def bound_certificate(problem: SplitDensityProblem) -> BoundCertificate:
     Every element with nontrivial omega component has even exponent and
     therefore splits; there are exactly (2^k - 1) * 2 * |Gamma| of them
     and the property survives conjugation, so they certify the bound.
+    The density itself comes from the closed form.
     """
-    xi_set = xi(problem)
-    witnesses = [
-        g for g in problem.elements() if g[1] != 0
-    ]
-    witness_count = len(witnesses)
-    expected = (2**problem.k - 1) * 2 * problem.gamma.order
-    if witness_count != expected:
-        raise InternalCheckError("witness count disagrees with the closed form")
-    dens = Fraction(len(xi_set), problem.group_order)
+    dens = density(problem)
     bound = 1 - Fraction(1, 2**problem.k)
-    holds = dens >= bound and all(g in xi_set for g in witnesses)
-    return BoundCertificate(density=dens, bound=bound, witness_count=witness_count, holds=holds)
+    witness_count = (2**problem.k - 1) * 2 * problem.gamma.order
+    return BoundCertificate(
+        density=dens, bound=bound, witness_count=witness_count, holds=dens >= bound
+    )

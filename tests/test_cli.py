@@ -12,6 +12,7 @@ from defring_audit.cli import (
     run_scenario,
     run_scenario_obj,
 )
+from defring_audit.density import MAX_DENSITY_K
 
 
 def _write(tmp_path, obj, name="scenario.json"):
@@ -130,6 +131,35 @@ def test_batch_with_one_invalid_scenario_exits_two(tmp_path, capsys):
     path = _write(tmp_path, batch)
     assert run_scenario(path) == EXIT_INVALID
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("h0_global", "x"), ("h0_global_dual", "1.5"), ("h0_global_dual", [1])]
+)
+def test_batch_with_non_integer_h0_exits_two_and_keeps_both_reports(tmp_path, capsys, key, value):
+    good = {"mode": "taylor", "op": "threshold", "q": 2, "n": 2}
+    bad = {"mode": "ledger", "lie": {"gn": 1}, "deg_F": 1, "h0_global": 0, key: value,
+           "places": [{"kind": "ell", "condition": "sm", "local_degree": 1}, {"kind": "arch"}]}
+    path = _write(tmp_path, [good, bad])
+    assert run_scenario(path) == EXIT_INVALID
+    reports = _last_json(capsys)
+    assert len(reports) == 2
+    assert reports[0]["ok"] is True and reports[0]["verdicts"]["threshold"] > 0
+    assert reports[1]["invalid"] is True and repr(key) in reports[1]["error"]
+
+
+@pytest.mark.parametrize("k", [MAX_DENSITY_K + 1, True])
+def test_density_k_outside_the_budget_exits_two(tmp_path, capsys, k):
+    path = _write(tmp_path, {"mode": "density", "gamma": "S3", "subgroup": "trivial", "k": k})
+    assert run_scenario(path) == EXIT_INVALID
+    report = _last_json(capsys)
+    assert report["invalid"] is True
+    assert f"MAX_DENSITY_K = {MAX_DENSITY_K}" in report["error"]
+
+
+def test_main_density_k_outside_the_budget_exits_two(capsys):
+    assert main(["density", "--gamma", "S3", "--k", str(MAX_DENSITY_K + 1)]) == EXIT_INVALID
+    assert "MAX_DENSITY_K" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from defring_audit.density import (
+    MAX_DENSITY_K,
     FiniteGroup,
     SplitDensityProblem,
     all_subgroups,
@@ -21,6 +24,97 @@ from defring_audit.density import (
     xi,
     xi_star,
 )
+from defring_audit.ff import InternalCheckError
+
+
+# ---------------------------------------------------------------------------
+# oracles: the exhaustive routines the fast paths replaced
+# ---------------------------------------------------------------------------
+
+
+def _closure_oracle(group, generators):
+    """Breadth-first closure under right multiplication by every generator."""
+    gens = {group.identity}
+    for g in generators:
+        gens.add(g)
+        gens.add(group.inv(g))
+    elems = set(gens)
+    frontier = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = group.mul(x, g)
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    return frozenset(elems)
+
+
+def _saturation_oracle(group):
+    """Every subgroup, by saturating generator sets one element at a time."""
+    start = frozenset({group.identity})
+    found = {start}
+    frontier = [start]
+    while frontier:
+        h = frontier.pop()
+        for a in group.elements():
+            if a in h:
+                continue
+            k = _closure_oracle(group, tuple(h) + (a,))
+            if k not in found:
+                found.add(k)
+                frontier.append(k)
+    return sorted(found, key=lambda h: (len(h), sorted(h)))
+
+
+def _is_subgroup_oracle(group, subset):
+    h = frozenset(subset)
+    if group.identity not in h:
+        return False
+    return all(group.mul(a, b) in h for a in h for b in h) and all(
+        group.inv(a) in h for a in h
+    )
+
+
+def _symmetric_table_oracle(n):
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(
+        tuple(index[tuple(a[b[x]] for x in range(n))] for b in perms) for a in perms
+    )
+
+
+def _cycle_notation(perm):
+    """Cycle notation with 1-based digits, the identity as ""."""
+    seen, cycles = set(), []
+    for start in range(len(perm)):
+        if start in seen or perm[start] == start:
+            continue
+        cyc, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cyc.append(str(x + 1))
+            x = perm[x]
+        cycles.append("(" + "".join(cyc) + ")")
+    return "".join(cycles)
+
+
+def _enumerated_density(problem):
+    return Fraction(len(xi(problem)), problem.group_order)
+
+
+Z2 = cyclic_group(2)
+ORACLE_ZOO = {
+    "trivial": trivial_group(),
+    "Z2": Z2,
+    "Z3": cyclic_group(3),
+    "Z4": cyclic_group(4),
+    "Z6": cyclic_group(6),
+    "V4": elementary_abelian_2(2),
+    "S3": symmetric_group(3),
+    "S4": symmetric_group(4),
+    "Z2xS3": direct_product(Z2, symmetric_group(3)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -225,3 +319,112 @@ def test_bound_holds_for_sampled_zoo():
                 cert = bound_certificate(SplitDensityProblem(gamma, h, k))
                 assert cert.holds
                 assert cert.density >= 1 - Fraction(1, 2**k)
+
+
+# ---------------------------------------------------------------------------
+# fast paths against their oracles
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ZOO))
+def test_closed_form_matches_enumeration(name):
+    gamma = ORACLE_ZOO[name]
+    for h in all_subgroups(gamma):
+        for k in (1, 2, 3):
+            problem = SplitDensityProblem(gamma, h, k)
+            xs = xi(problem)
+            cert = bound_certificate(problem)
+            assert cert.density == density(problem) == _enumerated_density(problem)
+            witnesses = [g for g in problem.elements() if g[1] != 0]
+            assert cert.witness_count == len(witnesses)
+            assert cert.holds == (cert.density >= cert.bound and all(g in xs for g in witnesses))
+            # the closed form never goes below the sharper bound 1 - 1/2^(k+1)
+            assert cert.density >= 1 - Fraction(1, 2 ** (k + 1))
+
+
+def test_closed_form_matches_enumeration_on_s5_slice():
+    s5 = symmetric_group(5)
+    for h in all_subgroups(s5)[::7]:
+        for k in (1, 2):
+            problem = SplitDensityProblem(s5, h, k)
+            assert density(problem) == _enumerated_density(problem)
+
+
+def test_closed_form_is_attained_when_h_is_gamma():
+    s4 = symmetric_group(4)
+    problem = SplitDensityProblem(s4, frozenset(s4.elements()), 3)
+    assert density(problem) == 1 - Fraction(1, 2**4)
+
+
+def test_closed_form_at_the_largest_k_needs_no_enumeration():
+    s3 = symmetric_group(3)
+    cert = bound_certificate(SplitDensityProblem(s3, frozenset({s3.identity}), MAX_DENSITY_K))
+    assert cert.holds
+    assert cert.witness_count == (2**MAX_DENSITY_K - 1) * 2 * 6
+
+
+def test_broken_class_partition_raises_internal_check(monkeypatch):
+    s3 = symmetric_group(3)
+    problem = SplitDensityProblem(s3, frozenset({s3.identity}), 1)
+    real = FiniteGroup.conjugacy_classes
+    monkeypatch.setattr(FiniteGroup, "conjugacy_classes", lambda self: real(self)[1:])
+    with pytest.raises(InternalCheckError, match="partition"):
+        density(problem)
+
+
+def test_subgroup_without_identity_raises_internal_check():
+    s3 = symmetric_group(3)
+    problem = SplitDensityProblem(s3, frozenset({s3.identity}), 1)
+    object.__setattr__(problem, "subgroup", frozenset())
+    with pytest.raises(InternalCheckError, match="exponent"):
+        bound_certificate(problem)
+
+
+@pytest.mark.parametrize("k", [0, MAX_DENSITY_K + 1, True, 2.0, "2"])
+def test_problem_rejects_k_outside_the_budget(k):
+    s3 = symmetric_group(3)
+    with pytest.raises(ValueError, match="MAX_DENSITY_K"):
+        SplitDensityProblem(s3, frozenset({s3.identity}), k)
+
+
+LATTICE_ZOO = dict(ORACLE_ZOO, Z2xS4=direct_product(Z2, symmetric_group(4)), S5=symmetric_group(5))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_ZOO))
+def test_lattice_matches_saturation_oracle(name):
+    group = LATTICE_ZOO[name]
+    assert all_subgroups(group) == _saturation_oracle(group)
+
+
+def test_lattice_counts():
+    assert len(all_subgroups(LATTICE_ZOO["Z2xS4"])) == 98
+    assert len(all_subgroups(LATTICE_ZOO["S5"])) == 156
+    assert len(all_subgroups(LATTICE_ZOO["Z6"])) == 4
+    assert len(all_subgroups(LATTICE_ZOO["V4"])) == 5
+
+
+def test_closure_and_subgroup_test_match_oracles():
+    rng = random.Random(7)
+    for name in ("S4", "Z2xS3", "Z6"):
+        group = ORACLE_ZOO[name]
+        for _ in range(40):
+            gens = rng.sample(range(group.order), rng.randint(0, 3))
+            assert subgroup_closure(group, gens) == _closure_oracle(group, gens)
+            subset = {group.identity, *rng.sample(range(group.order), rng.randint(0, 5))}
+            assert is_subgroup(group, subset) == _is_subgroup_oracle(group, subset)
+        for h in all_subgroups(group):
+            assert is_subgroup(group, h)
+    assert not is_subgroup(ORACLE_ZOO["S3"], {0, 6})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_table_matches_comprehension(n):
+    group = symmetric_group(n)
+    assert group.table == _symmetric_table_oracle(n)
+    assert symmetric_group(n) is group  # memoised
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cycle_index_is_lexicographic_rank(n):
+    for rank, perm in enumerate(itertools.permutations(range(n))):
+        assert perm_index_from_cycles(n, _cycle_notation(perm)) == rank
