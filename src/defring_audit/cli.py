@@ -44,9 +44,13 @@ class ScenarioError(ValueError):
 
 
 def _field_from_json(obj) -> PrimeField:
+    p, m = obj.get("p"), obj.get("m", 1)
+    for key, value in (("p", p), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioError(f"bad field spec: {key!r} must be an integer, got {value!r}")
     try:
-        return mk_field(int(obj.get("p")), int(obj.get("m", 1)))
-    except (TypeError, ValueError) as exc:
+        return mk_field(p, m)
+    except ValueError as exc:
         raise ScenarioError(f"bad field spec: {exc}") from exc
 
 
@@ -242,13 +246,17 @@ def _ledger_verdicts(setting, h0_global, h0_global_dual, h0_locals, run_dual):
     return verdicts, diag, ok
 
 
-def _payload_int(payload, key: str) -> int:
-    """``payload[key]`` (default 0) coerced by ``int()``; a value it rejects is invalid input."""
-    value = payload.get(key, 0)
+def _as_int(value, what: str) -> int:
+    """``value`` coerced by ``int()``; a value it rejects is invalid input."""
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{key!r} must be an integer, got {value!r}") from exc
+        raise ScenarioError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _payload_int(payload, key: str) -> int:
+    """``payload[key]`` (default 0) coerced by :func:`_as_int`."""
+    return _as_int(payload.get(key, 0), repr(key))
 
 
 def _run_ledger(payload):
@@ -365,7 +373,9 @@ def gn_audit(n: int, deg_F: int, s_count: int, ell_degrees) -> dict:
     values are zero except at infinity, where each place carries
     dim g^der - dim b^der so their total meets the required identity.
     """
-    ell_degrees = [int(d) for d in ell_degrees]
+    if not isinstance(ell_degrees, (list, tuple)):
+        raise ScenarioError(f"'ell_degrees' must be a list, got {ell_degrees!r}")
+    ell_degrees = [_as_int(d, "each 'ell_degrees' entry") for d in ell_degrees]
     if n < 1 or deg_F < 1 or s_count < 0:
         raise ScenarioError("need n >= 1, deg_F >= 1, s_count >= 0")
     if sum(ell_degrees) != deg_F:

@@ -10,6 +10,13 @@ The canonical model of F_{p^m} is fixed once and for all by
 :func:`mk_field`, which selects the lexicographically smallest monic
 irreducible modulus (coefficients compared constant term first).  This
 makes every computation reproducible across runs and platforms.
+
+For m >= 2 a field carries log/antilog tables of a primitive element and
+a Zech-logarithm table, so add, sub, neg, mul, inv and pow are O(1)
+lookups; the tables change no encoding and no result.  Their size caps
+extension fields at MAX_FIELD_ORDER = 2^20 elements, which is also the
+default budget of the splitting-field scan.  Prime fields F_p need no
+tables and have no cap.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-DEFAULT_SCAN_BUDGET = 2**20
+# Largest extension field F_{p^m}, m >= 2, that is built; also the default
+# budget of the splitting-field scan.
+MAX_FIELD_ORDER = 2**20
 
 
 class ScanBudgetExceeded(ValueError):
@@ -142,34 +151,156 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _check_field_order(p: int, m: int) -> None:
+    """Reject an extension F_{p^m}, m >= 2, with more than MAX_FIELD_ORDER elements."""
+    # p >= 2, so a degree m >= 21 exceeds the cap and p**m need not be formed
+    if m >= MAX_FIELD_ORDER.bit_length() or p**m > MAX_FIELD_ORDER:
+        raise ValueError(
+            f"F_{p}^{m} has more than MAX_FIELD_ORDER = {MAX_FIELD_ORDER} elements"
+        )
+
+
+def _digit_product(p: int, m: int, modulus: Sequence[int]) -> Callable[[int, int], int]:
+    """Schoolbook product of encoded elements of F_p[T]/(modulus), m >= 2.
+
+    Only the table builder uses it, to test primitive elements and to form
+    coset representatives; field arithmetic reads the tables.  The outer
+    loop skips zero digits of the first factor, so a sparse first factor
+    is cheap.
+    """
+    # digit vectors of T^k mod modulus for k in [m, 2m-2]
+    cur = [(-c) % p for c in modulus[:m]]
+    reductions = {m: tuple(cur)}
+    for k in range(m + 1, 2 * m - 1):
+        top = cur[m - 1]
+        cur = [0] + cur[: m - 1]
+        if top:
+            cur = [(o + top * r) % p for o, r in zip(cur, reductions[m])]
+        reductions[k] = tuple(cur)
+    weights = [p**i for i in range(m)]
+
+    def digits(a: int) -> list[int]:
+        out = []
+        for _ in range(m):
+            a, d = divmod(a, p)
+            out.append(d)
+        return out
+
+    def mul(a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        db = digits(b)
+        conv = [0] * (2 * m - 1)
+        for i, x in enumerate(digits(a)):
+            if x:
+                for j, y in enumerate(db):
+                    conv[i + j] += x * y
+        out = [c % p for c in conv[:m]]
+        for k in range(m, 2 * m - 1):
+            c = conv[k] % p
+            if c:
+                out = [(d + c * r) % p for d, r in zip(out, reductions[k])]
+        return sum(d * w for d, w in zip(out, weights))
+
+    return mul
+
+
+def _log_tables(p: int, m: int, modulus: Sequence[int]) -> tuple[list, list, list]:
+    """Antilog, log and Zech tables of the field F_p[T]/(modulus), m >= 2.
+
+    With g the smallest primitive element by encoding and q = p^m:
+    ``exp[i] = g^i`` for 0 <= i < 2(q-1), so a sum of two logs needs no
+    reduction; ``log[a]`` is the log of a nonzero a and ``log[0]`` is None;
+    ``zech[n] = log(1 + g^n)`` for 0 <= n < q-1, None where 1 + g^n = 0.
+    """
+    q = p**m
+    n = q - 1
+    top = p ** (m - 1)
+    # T^m = sum of r * T^i over these (p^i, r), r != 0
+    reduction = [(p**i, (-c) % p) for i, c in enumerate(modulus[:m]) if c]
+
+    def times_t(x: int) -> int:
+        c, y = divmod(x, top)
+        y *= p
+        if c:
+            for w, r in reduction:
+                d = y // w % p
+                y += ((d + c * r) % p - d) * w
+        return y
+
+    def orbit(x: int, length: int) -> list[int]:
+        out = []
+        for _ in range(length):
+            out.append(x)
+            x = times_t(x)
+        return out
+
+    mul = _digit_product(p, m, modulus)
+
+    def power(a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            a = mul(a, a)
+            e >>= 1
+        return result
+
+    primes = _prime_divisors(n)
+    # encodings below p are the constants F_p^*, whose orders divide p - 1 < n
+    g = next(a for a in range(p, q) if all(power(a, n // r) != 1 for r in primes))
+    # Multiplying by T is cheap, by g is not.  With k the order of T and
+    # e = n / k, g^e generates <T>: g^e = T^v, and g^(i + e*l) = g^i T^(l*v).
+    # So coset i of <T>, listed as g^i T^j, fills exp[i::e] in the order l.
+    t_powers = [1]
+    x = p
+    while x != 1:
+        t_powers.append(x)
+        x = times_t(x)
+    k = len(t_powers)
+    e = n // k
+    v = t_powers.index(power(g, e))
+    exp = [0] * n
+    h = 1
+    for i in range(e):
+        coset = orbit(h, k) if i else t_powers
+        exp[i::e] = [coset[l * v % k] for l in range(k)]
+        h = mul(g, h)
+    log: list = [None] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    if log.count(None) != 1:
+        raise InternalCheckError(f"powers of {g} do not cover F_{p}^{m}")
+    # 1 + x changes only the constant digit of x
+    zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in exp]
+    return exp + exp, log, zech
+
+
 class PrimeField:
     """F_{p^m} with a fixed monic irreducible modulus.
 
     ``modulus`` is a coefficient tuple of length m+1, lowest degree first.
-    For m = 1 the modulus is T by convention.
+    For m = 1 the modulus is T by convention and arithmetic is on
+    residues mod p.  For m >= 2 every operation is a few lookups in the
+    tables of :func:`_log_tables`; results are encoded elements and do not
+    depend on the primitive element the tables use.
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "_reductions")
+    __slots__ = ("p", "m", "order", "modulus", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
+        if m > 1:
+            _check_field_order(p, m)
         self.p = p
         self.m = m
         self.order = p**m
         self.modulus = tuple(int(c) % p for c in modulus)
         if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
-        # digit vectors of T^k mod modulus for k in [m, 2m-2]
-        reds: dict[int, tuple[int, ...]] = {}
         if m > 1:
-            cur = [(-c) % p for c in self.modulus[:m]]
-            reds[m] = tuple(cur)
-            for k in range(m + 1, 2 * m - 1):
-                top = cur[m - 1]
-                cur = [0] + cur[: m - 1]
-                if top:
-                    cur = [(o + top * r) % p for o, r in zip(cur, reds[m])]
-                reds[k] = tuple(cur)
-        self._reductions = reds
+            if not _is_irreducible(self.modulus, p):
+                raise ValueError(f"modulus {self.modulus} is not irreducible over F_{p}")
+            self._exp, self._log, self._zech = _log_tables(p, m, self.modulus)
 
     # -- encoding ------------------------------------------------------
 
@@ -193,73 +324,53 @@ class PrimeField:
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (a + b) % p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (-a) % p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+            return (-a) % self.p
+        if not a or self.p == 2:
+            return a
+        # -1 = g^((q-1)/2) for odd q
+        return self._exp[self._log[a] + (self.order >> 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (a * b) % p
+            return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        m = self.m
-        da = self.coeffs(a)
-        db = self.coeffs(b)
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        digits = [c % p for c in conv[:m]]
-        for k in range(m, 2 * m - 1):
-            c = conv[k] % p
-            if c:
-                red = self._reductions[k]
-                digits = [(d + c * r) % p for d, r in zip(digits, red)]
-        return self.encode(digits)
+        log = self._log
+        return self._exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a % self.order == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(a, self.order - 2)
+        if self.m == 1:
+            return self.pow(a, self.order - 2)
+        # exp has period q - 1 and length 2(q - 1): exp[-i] = g^(-i)
+        return self._exp[-self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
         if self.m == 1:
             return pow(a, e, self.p)
-        result = 1
-        b = a
-        while e:
-            if e & 1:
-                result = self.mul(result, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return result
+        if a == 0:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def elements(self) -> range:
         return range(self.order)
@@ -286,15 +397,19 @@ def mk_field(p: int, m: int = 1) -> PrimeField:
     """Canonical F_{p^m}: lexicographically smallest irreducible modulus.
 
     Candidate moduli are compared by coefficient vectors, constant term
-    first.  For m = 1 the modulus is T.
+    first.  For m = 1 the modulus is T.  For m >= 2 a candidate with
+    constant term 0 is divisible by T, so the scan starts at constant
+    term 1; an order above MAX_FIELD_ORDER is refused before any scan.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError("extension degree must be >= 1")
+    if m > 1:
+        _check_field_order(p, m)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if m == 1:
         return PrimeField(p, 1, (0, 1))
-    for tail in itertools.product(range(p), repeat=m):
+    for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         cand = list(tail) + [1]
         if _is_irreducible(cand, p):
             return PrimeField(p, m, cand)
@@ -520,12 +635,23 @@ class MatrixFF:
                         s += e1[base + t] * e2[t * m + j]
                     out[i * m + j] = s % p
         else:
+            # f.add/f.mul inlined on the field's tables; None is the log of 0
+            exp, log, zech = f._exp, f._log, f._zech
+            col_logs = [[log[e2[t * m + j]] for t in range(k)] for j in range(m)]
             for i in range(n):
-                base = i * k
+                row_logs = [log[x] for x in e1[i * k : (i + 1) * k]]
                 for j in range(m):
                     s = 0
-                    for t in range(k):
-                        s = f.add(s, f.mul(e1[base + t], e2[t * m + j]))
+                    for a, b in zip(row_logs, col_logs[j]):
+                        if a is None or b is None:
+                            continue
+                        v = exp[a + b]
+                        if s:
+                            ls = log[s]
+                            z = zech[log[v] - ls]
+                            s = 0 if z is None else exp[ls + z]
+                        else:
+                            s = v
                     out[i * m + j] = s
         return MatrixFF(f, n, m, out)
 
@@ -729,7 +855,7 @@ def _synthetic_div(coeffs: list[int], z: int, f: PrimeField) -> tuple[list[int],
 
 
 def eigenvalues_in_splitting_field(
-    M: MatrixFF, budget: int = DEFAULT_SCAN_BUDGET
+    M: MatrixFF, budget: int = MAX_FIELD_ORDER
 ) -> tuple[PrimeField, tuple[int, ...]]:
     """All n eigenvalues of M, located in a common extension field.
 
@@ -737,7 +863,7 @@ def eigenvalues_in_splitting_field(
     roots of the characteristic polynomial off by synthetic division
     until all n are found; the scan is exhaustive and deterministic.
     Raises ScanBudgetExceeded once the candidate extension would have
-    more than ``budget`` elements.
+    more than ``budget`` elements, or more than MAX_FIELD_ORDER.
     """
     if M.rows != M.cols:
         raise ValueError("eigenvalues of a non-square matrix")
@@ -746,8 +872,9 @@ def eigenvalues_in_splitting_field(
     chi = charpoly(M)
     if n == 0:
         return K, ()
+    limit = min(budget, MAX_FIELD_ORDER)
     d = 1
-    while K.order**d <= budget:
+    while K.order**d <= limit:
         L = K if d == 1 else mk_field(K.p, K.m * d)
         emb = embed_field(K, L)
         poly = [emb(c) for c in chi.coeffs]
@@ -766,5 +893,5 @@ def eigenvalues_in_splitting_field(
         d += 1
     raise ScanBudgetExceeded(
         f"splitting field of the characteristic polynomial needs more than "
-        f"{budget} elements"
+        f"{limit} elements"
     )

@@ -148,6 +148,43 @@ def test_batch_with_non_integer_h0_exits_two_and_keeps_both_reports(tmp_path, ca
     assert reports[1]["invalid"] is True and repr(key) in reports[1]["error"]
 
 
+def test_batch_with_non_integer_ell_degree_exits_two_and_keeps_both_reports(tmp_path, capsys):
+    good = {"mode": "taylor", "op": "threshold", "q": 2, "n": 2}
+    bad = {"mode": "gn-audit", "n": 2, "deg_F": 1, "ell_degrees": ["x"]}
+    path = _write(tmp_path, [good, bad])
+    assert run_scenario(path) == EXIT_INVALID
+    reports = _last_json(capsys)
+    assert len(reports) == 2
+    assert reports[0]["ok"] is True
+    assert reports[1]["invalid"] is True and "'ell_degrees'" in reports[1]["error"]
+
+
+def _cyclic_over(p, m):
+    return {"mode": "cohomology", "op": "cyclic", "order": 2,
+            "sigma": {"p": p, "m": m, "rows": [[1]]}}
+
+
+@pytest.mark.parametrize("p, m", [(3, True), (3, 2.5), (True, 2), ("3", 1)])
+def test_non_integer_field_spec_exits_two(tmp_path, capsys, p, m):
+    path = _write(tmp_path, _cyclic_over(p, m))
+    assert run_scenario(path) == EXIT_INVALID
+    report = _last_json(capsys)
+    assert report["invalid"] is True and "must be an integer" in report["error"]
+
+
+def test_field_over_the_order_cap_exits_two_before_any_search(tmp_path, capsys, monkeypatch):
+    from defring_audit import ff
+
+    def no_search(*args):
+        raise AssertionError("a modulus candidate was tested")
+
+    monkeypatch.setattr(ff, "_is_irreducible", no_search)
+    path = _write(tmp_path, _cyclic_over(2, 30))
+    assert run_scenario(path) == EXIT_INVALID
+    report = _last_json(capsys)
+    assert report["invalid"] is True and "MAX_FIELD_ORDER" in report["error"]
+
+
 @pytest.mark.parametrize("k", [MAX_DENSITY_K + 1, True])
 def test_density_k_outside_the_budget_exits_two(tmp_path, capsys, k):
     path = _write(tmp_path, {"mode": "density", "gamma": "S3", "subgroup": "trivial", "k": k})

@@ -1,12 +1,22 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defring_audit.acceptance import cofactor_charpoly
 from defring_audit.ff import (
+    MAX_FIELD_ORDER,
     MatrixFF,
     PolyFF,
+    PrimeField,
     ScanBudgetExceeded,
+    _check_field_order,
+    _digit_product,
+    _is_irreducible,
+    _pmul,
+    _prem,
     block_diag,
     charpoly,
     eigenvalues_in_splitting_field,
@@ -88,6 +98,187 @@ def test_generator_satisfies_modulus():
     for c in reversed(f.modulus):
         val = f.add(f.mul(val, t), c)
     assert val == 0
+
+
+# ---------------------------------------------------------------------------
+# table arithmetic against the digit-loop oracles
+# ---------------------------------------------------------------------------
+
+
+def _primes_up_to(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
+
+
+def _extension_fields(max_order):
+    """Every (p, m) with m >= 2 and p^m <= max_order."""
+    return [
+        (p, m)
+        for p in _primes_up_to(int(max_order**0.5))
+        for m in range(2, max_order.bit_length())
+        if p**m <= max_order
+    ]
+
+
+# the fields of the benchmark's extension-field batch, and F_{101^2}
+BATCH_FIELDS = [
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 8), (2, 10), (2, 11),
+    (3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (5, 2), (5, 3), (5, 4),
+    (7, 2), (7, 3), (11, 2), (13, 3), (101, 2),
+]
+
+
+def _full_scan_modulus(p, m):
+    """The first irreducible modulus in the full constant-term-first scan."""
+    for tail in itertools.product(range(p), repeat=m):
+        cand = list(tail) + [1]
+        if _is_irreducible(cand, p):
+            return tuple(cand)
+
+
+def _digit_add(f, a, b):
+    """Digit-by-digit sum of encodings."""
+    p, out, mult = f.p, 0, 1
+    for _ in range(f.m):
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def _digit_neg(f, a):
+    p, out, mult = f.p, 0, 1
+    for _ in range(f.m):
+        out += ((-a) % p) * mult
+        a //= p
+        mult *= p
+    return out
+
+
+def _fermat_inv(f, mul, a):
+    """a^(q-2) by square-and-multiply on the digit product."""
+    result, e = 1, f.order - 2
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+def _repeated_pow(f, a, e):
+    """a^e (a != 0) as |e| mod (q - 1) products of a or of its inverse."""
+    base = f.inv(a) if e < 0 else a
+    result = 1
+    for _ in range(abs(e) % (f.order - 1)):
+        result = f.mul(result, base)
+    return result
+
+
+def _check_ops(f, pairs):
+    mul = _digit_product(f.p, f.m, f.modulus)
+    for a, b in pairs:
+        assert f.add(a, b) == _digit_add(f, a, b)
+        assert f.sub(a, b) == _digit_add(f, a, _digit_neg(f, b))
+        assert f.mul(a, b) == mul(a, b)
+    for a, _ in pairs:
+        assert f.neg(a) == _digit_neg(f, a)
+        if a:
+            assert f.inv(a) == _fermat_inv(f, mul, a)
+
+
+@pytest.mark.parametrize("p,m", _extension_fields(256))
+def test_table_ops_match_digit_loops_on_every_pair(p, m):
+    f = mk_field(p, m)
+    _check_ops(f, itertools.product(f.elements(), repeat=2))
+
+
+@pytest.mark.parametrize("p,m", BATCH_FIELDS)
+def test_table_ops_match_digit_loops_on_random_pairs(p, m):
+    f = mk_field(p, m)
+    rng = random.Random(f"{p}^{m}")
+    pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(2000)]
+    _check_ops(f, pairs)
+    for a, b in pairs[:200]:
+        for e in (-3, -1, 0, 1, 2, f.order, 7 * f.order + 5):
+            if a:
+                assert f.pow(a, e) == _repeated_pow(f, a, e)
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 3)])
+def test_digit_product_is_polynomial_product_mod_modulus(p, m):
+    # independent of every table: F_p[T] remainder of the product
+    f = mk_field(p, m)
+    mul = _digit_product(p, m, f.modulus)
+    for a, b in itertools.product(f.elements(), repeat=2):
+        expect = f.encode(_prem(_pmul(f.coeffs(a), f.coeffs(b), p), f.modulus, p))
+        assert mul(a, b) == expect
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2), (2, 8), (7, 2)])
+def test_negation_and_zero(p, m):
+    f = mk_field(p, m)
+    for a in f.elements():
+        assert f.add(a, f.neg(a)) == 0
+        assert f.sub(a, a) == 0
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        f.pow(0, -1)
+    assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+
+
+@pytest.mark.parametrize("p,m", _extension_fields(2**12))
+def test_mk_field_matches_full_scan(p, m):
+    assert mk_field(p, m).modulus == _full_scan_modulus(p, m)
+
+
+def test_canonical_moduli_are_irreducible_by_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p, m in _extension_fields(2**12):
+        coeffs = list(reversed(mk_field(p, m).modulus))
+        assert sympy.Poly(coeffs, x, modulus=p).is_irreducible, (p, m)
+
+
+def test_mk_field_refuses_orders_past_the_cap():
+    assert MAX_FIELD_ORDER == 2**20
+    with pytest.raises(ValueError, match="MAX_FIELD_ORDER"):
+        mk_field(2, 21)
+    with pytest.raises(ValueError, match="MAX_FIELD_ORDER"):
+        mk_field(1031, 2)  # 1031^2 > 2^20
+    with pytest.raises(ValueError, match="MAX_FIELD_ORDER"):
+        mk_field(2, 10**9)
+
+
+def test_field_order_cap_is_inclusive():
+    _check_field_order(2, 20)
+    _check_field_order(1021, 2)
+    with pytest.raises(ValueError, match="MAX_FIELD_ORDER"):
+        _check_field_order(3, 13)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 2), (2, 10), (13, 3)])
+def test_matmul_over_extension_matches_entrywise_sums(p, m):
+    f = mk_field(p, m)
+    rng = random.Random(f"matmul {p}^{m}")
+    for rows, inner, cols in [(1, 1, 1), (3, 4, 2), (5, 5, 5)]:
+        es1 = [rng.choice([0, rng.randrange(f.order)]) for _ in range(rows * inner)]
+        es2 = [rng.choice([0, rng.randrange(f.order)]) for _ in range(inner * cols)]
+        A, B = MatrixFF(f, rows, inner, es1), MatrixFF(f, inner, cols, es2)
+        expect = []
+        for i in range(rows):
+            for j in range(cols):
+                s = 0
+                for t in range(inner):
+                    s = f.add(s, f.mul(A.at(i, t), B.at(t, j)))
+                expect.append(s)
+        assert (A * B).entries == tuple(expect)
+
+
+def test_prime_field_rejects_a_reducible_modulus():
+    with pytest.raises(ValueError, match="not irreducible"):
+        PrimeField(2, 2, (1, 0, 1))  # T^2 + 1 = (T + 1)^2
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +461,16 @@ def test_scan_budget_error_is_explicit():
         eigenvalues_in_splitting_field(M, budget=5000)
     field, roots = eigenvalues_in_splitting_field(M, budget=11000)
     assert field.order == 101**2 and len(roots) == 2
+
+
+def test_scan_stops_at_the_field_order_cap():
+    # T^2 - c is irreducible over F_1031 for a non-residue c, and its roots
+    # live in F_{1031^2}, past MAX_FIELD_ORDER, whatever the budget
+    p = 1031
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    M = MatrixFF.from_rows(mk_field(p), [[0, c], [1, 0]])
+    with pytest.raises(ScanBudgetExceeded, match=str(MAX_FIELD_ORDER)):
+        eigenvalues_in_splitting_field(M, budget=2**40)
 
 
 # ---------------------------------------------------------------------------
