@@ -44,10 +44,8 @@ class ScenarioError(ValueError):
 
 
 def _field_from_json(obj) -> PrimeField:
-    p, m = obj.get("p"), obj.get("m", 1)
-    for key, value in (("p", p), ("m", m)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"bad field spec: {key!r} must be an integer, got {value!r}")
+    p = _as_int(obj.get("p"), "bad field spec: 'p'")
+    m = _as_int(obj.get("m", 1), "bad field spec: 'm'")
     try:
         return mk_field(p, m)
     except ValueError as exc:
@@ -247,11 +245,10 @@ def _ledger_verdicts(setting, h0_global, h0_global_dual, h0_locals, run_dual):
 
 
 def _as_int(value, what: str) -> int:
-    """``value`` coerced by ``int()``; a value it rejects is invalid input."""
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{what} must be an integer, got {value!r}") from exc
+    """``value`` if it is a JSON integer; a bool, float, string or other value is invalid."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _payload_int(payload, key: str) -> int:
@@ -405,14 +402,10 @@ def gn_audit(n: int, deg_F: int, s_count: int, ell_degrees) -> dict:
 
 
 def _run_gn_audit_payload(payload):
-    try:
-        n = int(payload.get("n"))
-        deg_f = int(payload.get("deg_F"))
-        s_count = int(payload.get("s_count", 0))
-        ell_degrees = payload.get("ell_degrees", [])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc)) from exc
-    report = gn_audit(n, deg_f, s_count, ell_degrees)
+    n = _as_int(payload.get("n"), "'n'")
+    deg_f = _as_int(payload.get("deg_F"), "'deg_F'")
+    s_count = _payload_int(payload, "s_count")
+    report = gn_audit(n, deg_f, s_count, payload.get("ell_degrees", []))
     return report["verdicts"], report["diagnostics"], report["ok"]
 
 

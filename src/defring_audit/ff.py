@@ -16,12 +16,13 @@ a Zech-logarithm table, so add, sub, neg, mul, inv and pow are O(1)
 lookups; the tables change no encoding and no result.  Their size caps
 extension fields at MAX_FIELD_ORDER = 2^20 elements, which is also the
 default budget of the splitting-field scan.  Prime fields F_p need no
-tables and have no cap.
+tables; p is capped only by the exact primality test, at MAX_PRIMALITY_N.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -39,18 +40,48 @@ class InternalCheckError(RuntimeError):
     """A mathematically guaranteed invariant failed; indicates a bug."""
 
 
+# Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+MAX_PRIMALITY_N = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# below this, trial division (fewer than 128 odd divisors) is the cheaper test
+_TRIAL_DIVISION_BELOW = 2**16
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Exact primality for n < MAX_PRIMALITY_N; ValueError at or above it."""
+    if n < _TRIAL_DIVISION_BELOW:
+        if n < 4:
+            return n >= 2
+        if n % 2 == 0:
             return False
-        f += 2
+        f = 3
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
+        return True
+    if n >= MAX_PRIMALITY_N:
+        raise ValueError(
+            f"{n} is at or above MAX_PRIMALITY_N = {MAX_PRIMALITY_N}, "
+            "the limit of the deterministic primality test"
+        )
+    if any(n % b == 0 for b in _MILLER_RABIN_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -550,7 +581,12 @@ class MatrixFF:
         entries = tuple(entries)
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError("entry count must equal rows * cols")
-        if not all(isinstance(e, int) and 0 <= e < field.order for e in entries):
+        # the type test runs first, so min/max never compare a float or str
+        if entries and not (
+            all(map(isinstance, entries, itertools.repeat(int)))
+            and min(entries) >= 0
+            and max(entries) < field.order
+        ):
             raise ValueError("entries must be encoded elements of the field")
         self.field = field
         self.rows = rows
@@ -624,17 +660,13 @@ class MatrixFF:
         f = self.field
         n, k, m = self.rows, self.cols, other.cols
         e1, e2 = self.entries, other.entries
-        out = [0] * (n * m)
         if f.m == 1:
-            p = f.p
-            for i in range(n):
-                base = i * k
-                for j in range(m):
-                    s = 0
-                    for t in range(k):
-                        s += e1[base + t] * e2[t * m + j]
-                    out[i * m + j] = s % p
+            p, mul = f.p, operator.mul
+            rows = [e1[i * k : (i + 1) * k] for i in range(n)]
+            cols = [e2[j::m] for j in range(m)]
+            out = [sum(map(mul, r, c)) % p for r in rows for c in cols]
         else:
+            out = [0] * (n * m)
             # f.add/f.mul inlined on the field's tables; None is the log of 0
             exp, log, zech = f._exp, f._log, f._zech
             col_logs = [[log[e2[t * m + j]] for t in range(k)] for j in range(m)]

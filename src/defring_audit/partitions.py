@@ -17,7 +17,6 @@ from .ff import (
     MatrixFF,
     PrimeField,
     block_diag,
-    is_unipotent,
     kernel_dim,
     mk_field,
     nilpotent_block,
@@ -90,22 +89,25 @@ def kernel_sequence(M: MatrixFF) -> Partition:
     """The partition (s_1, ..., s_r) with s_i = dim ker(M-I)^i - dim ker(M-I)^{i-1}.
 
     r is minimal with ker(M-I)^r the full space; requires M unipotent.
+    The kernels of the powers grow until they stop for good, so M is
+    unipotent iff they reach dimension n before a step adds nothing.
     """
     if M.rows != M.cols or M.rows == 0:
         raise ValueError("kernel sequence needs a nonempty square matrix")
-    if not is_unipotent(M):
-        raise ValueError("not unipotent")
     n = M.rows
     A = M - MatrixFF.identity(M.field, n)
     seq = []
     prev = 0  # dim ker (M-I)^0 = dim ker I = 0
     power = A
-    while prev < n:
+    while True:
         cur = kernel_dim(power)
+        if cur == prev:
+            raise ValueError("not unipotent")
         seq.append(cur - prev)
+        if cur == n:
+            return Partition(tuple(seq))
         prev = cur
         power = power * A
-    return Partition(tuple(seq))
 
 
 _DEFAULT_THETA_FIELD: PrimeField | None = None

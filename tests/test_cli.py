@@ -13,6 +13,7 @@ from defring_audit.cli import (
     run_scenario_obj,
 )
 from defring_audit.density import MAX_DENSITY_K
+from defring_audit.ff import MAX_PRIMALITY_N
 
 
 def _write(tmp_path, obj, name="scenario.json"):
@@ -159,6 +160,18 @@ def test_batch_with_non_integer_ell_degree_exits_two_and_keeps_both_reports(tmp_
     assert reports[1]["invalid"] is True and "'ell_degrees'" in reports[1]["error"]
 
 
+@pytest.mark.parametrize("value", [2.9, True, "2"])
+@pytest.mark.parametrize("key", ["n", "deg_F", "s_count"])
+def test_gn_audit_non_integer_size_exits_two_and_names_the_key(tmp_path, capsys, key, value):
+    good = {"mode": "gn-audit", "n": 2, "deg_F": 1, "s_count": 1, "ell_degrees": [1]}
+    path = _write(tmp_path, [good, dict(good, **{key: value})])
+    assert run_scenario(path) == EXIT_INVALID
+    reports = _last_json(capsys)
+    assert reports[0]["ok"] is True
+    assert reports[1]["invalid"] is True
+    assert reports[1]["error"] == f"{key!r} must be an integer, got {value!r}"
+
+
 def _cyclic_over(p, m):
     return {"mode": "cohomology", "op": "cyclic", "order": 2,
             "sigma": {"p": p, "m": m, "rows": [[1]]}}
@@ -183,6 +196,26 @@ def test_field_over_the_order_cap_exits_two_before_any_search(tmp_path, capsys, 
     assert run_scenario(path) == EXIT_INVALID
     report = _last_json(capsys)
     assert report["invalid"] is True and "MAX_FIELD_ORDER" in report["error"]
+
+
+def test_cyclic_scenario_over_a_61_bit_prime_ends_in_a_report(tmp_path, capsys):
+    path = _write(tmp_path, _cyclic_over(2**61 - 1, 1))
+    assert run_scenario(path) == EXIT_OK
+    report = _last_json(capsys)
+    assert report["verdicts"]["h0"] == 1 and report["elapsed_s"] < 1.0
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [_cyclic_over(MAX_PRIMALITY_N, 1),
+     {"mode": "taylor", "op": "coprime", "ell": MAX_PRIMALITY_N + 2, "q": 2, "n": 2}],
+    ids=["field", "coprime-ell"],
+)
+def test_number_past_the_primality_limit_exits_two(tmp_path, capsys, scenario):
+    path = _write(tmp_path, scenario)
+    assert run_scenario(path) == EXIT_INVALID
+    report = _last_json(capsys)
+    assert report["invalid"] is True and "MAX_PRIMALITY_N" in report["error"]
 
 
 @pytest.mark.parametrize("k", [MAX_DENSITY_K + 1, True])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from defring_audit.acceptance import cofactor_charpoly
 from defring_audit.ff import (
     MAX_FIELD_ORDER,
+    MAX_PRIMALITY_N,
     MatrixFF,
     PolyFF,
     PrimeField,
@@ -21,6 +22,7 @@ from defring_audit.ff import (
     charpoly,
     eigenvalues_in_splitting_field,
     embed_field,
+    is_prime,
     is_unipotent,
     kernel_dim,
     mat_rank,
@@ -69,6 +71,70 @@ def test_modulus_is_lex_smallest_for_f8():
 def test_mk_field_rejects_composite_characteristic():
     with pytest.raises(ValueError):
         mk_field(4, 1)
+
+
+# ---------------------------------------------------------------------------
+# primality against trial division
+# ---------------------------------------------------------------------------
+
+
+def _trial_division_is_prime(n):
+    """The former ``is_prime``: odd trial divisors up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_prime_matches_trial_division_up_to_1e5():
+    # covers the switch from trial division to Miller-Rabin at 2^16
+    for n in range(-3, 10**5 + 1):
+        assert is_prime(n) == _trial_division_is_prime(n), n
+
+
+@pytest.mark.parametrize(
+    "n, expect",
+    [
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, False),  # strong pseudoprime to bases 2..23
+        (2**31 - 1, True),
+        (2**61 - 1, True),
+        ((2**31 - 1) * (2**19 - 1), False),
+    ],
+)
+def test_is_prime_on_pseudoprimes_and_mersenne_primes(n, expect):
+    assert is_prime(n) is expect
+
+
+def test_is_prime_matches_sympy_on_large_random_numbers():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("is_prime")
+    for bits in (17, 32, 48, 64, 80):
+        for _ in range(200):
+            n = rng.getrandbits(bits) | 1
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_refuses_numbers_at_the_limit():
+    assert is_prime(MAX_PRIMALITY_N - 1) is False  # even, just below the limit
+    for n in (MAX_PRIMALITY_N, 2**127 - 1):
+        with pytest.raises(ValueError, match="MAX_PRIMALITY_N"):
+            is_prime(n)
+    with pytest.raises(ValueError, match="MAX_PRIMALITY_N"):
+        mk_field(MAX_PRIMALITY_N)
+
+
+def test_prime_field_of_a_61_bit_prime():
+    f = mk_field(2**61 - 1)
+    assert f.order == 2**61 - 1 and f.mul(f.inv(3), 3) == 1
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])
@@ -274,6 +340,58 @@ def test_matmul_over_extension_matches_entrywise_sums(p, m):
                     s = f.add(s, f.mul(A.at(i, t), B.at(t, j)))
                 expect.append(s)
         assert (A * B).entries == tuple(expect)
+
+
+def _triple_loop_product(A, B):
+    """The former prime-field ``MatrixFF.__mul__``: one index loop per entry."""
+    p = A.field.p
+    n, k, m = A.rows, A.cols, B.cols
+    e1, e2 = A.entries, B.entries
+    out = [0] * (n * m)
+    for i in range(n):
+        base = i * k
+        for j in range(m):
+            s = 0
+            for t in range(k):
+                s += e1[base + t] * e2[t * m + j]
+            out[i * m + j] = s % p
+    return MatrixFF(A.field, n, m, out)
+
+
+PRODUCT_SHAPES = [
+    (1, 1, 1), (3, 4, 2), (2, 5, 3), (5, 5, 5), (1, 6, 1), (6, 1, 6), (1, 4, 5),
+    (5, 4, 1), (0, 3, 2), (2, 3, 0), (3, 0, 2), (0, 0, 0), (8, 8, 8),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 2**31 - 1])
+def test_prime_field_matmul_matches_triple_loop(p):
+    f = mk_field(p)
+    rng = random.Random(f"prime matmul {p}")
+    for rows, inner, cols in PRODUCT_SHAPES:
+        for _ in range(5):
+            es1 = [rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(rows * inner)]
+            es2 = [rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(inner * cols)]
+            A, B = MatrixFF(f, rows, inner, es1), MatrixFF(f, inner, cols, es2)
+            got = A * B
+            assert (got.rows, got.cols) == (rows, cols)
+            assert got == _triple_loop_product(A, B)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[0, -1], [0, 5], [1.0, 0], ["1", 0], [0, 1, 2.0, "3"], [None, 0]],
+    ids=["negative", "order", "float", "str", "mixed", "none"],
+)
+def test_constructor_rejects_non_elements_with_the_same_message(entries):
+    with pytest.raises(ValueError, match="^entries must be encoded elements of the field$"):
+        MatrixFF(F5, 1, len(entries), entries)
+
+
+def test_constructor_accepts_bools_and_empty_matrices():
+    assert MatrixFF(F5, 1, 2, [True, False]).entries == (True, False)
+    assert MatrixFF(F5, 0, 3, []).entries == ()
+    assert MatrixFF(F2, 1, 1, [1]).entries == (1,)
 
 
 def test_prime_field_rejects_a_reducible_modulus():

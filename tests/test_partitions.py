@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defring_audit.ff import MatrixFF, mk_field, nilpotent_block
+from defring_audit.ff import MatrixFF, is_unipotent, kernel_dim, mk_field, nilpotent_block
 from defring_audit.partitions import (
     Partition,
     conjugate,
@@ -14,6 +16,7 @@ from defring_audit.partitions import (
 )
 
 F2 = mk_field(2)
+F3 = mk_field(3)
 F5 = mk_field(5)
 F7 = mk_field(7)
 F101 = mk_field(101)
@@ -131,6 +134,59 @@ def test_kernel_sequence_examples():
 def test_kernel_sequence_rejects_non_unipotent():
     with pytest.raises(ValueError, match="not unipotent"):
         kernel_sequence(MatrixFF.from_rows(F5, [[1, 0], [0, 2]]))
+
+
+def _kernel_sequence_oracle(M):
+    """The former ``kernel_sequence``: test (M-I)^n = 0 first, then the loop."""
+    if not is_unipotent(M):
+        raise ValueError("not unipotent")
+    n = M.rows
+    A = M - MatrixFF.identity(M.field, n)
+    seq, prev, power = [], 0, A
+    while prev < n:
+        cur = kernel_dim(power)
+        seq.append(cur - prev)
+        prev = cur
+        power = power * A
+    return Partition(tuple(seq))
+
+
+@pytest.mark.parametrize("field, n", [(F2, 2), (F2, 3), (F3, 2)])
+def test_kernel_sequence_matches_oracle_on_every_matrix(field, n):
+    unipotent = 0
+    for entries in itertools.product(range(field.order), repeat=n * n):
+        M = MatrixFF(field, n, n, entries)
+        try:
+            want = _kernel_sequence_oracle(M)
+        except ValueError as exc:
+            assert str(exc) == "not unipotent"
+            with pytest.raises(ValueError, match="^not unipotent$"):
+                kernel_sequence(M)
+        else:
+            unipotent += 1
+            assert kernel_sequence(M) == want
+    # the unipotent n x n matrices over F_q number q^(n(n-1))
+    assert unipotent == field.order ** (n * (n - 1))
+
+
+def test_kernel_sequence_forms_one_product_per_extra_step(monkeypatch):
+    products = []
+    real_mul = MatrixFF.__mul__
+
+    def counting_mul(self, other):
+        products.append((self.rows, other.cols))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(MatrixFF, "__mul__", counting_mul)
+    for lam in (Partition((4,)), Partition((2, 2)), Partition((1, 1, 1, 1))):
+        products.clear()
+        seq = kernel_sequence(nabla_matrix(lam, F5))
+        assert len(products) == len(seq.parts) - 1
+    products.clear()
+    with pytest.raises(ValueError, match="not unipotent"):
+        kernel_sequence(MatrixFF.from_rows(F5, [[1, 1, 0], [0, 1, 0], [0, 0, 2]]))
+    # kernels of dimension 1, 2, 2: the third power shows the stall
+    assert len(products) == 2
 
 
 @settings(max_examples=60)

@@ -1,0 +1,29 @@
+"""Smoke tests: each experiment script runs on a small grid and prints its table."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args, header",
+    [
+        ("gn_audit_sweep.py", ["--max-n", "2", "--max-degf", "2"], ["n", "degF", "#S", "ell"]),
+        ("density_survey.py", ["--max-k", "2"], ["Gamma", "|H|", "k", "density"]),
+    ],
+)
+def test_script_runs_on_a_small_grid(script, args, header):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split()[: len(header)] == header
+    assert len(lines) > 2
