@@ -2,9 +2,10 @@
 
 Scenarios are JSON objects with a top-level ``mode`` discriminator
 (``partition``, ``cohomology``, ``ledger``, ``density``, ``taylor`` or
-``gn-audit``); a file may hold a single scenario or a list, in which
-case DEFRING_AUDIT_THREADS bounds the worker count.  Exit codes: 0 all
-checks pass, 1 a mathematical check failed, 2 invalid input.
+``gn-audit``); a file may hold a single scenario or a list, run in
+order.  Every size a payload controls is checked against a budget when it
+is parsed (see ``LIMITS``).  Exit codes: 0 all checks pass, 1 a
+mathematical check failed, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -41,6 +40,37 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 # payload parsing helpers
 # ---------------------------------------------------------------------------
+
+# Budgets on the sizes a payload controls, checked when it is parsed and
+# before any work; a value past one is an exit-2 report that names it.  The
+# density rank, field orders and primes are checked against MAX_DENSITY_K,
+# MAX_FIELD_ORDER and MAX_PRIMALITY_N where those are defined.
+LIMITS = {
+    "MAX_CYCLIC_ORDER": 4096,  # norm_matrix takes one matrix product per unit of order
+    "MAX_INVOLUTION_N": 12,  # the twisted involution acts on n^2 x n^2 matrices
+}
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a bool, float, string or other value is invalid."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _payload_int(payload, key: str) -> int:
+    """``payload[key]`` (default 0) coerced by :func:`_as_int`."""
+    return _as_int(payload.get(key, 0), repr(key))
+
+
+def _bounded_int(payload, key: str, limit: str) -> int:
+    """``payload[key]`` coerced by :func:`_as_int` and within 1..LIMITS[limit]."""
+    value = _as_int(payload.get(key), repr(key))
+    if not 1 <= value <= LIMITS[limit]:
+        raise ScenarioError(
+            f"{key!r} must satisfy 1 <= {key} <= {limit} = {LIMITS[limit]}, got {value}"
+        )
+    return value
 
 
 def _field_from_json(obj) -> PrimeField:
@@ -70,7 +100,7 @@ def _partition_from_json(obj) -> parts.Partition:
         if isinstance(obj, str):
             return parts.Partition.parse(obj)
         if isinstance(obj, list):
-            return parts.Partition(tuple(int(x) for x in obj))
+            return parts.Partition(tuple(_as_int(x, "each partition part") for x in obj))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     raise ScenarioError("partition must be a string like '3,1' or an integer list")
@@ -122,10 +152,8 @@ def _run_partition(payload):
 def _run_cohomology(payload):
     op = payload.get("op")
     if op == "cyclic":
+        order = _bounded_int(payload, "order", "MAX_CYCLIC_ORDER")
         sigma = _matrix_from_json(payload.get("sigma"))
-        order = payload.get("order")
-        if not isinstance(order, int):
-            raise ScenarioError("cyclic needs an integer 'order'")
         try:
             action = coh.CyclicAction(order=order, sigma=sigma)
         except ValueError as exc:
@@ -133,9 +161,7 @@ def _run_cohomology(payload):
         dims = coh.cohomology_dims(action)
         return dataclasses.asdict(dims), {"dimension": action.dimension}, True
     if op == "involution":
-        n = payload.get("n")
-        if not isinstance(n, int) or n < 1:
-            raise ScenarioError("involution needs an integer 'n' >= 1")
+        n = _bounded_int(payload, "n", "MAX_INVOLUTION_N")
         jspec = payload.get("J", "antidiag")
         if jspec == "antidiag":
             f = _field_from_json(payload)
@@ -168,12 +194,14 @@ def _place_from_json(obj) -> ledger.PlaceSpec:
             condition = ledger.COND_UNRESTRICTED
         else:
             raise ScenarioError(f"place of kind {kind!r} needs a 'condition'")
+    local_degree = _payload_int(obj, "local_degree")
+    delta = _payload_int(obj, "delta")
     try:
         return ledger.PlaceSpec(
             kind=kind,
             condition=condition,
-            local_degree=int(obj.get("local_degree", 0)),
-            delta=int(obj.get("delta", 0)),
+            local_degree=local_degree,
+            delta=delta,
             h0_local=obj.get("h0_local"),
         )
     except (TypeError, ValueError) as exc:
@@ -183,16 +211,16 @@ def _place_from_json(obj) -> ledger.PlaceSpec:
 def _lie_from_json(obj) -> ledger.LieDims:
     if isinstance(obj, dict) and "gn" in obj:
         try:
-            return ledger.gn_dims(int(obj["gn"]))
+            return ledger.gn_dims(_as_int(obj["gn"], "'gn'"))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
     if isinstance(obj, dict):
         try:
             return ledger.LieDims(
-                dim_g=int(obj["dim_g"]),
-                dim_g_der=int(obj["dim_g_der"]),
-                dim_g_ab=int(obj["dim_g_ab"]),
-                dim_b_der=int(obj["dim_b_der"]),
+                dim_g=_as_int(obj["dim_g"], "'dim_g'"),
+                dim_g_der=_as_int(obj["dim_g_der"], "'dim_g_der'"),
+                dim_g_ab=_as_int(obj["dim_g_ab"], "'dim_g_ab'"),
+                dim_b_der=_as_int(obj["dim_b_der"], "'dim_b_der'"),
                 dim_z=obj.get("dim_z"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -204,7 +232,7 @@ def _setting_from_json(payload) -> ledger.DeformationSetting:
     try:
         return ledger.DeformationSetting(
             lie=_lie_from_json(payload.get("lie")),
-            deg_F=int(payload.get("deg_F", 0)),
+            deg_F=_payload_int(payload, "deg_F"),
             places=tuple(_place_from_json(p) for p in payload.get("places", [])),
             degrees_complete=bool(payload.get("degrees_complete", True)),
         )
@@ -244,18 +272,6 @@ def _ledger_verdicts(setting, h0_global, h0_global_dual, h0_locals, run_dual):
     return verdicts, diag, ok
 
 
-def _as_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a bool, float, string or other value is invalid."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _payload_int(payload, key: str) -> int:
-    """``payload[key]`` (default 0) coerced by :func:`_as_int`."""
-    return _as_int(payload.get(key, 0), repr(key))
-
-
 def _run_ledger(payload):
     setting = _setting_from_json(payload)
     run_dual = "h0_global" in payload or "h0_locals" in payload
@@ -275,7 +291,8 @@ def _subgroup_from_json(gamma: dens.FiniteGroup, gamma_spec, obj) -> frozenset[i
         return frozenset(gamma.elements())
     if isinstance(obj, list):
         try:
-            return dens.subgroup_closure(gamma, [int(x) for x in obj])
+            gens = [_as_int(x, "each subgroup generator") for x in obj]
+            return dens.subgroup_closure(gamma, gens)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad subgroup generators: {exc}") from exc
     if isinstance(obj, str):
@@ -335,17 +352,17 @@ def _run_taylor(payload):
     op = payload.get("op")
     if op == "threshold":
         try:
-            q = int(payload.get("q"))
-            n = int(payload.get("n"))
+            q = _as_int(payload.get("q"), "'q'")
+            n = _as_int(payload.get("n"), "'n'")
             value = taylor.taylor_threshold(q, n)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
         return {"q": q, "n": n, "threshold": value}, {}, True
     if op == "coprime":
         try:
-            ell = int(payload.get("ell"))
-            q = int(payload.get("q"))
-            n = int(payload.get("n"))
+            ell = _as_int(payload.get("ell"), "'ell'")
+            q = _as_int(payload.get("q"), "'q'")
+            n = _as_int(payload.get("n"), "'n'")
             result = taylor.threshold_coprime(ell, q, n)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
@@ -450,15 +467,6 @@ def run_scenario_obj(obj) -> dict:
     return _report(name, mode, verdicts, diagnostics, ok, elapsed)
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("DEFRING_AUDIT_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 1
-    return max(1, min(workers, n_jobs))
-
-
 def run_scenario(path: str, out: str | None = None) -> int:
     """Run the scenario file (single object or list); emit the report JSON.
 
@@ -472,22 +480,13 @@ def run_scenario(path: str, out: str | None = None) -> int:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    objs = data if isinstance(data, list) else [data]
-    invalid = False
-
     def run_one(obj):
         try:
             return run_scenario_obj(obj)
         except ScenarioError as exc:
             return {"error": str(exc), "ok": False, "invalid": True}
 
-    workers = _worker_count(len(objs))
-    if workers == 1:
-        reports = [run_one(o) for o in objs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, objs))
-
+    reports = [run_one(o) for o in (data if isinstance(data, list) else [data])]
     invalid = any(r.get("invalid") for r in reports)
     payload = reports if isinstance(data, list) else reports[0]
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -16,12 +16,19 @@ some conjugate x of gamma has odd e_H(x), the least e >= 1 with x^e in H.
 Hence density = 1 - N_bad / (|Gamma| * 2^(k+1)), where N_bad is the total
 size of the Gamma-classes holding such an x.  ``xi_star`` and ``xi`` keep
 the exhaustive enumeration as a reference.
+
+Gamma's table is built a row at a time: row y*s of S_n is row s read
+through row y, so the rows of the adjacent transpositions fill the rest,
+and a row of a direct product is formed from one row of each factor.
+Associativity of a table of order <= 48 is checked exactly by Light's
+test, which compares rows only for b in a generating set.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,8 +49,8 @@ class FiniteGroup:
 
     Elements are 0..N-1; ``table[a][b]`` is the index of a*b.  The
     identity and inverse table are located on construction; associativity
-    is checked in full for N <= 48 and spot-checked (deterministically)
-    for larger tables.
+    is checked exactly for N <= 48 (by Light's test) and spot-checked
+    (deterministically) for larger tables.
     """
 
     __slots__ = ("order", "table", "identity", "inverse", "name")
@@ -93,11 +100,17 @@ class FiniteGroup:
         n = self.order
         t = self.table
         if n <= _FULL_ASSOCIATIVITY_ORDER:
-            # (ab)c = a(bc) for every c: row ab equals row b read through row a
-            for a, b in itertools.product(range(n), repeat=2):
-                if t[t[a][b]] != tuple(map(t[a].__getitem__, t[b])):
-                    c = next(c for c in range(n) if t[t[a][b]][c] != t[a][t[b][c]])
-                    raise ValueError(f"multiplication table not associative at {(a, b, c)}")
+            # Light's test: (ab)c = a(bc) for all a, c and every b in a set
+            # that generates the table under products is associativity itself
+            # (the b passing it are closed under products).  Row ab must
+            # equal row b read through row a.
+            gens = _greedy_generators(t)
+            for a in range(n):
+                row = t[a]
+                for b in gens:
+                    if t[row[b]] != tuple(map(row.__getitem__, t[b])):
+                        c = next(c for c in range(n) if t[row[b]][c] != row[t[b][c]])
+                        raise ValueError(f"multiplication table not associative at {(a, b, c)}")
             return
         state = 123456789
         for _ in range(_SPOT_CHECK_TRIPLES):
@@ -137,6 +150,34 @@ class FiniteGroup:
         return f"FiniteGroup({self.name or self.order})"
 
 
+def _greedy_generators(table) -> list[int]:
+    """The least indices whose right products reach every element.
+
+    Each index not yet reached becomes a generator; the reached set is
+    then closed again under right multiplication by every generator.  No
+    associativity is assumed, so the set generates any table.
+    """
+    n = len(table)
+    gens: list[int] = []
+    reached = 0
+    for g in range(n):
+        if reached >> g & 1:
+            continue
+        gens.append(g)
+        reached = 0
+        for x in gens:
+            reached |= 1 << x
+        elems = list(gens)
+        for x in elems:
+            row = table[x]
+            for s in gens:
+                y = row[s]
+                if not reached >> y & 1:
+                    reached |= 1 << y
+                    elems.append(y)
+    return gens
+
+
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -165,33 +206,47 @@ def elementary_abelian_2(k: int) -> FiniteGroup:
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on the permutations of range(n) in lexicographic order.
 
+    Row y*s of the table is row s read through row y, since
+    (y*s)*b = y*(s*b).  So only the rows of the adjacent transpositions s
+    are computed entry by entry; a walk from the identity fills every
+    other row once, as one ``itemgetter`` call on a row already built.
     Memoised like ``mk_field``: the table is immutable and a batch builds
     the same S_n for many scenarios.
     """
     if n < 1 or n > 6:
         raise ValueError("symmetric groups are supported for 1 <= n <= 6")
     perms = [bytes(p) for p in itertools.permutations(range(n))]
-    index = {p: i for i, p in enumerate(perms)}.__getitem__
+    index = {p: i for i, p in enumerate(perms)}
     # (a*b)(x) = a(b(x)) is b.translate(a), with a padded to a 256-byte table
-    table = [
-        tuple(map(index, map(bytes.translate, perms, itertools.repeat(a.ljust(256, b"\0")))))
-        for a in perms
+    pads = [p.ljust(256, b"\0") for p in perms]
+    swaps = [index[bytes(range(i)) + bytes((i + 1, i)) + bytes(range(i + 2, n))]
+             for i in range(n - 1)]
+    swap_rows = [
+        (perms[s], operator.itemgetter(
+            *map(index.__getitem__, map(bytes.translate, perms, itertools.repeat(pads[s])))
+        ))
+        for s in swaps
     ]
-    return FiniteGroup(table, name=f"S{n}")
+    rows = [None] * len(perms)
+    rows[0] = tuple(range(len(perms)))
+    walk = [0]
+    for y in walk:
+        for s, s_row in swap_rows:
+            z = index[s.translate(pads[y])]  # y*s
+            if rows[z] is None:
+                rows[z] = s_row(rows[y])
+                walk.append(z)
+    return FiniteGroup(rows, name=f"S{n}")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     n = a.order * b.order
     if n > MAX_GROUP_ORDER:
         raise ValueError(f"product order {n} exceeds the budget {MAX_GROUP_ORDER}")
+    nb = b.order
+    # (x1, y1)(x2, y2) = (x1 x2, y1 y2), with (x, y) at index x * nb + y
     table = [
-        [
-            a.mul(x1, x2) * b.order + b.mul(y1, y2)
-            for x2 in a.elements()
-            for y2 in b.elements()
-        ]
-        for x1 in a.elements()
-        for y1 in b.elements()
+        [x * nb + y for x in arow for y in brow] for arow in a.table for brow in b.table
     ]
     name = f"{a.name or '?'}x{b.name or '?'}"
     return FiniteGroup(table, name=name)

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from defring_audit import cohomology as coh
 from defring_audit.cli import (
     EXIT_INVALID,
     EXIT_MATH_FAIL,
     EXIT_OK,
+    LIMITS,
     ScenarioError,
     gn_audit,
     main,
@@ -110,8 +116,7 @@ def test_reports_are_deterministic_modulo_elapsed():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
-def test_batch_scenarios_preserve_order(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DEFRING_AUDIT_THREADS", "3")
+def test_batch_scenarios_preserve_order(tmp_path, capsys):
     batch = [
         {"mode": "taylor", "op": "threshold", "q": 2, "n": 2, "name": "a"},
         {"mode": "partition", "op": "conjugate", "partition": "4,2,1", "name": "b"},
@@ -230,6 +235,118 @@ def test_density_k_outside_the_budget_exits_two(tmp_path, capsys, k):
 def test_main_density_k_outside_the_budget_exits_two(capsys):
     assert main(["density", "--gamma", "S3", "--k", str(MAX_DENSITY_K + 1)]) == EXIT_INVALID
     assert "MAX_DENSITY_K" in capsys.readouterr().err
+
+
+def _cyclic(order):
+    return {"mode": "cohomology", "op": "cyclic", "order": order,
+            "sigma": {"p": 5, "m": 1, "rows": [[1]]}}
+
+
+def _involution(n):
+    return {"mode": "cohomology", "op": "involution", "n": n, "p": 5}
+
+
+def _refuse_the_job(monkeypatch):
+    def no_job(*args, **kwargs):
+        raise AssertionError("the job ran")
+
+    for name in ("CyclicAction", "antidiagonal_ones", "InvolutionSpec"):
+        monkeypatch.setattr(coh, name, no_job)
+
+
+@pytest.mark.parametrize(
+    "scenario, limit",
+    [(_cyclic(LIMITS["MAX_CYCLIC_ORDER"] + 1), "MAX_CYCLIC_ORDER"),
+     (_cyclic(10**9), "MAX_CYCLIC_ORDER"),
+     (_cyclic(0), "MAX_CYCLIC_ORDER"),
+     (_involution(LIMITS["MAX_INVOLUTION_N"] + 1), "MAX_INVOLUTION_N"),
+     (_involution(60), "MAX_INVOLUTION_N")],
+    ids=["order-past", "order-1e9", "order-0", "n-past", "n-60"],
+)
+def test_size_past_its_limit_exits_two_without_running_the_job(
+    tmp_path, capsys, monkeypatch, scenario, limit
+):
+    _refuse_the_job(monkeypatch)
+    path = _write(tmp_path, scenario)
+    assert run_scenario(path) == EXIT_INVALID
+    report = _last_json(capsys)
+    assert report["invalid"] is True and f"{limit} = {LIMITS[limit]}" in report["error"]
+
+
+def test_sizes_at_their_limits_are_admitted(tmp_path, capsys, monkeypatch):
+    # the benchmark inputs (cyclic order <= 12, involution n <= 4) and c04 (n <= 6) fit
+    assert LIMITS["MAX_CYCLIC_ORDER"] >= 12 and LIMITS["MAX_INVOLUTION_N"] >= 6
+    path = _write(tmp_path, _cyclic(LIMITS["MAX_CYCLIC_ORDER"]))
+    assert run_scenario(path) == EXIT_OK
+    assert _last_json(capsys)["verdicts"]["h0"] == 1
+
+    class Parsed(Exception):
+        pass
+
+    def parsed(spec):
+        raise Parsed(spec.n)
+
+    monkeypatch.setattr(coh, "twisted_involution_action", parsed)
+    with pytest.raises(Parsed, match=str(LIMITS["MAX_INVOLUTION_N"])):
+        run_scenario_obj(_involution(LIMITS["MAX_INVOLUTION_N"]))
+
+
+_PLACES = [{"kind": "ell", "condition": "sm", "local_degree": 1}, {"kind": "arch"}]
+_LEDGER = {"mode": "ledger", "lie": {"gn": 1}, "deg_F": 1, "places": _PLACES}
+_DIMS = {"dim_g": 4, "dim_g_der": 3, "dim_g_ab": 1, "dim_b_der": 1}
+
+
+@pytest.mark.parametrize(
+    "scenario, named",
+    [
+        ({"mode": "partition", "op": "theta", "partition": [2.7, 1]}, "each partition part"),
+        ({"mode": "partition", "op": "conjugate", "partition": [3, True]}, "each partition part"),
+        ({"mode": "taylor", "op": "threshold", "q": "2", "n": 2}, "'q'"),
+        ({"mode": "taylor", "op": "threshold", "q": 2, "n": 2.7}, "'n'"),
+        ({"mode": "taylor", "op": "coprime", "ell": True, "q": 2, "n": 2}, "'ell'"),
+        (dict(_LEDGER, deg_F=1.9), "'deg_F'"),
+        (dict(_LEDGER, places=[dict(_PLACES[0], local_degree=True), _PLACES[1]]),
+         "'local_degree'"),
+        (dict(_LEDGER, places=[dict(_PLACES[0], delta=0.5), _PLACES[1]]), "'delta'"),
+        (dict(_LEDGER, lie={"gn": 2.0}), "'gn'"),
+        (dict(_LEDGER, lie=dict(_DIMS, dim_g="4")), "'dim_g'"),
+        (dict(_LEDGER, lie=dict(_DIMS, dim_b_der=1.0)), "'dim_b_der'"),
+        ({"mode": "density", "gamma": "S3", "subgroup": [1.0], "k": 1}, "each subgroup generator"),
+        (_cyclic(2.0), "'order'"),
+        (_involution(True), "'n'"),
+    ],
+)
+def test_non_integer_payload_value_exits_two_and_names_the_key(
+    tmp_path, capsys, scenario, named
+):
+    good = {"mode": "partition", "op": "conjugate", "partition": "3,1"}
+    path = _write(tmp_path, [good, scenario])
+    assert run_scenario(path) == EXIT_INVALID
+    reports = _last_json(capsys)
+    assert reports[0]["ok"] is True and reports[0]["verdicts"]["conjugate"] == "2,1,1"
+    assert reports[1]["invalid"] is True
+    assert f"{named} must be an integer" in reports[1]["error"]
+
+
+def test_integer_partition_list_and_string_parse_alike():
+    as_list = run_scenario_obj({"mode": "partition", "op": "theta", "partition": [2, 1]})
+    as_text = run_scenario_obj({"mode": "partition", "op": "theta", "partition": "2,1"})
+    assert as_list["verdicts"] == as_text["verdicts"] == {"input": "2,1", "theta": "2,1"}
+
+
+def test_importing_the_cli_starts_no_thread_machinery():
+    code = (
+        "import sys; before = set(sys.modules); import defring_audit.cli; "
+        "added = set(sys.modules) - before; "
+        "print(sorted({'concurrent.futures', 'logging', 'threading'} & added))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,57 @@ def _symmetric_table_oracle(n):
     )
 
 
+def _symmetric_table_translate_oracle(n):
+    """The S_n table with every entry found by one ``bytes.translate`` and a lookup."""
+    perms = [bytes(p) for p in itertools.permutations(range(n))]
+    index = {p: i for i, p in enumerate(perms)}.__getitem__
+    # (a*b)(x) = a(b(x)) is b.translate(a), with a padded to a 256-byte table
+    return tuple(
+        tuple(map(index, map(bytes.translate, perms, itertools.repeat(a.ljust(256, b"\0")))))
+        for a in perms
+    )
+
+
+def _direct_product_oracle(a, b):
+    """The product table entry by entry through ``mul``."""
+    return tuple(
+        tuple(
+            a.mul(x1, x2) * b.order + b.mul(y1, y2)
+            for x2 in a.elements()
+            for y2 in b.elements()
+        )
+        for x1 in a.elements()
+        for y1 in b.elements()
+    )
+
+
+def _associativity_oracle(table):
+    """The first (a, b, c) with (ab)c != a(bc) over all pairs a, b, or None."""
+    n = len(table)
+    for a, b in itertools.product(range(n), repeat=2):
+        for c in range(n):
+            if table[table[a][b]][c] != table[a][table[b][c]]:
+                return (a, b, c)
+    return None
+
+
+def _light_test_accepts(table):
+    """Run only the associativity check of FiniteGroup on a square table.
+
+    The table need not have an identity or inverses, so the instance is
+    made without __init__ and its other checks.
+    """
+    group = object.__new__(FiniteGroup)
+    group.order = len(table)
+    group.table = tuple(tuple(row) for row in table)
+    try:
+        group._check_associativity()
+    except ValueError as exc:
+        assert "associative" in str(exc)
+        return False
+    return True
+
+
 def _cycle_notation(perm):
     """Cycle notation with 1-based digits, the identity as ""."""
     seen, cycles = set(), []
@@ -428,3 +479,78 @@ def test_symmetric_table_matches_comprehension(n):
 def test_cycle_index_is_lexicographic_rank(n):
     for rank, perm in enumerate(itertools.permutations(range(n))):
         assert perm_index_from_cycles(n, _cycle_notation(perm)) == rank
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_symmetric_table_matches_translate_oracle(n):
+    assert symmetric_group(n).table == _symmetric_table_translate_oracle(n)
+
+
+PRODUCT_FACTORS = dict(ORACLE_ZOO, S4=symmetric_group(4))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("Z2", "S4"), ("Z3", "S3"), ("S3", "S3"), ("S4", "Z2"), ("V4", "Z6"), ("S3", "Z2xS3"),
+     ("Z4", "trivial"), ("trivial", "V4"), ("Z2xS3", "S4")],
+)
+def test_direct_product_matches_method_oracle(left, right):
+    a, b = PRODUCT_FACTORS[left], PRODUCT_FACTORS[right]
+    assert direct_product(a, b).table == _direct_product_oracle(a, b)
+
+
+LIGHT_ZOO = dict(
+    LATTICE_ZOO,
+    Z3xS3=direct_product(cyclic_group(3), symmetric_group(3)),
+    S3xS3=direct_product(symmetric_group(3), symmetric_group(3)),
+    V4xZ6=direct_product(elementary_abelian_2(2), cyclic_group(6)),
+    Z2xZ2xS3=direct_product(elementary_abelian_2(2), symmetric_group(3)),
+    C48=cyclic_group(48),
+    E32=elementary_abelian_2(5),
+)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, g in LIGHT_ZOO.items() if g.order <= 48))
+def test_light_test_accepts_every_zoo_table(name):
+    table = LIGHT_ZOO[name].table
+    assert _associativity_oracle(table) is None
+    assert _light_test_accepts(table)
+
+
+@pytest.mark.parametrize("name", ["S3", "V4", "Z4"])
+def test_light_test_agrees_with_oracle_on_every_entry_swap(name):
+    table = [list(row) for row in ORACLE_ZOO[name].table]
+    n = len(table)
+    rejected = 0
+    for r in range(n):
+        for i, j in itertools.combinations(range(n), 2):
+            swapped = [row[:] for row in table]
+            swapped[r][i], swapped[r][j] = swapped[r][j], swapped[r][i]
+            oracle_ok = _associativity_oracle(swapped) is None
+            assert _light_test_accepts(swapped) == oracle_ok, (r, i, j)
+            rejected += not oracle_ok
+    assert rejected == n * n * (n - 1) // 2  # a group table has no other Latin row
+
+
+def test_light_test_agrees_with_oracle_on_every_magma_of_order_three():
+    accepted = 0
+    for entries in itertools.product(range(3), repeat=9):
+        table = [entries[0:3], entries[3:6], entries[6:9]]
+        oracle_ok = _associativity_oracle(table) is None
+        assert _light_test_accepts(table) == oracle_ok, table
+        accepted += oracle_ok
+    assert accepted == 113  # the associative binary operations on 3 labelled points
+
+
+def test_loop_of_order_five_is_rejected_after_identity_and_inverses():
+    # a Latin square with identity 0 and x*x = 0: every check but associativity passes
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    assert _associativity_oracle(loop) == (1, 1, 2)
+    with pytest.raises(ValueError, match=r"not associative at \(1, 1, 2\)"):
+        FiniteGroup(loop)
