@@ -16,6 +16,7 @@ from .ff import (
     InternalCheckError,
     MatrixFF,
     PrimeField,
+    _echelon,
     kernel_dim,
     mat_inverse,
     mat_rank,
@@ -126,12 +127,10 @@ def eigenspace_dim(M: MatrixFF, scalar: int) -> int:
     if M.rows != M.cols:
         raise ValueError("eigenspace of a non-square matrix")
     f = M.field
-    shifted = [
-        f.sub(M.at(i, j), scalar if i == j else 0)
-        for i in range(M.rows)
-        for j in range(M.cols)
-    ]
-    return kernel_dim(MatrixFF(f, M.rows, M.cols, shifted))
+    rows = M.to_lists()
+    for i, row in enumerate(rows):
+        row[i] = f.sub(row[i], scalar)
+    return M.cols - len(_echelon(f, rows, M.cols))
 
 
 def antidiagonal_ones(n: int, field: PrimeField) -> MatrixFF:

@@ -195,7 +195,9 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def elementary_abelian_2(k: int) -> FiniteGroup:
-    if k < 0 or 2**k > MAX_GROUP_ORDER:
+    # 2**k > MAX_GROUP_ORDER exactly when k >= its bit length; a huge k is
+    # refused without forming 2**k
+    if k < 0 or k >= MAX_GROUP_ORDER.bit_length():
         raise ValueError("elementary abelian rank out of range")
     n = 2**k
     table = [[a ^ b for b in range(n)] for a in range(n)]
@@ -261,11 +263,11 @@ def build_group(spec) -> FiniteGroup:
         if kind == "trivial":
             return trivial_group()
         if kind == "cyclic":
-            return cyclic_group(int(spec["n"]))
+            return cyclic_group(_spec_int(spec, "n"))
         if kind == "symmetric":
-            return symmetric_group(int(spec["n"]))
+            return symmetric_group(_spec_int(spec, "n"))
         if kind == "elementary_abelian_2":
-            return elementary_abelian_2(int(spec["k"]))
+            return elementary_abelian_2(_spec_int(spec, "k"))
         if kind == "product":
             factors = [build_group(s) for s in spec["factors"]]
             if not factors:
@@ -276,6 +278,14 @@ def build_group(spec) -> FiniteGroup:
             return out
         raise ValueError(f"unknown group constructor {kind!r}")
     raise ValueError("group spec must be a name or a dict")
+
+
+def _spec_int(spec: dict, key: str) -> int:
+    """``spec[key]`` if it is an integer; a bool, float, string or other value is refused."""
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"group spec {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _group_from_name(name: str) -> FiniteGroup:

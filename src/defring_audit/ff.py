@@ -17,6 +17,12 @@ lookups; the tables change no encoding and no result.  Their size caps
 extension fields at MAX_FIELD_ORDER = 2^20 elements, which is also the
 default budget of the splitting-field scan.  Prime fields F_p need no
 tables; p is capped only by the exact primality test, at MAX_PRIMALITY_N.
+
+Rank, kernel dimensions, eigenspaces and inverses share one elimination
+kernel, ``_echelon``, and the characteristic polynomial comes from a
+Hessenberg reduction in O(n^3).  Both work a row at a time: over F_p a
+row operation is one comprehension reduced mod p, and over F_{p^m} it
+reads the tables directly, as the matrix product does.
 """
 
 from __future__ import annotations
@@ -597,11 +603,21 @@ class MatrixFF:
 
     @classmethod
     def from_rows(cls, field: PrimeField, rows: Sequence[Sequence[int]]) -> "MatrixFF":
+        """Matrix of integer rows, each entry reduced mod the field order.
+
+        Only ``int`` entries are taken; a bool, float, string or other value
+        raises ValueError.
+        """
         r = len(rows)
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(field, r, c, [int(e) % field.order for row in rows for e in row])
+        entries = [e for row in rows for e in row]
+        bad = [e for e in entries if type(e) is not int]
+        if bad:
+            raise ValueError(f"each matrix entry must be an integer, got {bad[0]!r}")
+        q = field.order
+        return cls(field, r, c, [e % q for e in entries])
 
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "MatrixFF":
@@ -632,19 +648,23 @@ class MatrixFF:
 
     def __add__(self, other: "MatrixFF") -> "MatrixFF":
         self._check_same_shape(other)
-        f = self.field
-        return MatrixFF(
-            f, self.rows, self.cols,
-            [f.add(a, b) for a, b in zip(self.entries, other.entries)],
-        )
+        f, pairs = self.field, zip(self.entries, other.entries)
+        if f.m == 1:
+            p = f.p
+            out = [(a + b) % p for a, b in pairs]
+        else:
+            out = [f.add(a, b) for a, b in pairs]
+        return MatrixFF(f, self.rows, self.cols, out)
 
     def __sub__(self, other: "MatrixFF") -> "MatrixFF":
         self._check_same_shape(other)
-        f = self.field
-        return MatrixFF(
-            f, self.rows, self.cols,
-            [f.sub(a, b) for a, b in zip(self.entries, other.entries)],
-        )
+        f, pairs = self.field, zip(self.entries, other.entries)
+        if f.m == 1:
+            p = f.p
+            out = [(a - b) % p for a, b in pairs]
+        else:
+            out = [f.sub(a, b) for a, b in pairs]
+        return MatrixFF(f, self.rows, self.cols, out)
 
     def __neg__(self) -> "MatrixFF":
         f = self.field
@@ -744,43 +764,118 @@ def block_diag(blocks: Sequence[MatrixFF], field: PrimeField | None = None) -> M
         if b.rows != b.cols:
             raise ValueError("blocks must be square")
     n = sum(b.rows for b in blocks)
-    out = MatrixFF.zeros(field, n, n).to_lists()
+    entries = [0] * (n * n)
     off = 0
     for b in blocks:
         for i in range(b.rows):
-            for j in range(b.cols):
-                out[off + i][off + j] = b.at(i, j)
+            start = (off + i) * n + off
+            entries[start : start + b.cols] = b.row(i)
         off += b.rows
-    return MatrixFF.from_rows(field, out) if n else MatrixFF(field, 0, 0, ())
+    return MatrixFF(field, n, n, entries)
+
+
+def _vector_ops(f: PrimeField):
+    """``(scale, axpy, dot)`` on lists of encoded elements of ``f``.
+
+    ``scale(c, y)`` is c*y, ``axpy(x, c, y)`` is x - c*y and ``dot(x, y)``
+    is the sum of the x_j y_j; zip stops at the shorter list.  Over F_p
+    each is one comprehension or ``sum(map(...))`` reduced mod p.  Over
+    F_{p^m} each walks the log/exp/Zech tables, as ``MatrixFF.__mul__``
+    does, instead of calling the field per entry.
+    """
+    if f.m == 1:
+        p, mul = f.p, operator.mul
+
+        def scale(c: int, y: list[int]) -> list[int]:
+            return [c * b % p for b in y]
+
+        def axpy(x: list[int], c: int, y: list[int]) -> list[int]:
+            return [(a - c * b) % p for a, b in zip(x, y)]
+
+        def dot(x: list[int], y: list[int]) -> int:
+            return sum(map(mul, x, y)) % p
+
+        return scale, axpy, dot
+
+    exp, log, zech = f._exp, f._log, f._zech
+    n = f.order - 1
+    log_minus_one = 0 if f.p == 2 else n >> 1
+
+    def scale(c: int, y: list[int]) -> list[int]:
+        lc = log[c]
+        return [exp[lc + log[b]] if b else 0 for b in y]
+
+    def axpy(x: list[int], c: int, y: list[int]) -> list[int]:
+        if not c:
+            return list(x)
+        lc = (log[c] + log_minus_one) % n  # log(-c)
+        out = []
+        for a, b in zip(x, y):
+            if b:
+                b = exp[lc + log[b]]
+                if a:
+                    la = log[a]
+                    z = zech[log[b] - la]
+                    a = 0 if z is None else exp[la + z]
+                else:
+                    a = b
+            out.append(a)
+        return out
+
+    def dot(x: list[int], y: list[int]) -> int:
+        s = 0
+        for a, b in zip(x, y):
+            if a and b:
+                v = exp[log[a] + log[b]]
+                if s:
+                    ls = log[s]
+                    z = zech[log[v] - ls]
+                    s = 0 if z is None else exp[ls + z]
+                else:
+                    s = v
+        return s
+
+    return scale, axpy, dot
+
+
+def _echelon(
+    field: PrimeField, rows: list[list[int]], ncols: int, full: bool = False
+) -> list[list[int]]:
+    """Row echelon form of ``rows`` over ``field``; the list is consumed.
+
+    Pivots are sought in the first ``ncols`` columns, but each row
+    operation acts on the whole row, so columns past ``ncols`` (an
+    augmented block) ride along.  Returns the pivot rows in pivot order,
+    each scaled to a leading 1; their number is the rank of the first
+    ``ncols`` columns.  With ``full`` every pivot column is also cleared
+    above its pivot (Gauss-Jordan), giving the reduced echelon form.
+    """
+    scale, axpy, _ = _vector_ops(field)
+    nrows = len(rows)
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        for r in range(rank, nrows):
+            if rows[r][col]:
+                break
+        else:
+            continue
+        pivot = scale(field.inv(rows[r][col]), rows[r])
+        rows[r] = rows[rank]
+        rows[rank] = pivot
+        for i in range(0 if full else rank + 1, nrows):
+            c = rows[i][col]
+            if c and i != rank:
+                rows[i] = axpy(rows[i], c, pivot)
+        rank += 1
+    del rows[rank:]
+    return rows
 
 
 def mat_rank(M: MatrixFF) -> int:
     """Rank by exact Gaussian elimination."""
-    f = M.field
-    rows = [list(M.row(i)) for i in range(M.rows)]
-    rank = 0
-    for col in range(M.cols):
-        piv = None
-        for r in range(rank, M.rows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = f.inv(rows[rank][col])
-        rows[rank] = [f.mul(inv, x) for x in rows[rank]]
-        pivot_row = rows[rank]
-        for r in range(rank + 1, M.rows):
-            c = rows[r][col]
-            if c:
-                rowr = rows[r]
-                for j in range(col, M.cols):
-                    rowr[j] = f.sub(rowr[j], f.mul(c, pivot_row[j]))
-        rank += 1
-        if rank == M.rows:
-            break
-    return rank
+    return len(_echelon(M.field, M.to_lists(), M.cols))
 
 
 def kernel_dim(M: MatrixFF) -> int:
@@ -789,80 +884,74 @@ def kernel_dim(M: MatrixFF) -> int:
 
 
 def mat_inverse(M: MatrixFF) -> MatrixFF:
-    """Inverse by Gauss-Jordan; raises ValueError on singular input."""
+    """Inverse by Gauss-Jordan on [M | I]; raises ValueError on singular input."""
     if M.rows != M.cols:
         raise ValueError("inverse of a non-square matrix")
-    f = M.field
     n = M.rows
-    aug = [list(M.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = f.inv(aug[col][col])
-        aug[col] = [f.mul(inv, x) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                rowr = aug[r]
-                rowc = aug[col]
-                for j in range(2 * n):
-                    rowr[j] = f.sub(rowr[j], f.mul(c, rowc[j]))
-    return MatrixFF.from_rows(f, [row[n:] for row in aug])
+    aug = [row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(M.to_lists())]
+    reduced = _echelon(M.field, aug, n, full=True)
+    if len(reduced) < n:
+        raise ValueError("singular matrix")
+    return MatrixFF(M.field, n, n, [x for row in reduced for x in row[n:]])
 
 
 def charpoly(M: MatrixFF) -> PolyFF:
-    """Monic characteristic polynomial det(T*I - M), division-free.
+    """Monic characteristic polynomial det(T*I - M) in O(n^3) field operations.
 
-    Uses the Berkowitz iteration (Toeplitz convolutions over principal
-    submatrices), so it is valid over any field, including F_2 and F_3
-    where fraction-based methods break down.
+    M is brought to an upper Hessenberg matrix H by similarity transforms:
+    for each column, a row swap with the matching column swap, then row i
+    -= u_i * row m and column m += u_i * column i.  The leading principal
+    minors p_k = det(T*I - H_k) then follow from the recurrence
+    p_k = (T - h_kk) p_{k-1} - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_{i-1}
+    (1-indexed; Cohen, A Course in Computational Algebraic Number Theory,
+    section 2.2).  It needs only field division, so it is valid over every
+    F_{p^m}, F_2 and F_3 included.
     """
     if M.rows != M.cols:
         raise ValueError("charpoly needs a square matrix")
     f = M.field
     n = M.rows
-    if n == 0:
-        return PolyFF(f, (1,))
-    A = M.to_lists()
-    c = [1]  # descending powers
+    _, axpy, dot = _vector_ops(f)
+    mul = f.mul
+    H = M.to_lists()
+    for m in range(1, n - 1):
+        for r in range(m, n):
+            if H[r][m - 1]:
+                break
+        else:
+            continue
+        if r != m:
+            H[r], H[m] = H[m], H[r]
+            for row in H:
+                row[r], row[m] = row[m], row[r]
+        t = f.inv(H[m][m - 1])
+        # us[i] = u_i for i > m and us[m] = 1, so column m becomes dot(us, row)
+        us = None
+        for i in range(m + 1, n):
+            c = H[i][m - 1]
+            if c:
+                if us is None:
+                    us = [0] * n
+                    us[m] = 1
+                us[i] = u = mul(c, t)
+                H[i] = axpy(H[i], u, H[m])
+        if us is not None:
+            for row in H:
+                row[m] = dot(us, row)
+    polys = [[1]]  # p_0, ..., p_k, lowest degree first
     for k in range(1, n + 1):
-        a = A[k - 1][k - 1]
-        v = [1, f.neg(a)]
-        if k > 1:
-            R = A[k - 1][:k - 1]
-            w = [A[i][k - 1] for i in range(k - 1)]
-            for j in range(k - 1):
-                s = 0
-                for x, y in zip(R, w):
-                    s = f.add(s, f.mul(x, y))
-                v.append(f.neg(s))
-                if j < k - 2:
-                    w = [
-                        _dot(f, A[i][:k - 1], w)
-                        for i in range(k - 1)
-                    ]
-        new = [0] * (k + 1)
-        for i, vi in enumerate(v):
-            if vi:
-                for j, cj in enumerate(c):
-                    if i + j <= k and cj:
-                        new[i + j] = f.add(new[i + j], f.mul(vi, cj))
-        c = new
-    return PolyFF(f, tuple(reversed(c)))
-
-
-def _dot(f: PrimeField, xs: Sequence[int], ys: Sequence[int]) -> int:
-    s = 0
-    for x, y in zip(xs, ys):
-        if x and y:
-            s = f.add(s, f.mul(x, y))
-    return s
+        prev = polys[-1]
+        p = axpy([0] + prev, H[k - 1][k - 1], prev + [0])
+        t = 1
+        for i in range(k - 1, 0, -1):
+            t = mul(t, H[i][i - 1])
+            if not t:
+                break
+            c = H[i - 1][k - 1]
+            if c:
+                p[:i] = axpy(p[:i], mul(t, c), polys[i - 1])
+        polys.append(p)
+    return PolyFF(f, tuple(polys[n]))
 
 
 def is_unipotent(M: MatrixFF) -> bool:

@@ -16,8 +16,8 @@ from typing import Iterator
 from .ff import (
     MatrixFF,
     PrimeField,
+    _echelon,
     block_diag,
-    kernel_dim,
     mk_field,
     nilpotent_block,
 )
@@ -91,23 +91,28 @@ def kernel_sequence(M: MatrixFF) -> Partition:
     r is minimal with ker(M-I)^r the full space; requires M unipotent.
     The kernels of the powers grow until they stop for good, so M is
     unipotent iff they reach dimension n before a step adds nothing.
+    No power is formed: with A = M - I, the row space of A^i is the row
+    space of A^(i-1) times A, so each step multiplies an echelon basis R
+    of the current row space by A (one rank x n product) and re-echelons.
     """
     if M.rows != M.cols or M.rows == 0:
         raise ValueError("kernel sequence needs a nonempty square matrix")
     n = M.rows
-    A = M - MatrixFF.identity(M.field, n)
+    f = M.field
+    A = M - MatrixFF.identity(f, n)
+    basis = _echelon(f, A.to_lists(), n)
     seq = []
     prev = 0  # dim ker (M-I)^0 = dim ker I = 0
-    power = A
     while True:
-        cur = kernel_dim(power)
+        cur = n - len(basis)
         if cur == prev:
             raise ValueError("not unipotent")
         seq.append(cur - prev)
         if cur == n:
             return Partition(tuple(seq))
         prev = cur
-        power = power * A
+        R = MatrixFF(f, len(basis), n, [x for row in basis for x in row])
+        basis = _echelon(f, (R * A).to_lists(), n)
 
 
 _DEFAULT_THETA_FIELD: PrimeField | None = None

@@ -291,6 +291,85 @@ def test_sizes_at_their_limits_are_admitted(tmp_path, capsys, monkeypatch):
         run_scenario_obj(_involution(LIMITS["MAX_INVOLUTION_N"]))
 
 
+def _matrix_payloads(rows):
+    """A cyclic sigma, an involution J and a check-type matrix, all with ``rows``."""
+    matrix = {"p": 5, "m": 1, "rows": rows}
+    return [
+        {"mode": "cohomology", "op": "cyclic", "order": 2, "sigma": matrix},
+        {"mode": "cohomology", "op": "involution", "n": 2, "J": matrix},
+        {"mode": "taylor", "op": "check-type", "matrix": matrix},
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.9, 0], [0, "2"]], [[True, 0], [0, 1]], [[1, 0], [0, None]]],
+    ids=["float-and-str", "bool", "none"],
+)
+def test_non_integer_matrix_entries_exit_two(tmp_path, capsys, rows):
+    path = _write(tmp_path, _matrix_payloads(rows))
+    assert run_scenario(path) == EXIT_INVALID
+    for report in _last_json(capsys):
+        assert report["invalid"] is True
+        assert report["error"].startswith("bad matrix: each matrix entry must be an integer")
+
+
+def test_integer_matrix_entries_are_still_reduced_mod_the_order(tmp_path, capsys):
+    # -1 and 6 are 4 and 1 in F_5, so sigma = diag(4, 1) is an involution
+    path = _write(tmp_path, _matrix_payloads([[-1, 0], [0, 6]])[0])
+    assert run_scenario(path) == EXIT_OK
+    assert _last_json(capsys)["verdicts"] == {"h0": 1, "h1": 0, "h2": 0, "z1": 1}
+
+
+def test_matrix_past_the_dimension_limit_exits_two_before_it_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    from defring_audit.ff import MatrixFF
+
+    def no_build(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(MatrixFF, "from_rows", no_build)
+    limit = LIMITS["MAX_MATRIX_DIM"]
+    tall = [[0] for _ in range(limit + 1)]
+    wide = [[0] * (limit + 1)]
+    path = _write(tmp_path, _matrix_payloads(tall) + _matrix_payloads(wide))
+    assert run_scenario(path) == EXIT_INVALID
+    for report in _last_json(capsys):
+        assert report["invalid"] is True
+        assert f"MAX_MATRIX_DIM = {limit}" in report["error"]
+
+
+def test_matrices_at_the_dimension_limit_are_admitted(tmp_path, capsys):
+    # the benchmark and acceptance sizes: check-type <= 8, sigma <= 6, J <= 12
+    limit = LIMITS["MAX_MATRIX_DIM"]
+    assert limit >= max(8, 6, 12)
+    identity = [[int(i == j) for j in range(limit)] for i in range(limit)]
+    path = _write(tmp_path, _matrix_payloads(identity)[::2])
+    assert run_scenario(path) == EXIT_OK
+    cyclic, check_type = _last_json(capsys)
+    assert cyclic["verdicts"]["h0"] == limit
+    assert check_type["verdicts"]["type_partition"] == ",".join(["1"] * limit)
+
+
+def test_reader_closing_the_pipe_early_ends_quietly_with_the_verdict(tmp_path):
+    batch = [{"mode": "taylor", "op": "threshold", "q": 2, "n": 2}] * 3000
+    path = _write(tmp_path, batch)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    # a buffered stdout, so output left in the buffer is flushed at exit
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "defring_audit.cli", "run", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    # like `| head -c 10`: the report is far larger than the pipe buffer
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert err == b""
+
+
 _PLACES = [{"kind": "ell", "condition": "sm", "local_degree": 1}, {"kind": "arch"}]
 _LEDGER = {"mode": "ledger", "lie": {"gn": 1}, "deg_F": 1, "places": _PLACES}
 _DIMS = {"dim_g": 4, "dim_g_der": 3, "dim_g_ab": 1, "dim_b_der": 1}
@@ -314,6 +393,10 @@ _DIMS = {"dim_g": 4, "dim_g_der": 3, "dim_g_ab": 1, "dim_b_der": 1}
         ({"mode": "density", "gamma": "S3", "subgroup": [1.0], "k": 1}, "each subgroup generator"),
         (_cyclic(2.0), "'order'"),
         (_involution(True), "'n'"),
+        ({"mode": "density", "gamma": {"type": "cyclic", "n": 2.9}, "k": 1}, "'n'"),
+        ({"mode": "density", "gamma": {"type": "elementary_abelian_2", "k": "2"}, "k": 1},
+         "'k'"),
+        ({"mode": "density", "gamma": {"type": "symmetric", "n": True}, "k": 1}, "'n'"),
     ],
 )
 def test_non_integer_payload_value_exits_two_and_names_the_key(

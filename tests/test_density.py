@@ -6,6 +6,7 @@ import pytest
 
 from defring_audit.density import (
     MAX_DENSITY_K,
+    MAX_GROUP_ORDER,
     FiniteGroup,
     SplitDensityProblem,
     all_subgroups,
@@ -201,6 +202,15 @@ def test_order_budget():
         symmetric_group(7)
     with pytest.raises(ValueError):
         direct_product(symmetric_group(6), cyclic_group(8))  # 5760 > 5040
+
+
+def test_elementary_abelian_rank_past_the_order_budget_is_refused_before_2_to_the_k():
+    top = MAX_GROUP_ORDER.bit_length() - 1
+    assert 2**top <= MAX_GROUP_ORDER < 2 ** (top + 1)
+    # 2**(10**12) would not fit in memory; the rank is refused without it
+    for k in (top + 1, 10**12, -1):
+        with pytest.raises(ValueError, match="rank out of range"):
+            elementary_abelian_2(k)
 
 
 def test_non_associative_table_rejected():

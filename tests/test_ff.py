@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defring_audit.acceptance import cofactor_charpoly
+from defring_audit.cohomology import eigenspace_dim
 from defring_audit.ff import (
     MAX_FIELD_ORDER,
     MAX_PRIMALITY_N,
@@ -15,6 +16,7 @@ from defring_audit.ff import (
     ScanBudgetExceeded,
     _check_field_order,
     _digit_product,
+    _echelon,
     _is_irreducible,
     _pmul,
     _prem,
@@ -25,6 +27,7 @@ from defring_audit.ff import (
     is_prime,
     is_unipotent,
     kernel_dim,
+    mat_inverse,
     mat_rank,
     mk_field,
     nilpotent_block,
@@ -500,6 +503,188 @@ def test_charpoly_matches_cofactor_oracle_random(n, field, data):
 def test_charpoly_rejects_non_square():
     with pytest.raises(ValueError):
         charpoly(MatrixFF.zeros(F5, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# elimination and charpoly against the per-entry oracles
+# ---------------------------------------------------------------------------
+
+
+def _per_entry_rank(M):
+    """The former ``mat_rank``: Gaussian elimination, one field call per entry."""
+    f = M.field
+    rows = [list(M.row(i)) for i in range(M.rows)]
+    rank = 0
+    for col in range(M.cols):
+        piv = None
+        for r in range(rank, M.rows):
+            if rows[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = f.inv(rows[rank][col])
+        rows[rank] = [f.mul(inv, x) for x in rows[rank]]
+        pivot_row = rows[rank]
+        for r in range(rank + 1, M.rows):
+            c = rows[r][col]
+            if c:
+                rowr = rows[r]
+                for j in range(col, M.cols):
+                    rowr[j] = f.sub(rowr[j], f.mul(c, pivot_row[j]))
+        rank += 1
+        if rank == M.rows:
+            break
+    return rank
+
+
+def _per_entry_inverse(M):
+    """The former ``mat_inverse``: Gauss-Jordan, one field call per entry."""
+    f = M.field
+    n = M.rows
+    aug = [list(M.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if aug[r][col]:
+                piv = r
+                break
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = f.inv(aug[col][col])
+        aug[col] = [f.mul(inv, x) for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                rowr = aug[r]
+                rowc = aug[col]
+                for j in range(2 * n):
+                    rowr[j] = f.sub(rowr[j], f.mul(c, rowc[j]))
+    return MatrixFF(f, n, n, [x for row in aug for x in row[n:]])
+
+
+def _dot(f, xs, ys):
+    s = 0
+    for x, y in zip(xs, ys):
+        if x and y:
+            s = f.add(s, f.mul(x, y))
+    return s
+
+
+def _berkowitz_charpoly(M):
+    """The former ``charpoly``: the division-free Berkowitz iteration, O(n^4)."""
+    f = M.field
+    n = M.rows
+    if n == 0:
+        return PolyFF(f, (1,))
+    A = M.to_lists()
+    c = [1]  # descending powers
+    for k in range(1, n + 1):
+        a = A[k - 1][k - 1]
+        v = [1, f.neg(a)]
+        if k > 1:
+            R = A[k - 1][:k - 1]
+            w = [A[i][k - 1] for i in range(k - 1)]
+            for j in range(k - 1):
+                s = 0
+                for x, y in zip(R, w):
+                    s = f.add(s, f.mul(x, y))
+                v.append(f.neg(s))
+                if j < k - 2:
+                    w = [_dot(f, A[i][:k - 1], w) for i in range(k - 1)]
+        new = [0] * (k + 1)
+        for i, vi in enumerate(v):
+            if vi:
+                for j, cj in enumerate(c):
+                    if i + j <= k and cj:
+                        new[i + j] = f.add(new[i + j], f.mul(vi, cj))
+        c = new
+    return PolyFF(f, tuple(reversed(c)))
+
+
+ORACLE_FIELDS = [F2, F3, F5, F101, mk_field(2, 4), mk_field(3, 2), mk_field(7, 2)]
+
+
+def _seeded_matrices(field, square=False):
+    """Zero, random, sparse and rank-deficient matrices, 0 x 0 up to 7 x 7.
+
+    The rank-deficient ones are products through every inner dimension
+    below min(rows, cols), so each square one is singular.
+    """
+    rng = random.Random(f"oracle matrices {field!r}")
+    q = field.order
+    shapes = [(0, 0), (1, 1), (1, 4), (4, 1), (2, 2), (3, 3), (3, 5), (5, 3), (6, 6), (7, 7)]
+    for r, c in shapes:
+        if square and r != c:
+            continue
+        yield MatrixFF.zeros(field, r, c)
+        for _ in range(4):
+            yield MatrixFF(field, r, c, [rng.randrange(q) for _ in range(r * c)])
+            sparse = [rng.choice([0, 0, 1, rng.randrange(q)]) for _ in range(r * c)]
+            yield MatrixFF(field, r, c, sparse)
+        for k in range(min(r, c)):
+            A = MatrixFF(field, r, k, [rng.randrange(q) for _ in range(r * k)])
+            B = MatrixFF(field, k, c, [rng.randrange(q) for _ in range(k * c)])
+            yield A * B
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_rank_inverse_and_eigenspaces_match_the_per_entry_oracles(field):
+    singular = invertible = 0
+    for M in _seeded_matrices(field):
+        rank = _per_entry_rank(M)
+        assert mat_rank(M) == rank
+        assert kernel_dim(M) == M.cols - rank
+        if M.rows != M.cols:
+            continue
+        if rank < M.rows:
+            singular += 1
+            with pytest.raises(ValueError, match="^singular matrix$"):
+                mat_inverse(M)
+        else:
+            invertible += 1
+            inverse = mat_inverse(M)
+            assert inverse == _per_entry_inverse(M)
+            assert M * inverse == MatrixFF.identity(field, M.rows)
+        for scalar in (0, 1, field.order - 1):
+            shifted = M - MatrixFF(field, M.rows, M.cols, [
+                scalar if i == j else 0 for i in range(M.rows) for j in range(M.cols)
+            ])
+            assert eigenspace_dim(M, scalar) == M.cols - _per_entry_rank(shifted)
+    assert singular > 20 and invertible > 10
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_charpoly_matches_berkowitz_and_cofactor_expansion(field):
+    for M in _seeded_matrices(field, square=True):
+        want = _berkowitz_charpoly(M)
+        assert charpoly(M) == want
+        if M.rows <= 5:
+            assert cofactor_charpoly(M) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_charpoly_matches_sympy_integer_charpoly_mod_p(p):
+    sympy = pytest.importorskip("sympy")
+    f = mk_field(p)
+    rng = random.Random(f"sympy charpoly {p}")
+    for n in (1, 2, 3, 5, 8, 12):
+        es = [rng.randrange(p) for _ in range(n * n)]
+        want = sympy.Matrix(n, n, es).charpoly().all_coeffs()  # highest degree first
+        assert charpoly(MatrixFF(f, n, n, es)).coeffs == tuple(int(c) % p for c in reversed(want))
+
+
+def test_echelon_full_gives_the_reduced_form_with_augmented_columns():
+    # [M | I] reduces to [I | M^-1]; pivots are sought in the first 2 columns only
+    M = MatrixFF.from_rows(F5, [[2, 1], [1, 1]])
+    rows = [row + [1 if j == i else 0 for j in range(2)] for i, row in enumerate(M.to_lists())]
+    reduced = _echelon(F5, rows, 2, full=True)
+    assert [row[:2] for row in reduced] == [[1, 0], [0, 1]]
+    assert MatrixFF.from_rows(F5, [row[2:] for row in reduced]) * M == MatrixFF.identity(F5, 2)
+    # without full, rows above a pivot keep their entries; rank counts pivot rows
+    assert _echelon(F5, [[1, 2, 3], [0, 1, 4], [1, 3, 7]], 3) == [[1, 2, 3], [0, 1, 4]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,19 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defring_audit.ff import MatrixFF, is_unipotent, kernel_dim, mk_field, nilpotent_block
+from defring_audit.ff import (
+    MatrixFF,
+    is_unipotent,
+    kernel_dim,
+    mat_inverse,
+    mat_rank,
+    mk_field,
+    nilpotent_block,
+)
 from defring_audit.partitions import (
     Partition,
     conjugate,
@@ -167,6 +176,34 @@ def test_kernel_sequence_matches_oracle_on_every_matrix(field, n):
             assert kernel_sequence(M) == want
     # the unipotent n x n matrices over F_q number q^(n(n-1))
     assert unipotent == field.order ** (n * (n - 1))
+
+
+@pytest.mark.parametrize(
+    "field", [F2, F3, F5, F101, mk_field(2, 4), mk_field(3, 2), mk_field(7, 2)], ids=repr
+)
+def test_kernel_sequence_matches_oracle_on_seeded_conjugates(field):
+    # P B P^-1 is as unipotent as the block model B and has its kernel sequence,
+    # but is dense, so every row-space step does real elimination
+    rng = random.Random(f"kernel sequence {field!r}")
+    q = field.order
+    for n in range(1, 8):
+        while True:
+            P = MatrixFF(field, n, n, [rng.randrange(q) for _ in range(n * n)])
+            if mat_rank(P) == n:
+                break
+        P_inv = mat_inverse(P)
+        for lam in partitions_of(n):
+            M = P * nabla_matrix(lam, field) * P_inv
+            assert kernel_sequence(M) == _kernel_sequence_oracle(M) == conjugate(lam)
+        for _ in range(5):
+            M = MatrixFF(field, n, n, [rng.randrange(q) for _ in range(n * n)])
+            try:
+                want = _kernel_sequence_oracle(M)
+            except ValueError:
+                with pytest.raises(ValueError, match="^not unipotent$"):
+                    kernel_sequence(M)
+            else:
+                assert kernel_sequence(M) == want
 
 
 def test_kernel_sequence_forms_one_product_per_extra_step(monkeypatch):
