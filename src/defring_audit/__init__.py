@@ -41,16 +41,11 @@ from .ledger import (
     PlaceSpec,
     SelmerInput,
     dual_selmer_verdict,
-    framed_variable_counts,
     framework_check,
     gamma,
     gn_dims,
     greenberg_wiles_diff,
-    local_euler_lift_vars,
-    presentability_check,
     r0,
-    regularity_from_presentations,
-    smooth_quotient_test,
     taylor_wiles_sum,
 )
 # the splitting-density op itself stays at defring_audit.density.density so

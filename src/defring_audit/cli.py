@@ -28,8 +28,6 @@ from . import partitions as parts
 from . import taylor
 from .ff import MatrixFF, PrimeField, mk_field
 
-MODES = ("partition", "cohomology", "ledger", "density", "taylor", "gn-audit")
-
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_INVALID = 2
@@ -48,13 +46,19 @@ class ScenarioError(ValueError):
 # density rank, field orders and primes are checked against MAX_DENSITY_K,
 # MAX_FIELD_ORDER and MAX_PRIMALITY_N where those are defined.
 LIMITS = {
-    "MAX_CYCLIC_ORDER": 4096,  # norm_matrix takes one matrix product per unit of order
+    # sigma^order = I and the norm each take O(log order) matrix products
+    "MAX_CYCLIC_ORDER": 4096,
     "MAX_INVOLUTION_N": 12,  # the twisted involution acts on n^2 x n^2 matrices
     # rows and columns of a sigma, J or check-type matrix.  Slowest at the
-    # limit: a dense 12 x 12 sigma of order 4096 over F_2^20, ~15 s, nearly
-    # all in norm_matrix's 4096 products; a check-type matrix takes < 0.05 s
-    # after the field is built (2-core Xeon, Python 3.11).
+    # limit: a dense 12 x 12 sigma of order 4096 over F_2^20, ~2 s in a fresh
+    # process, ~1.5 s of it building the field and ~0.02 s the norm; a
+    # check-type matrix takes < 0.05 s after the field is built (2-core
+    # Xeon, Python 3.11).
     "MAX_MATRIX_DIM": 12,
+    # places of a ledger setting, counted for gn-audit as s_count +
+    # len(ell_degrees) + deg_F.  Slowest at the limit: ~0.9 s and 37 MB
+    # peak RSS in a fresh process (2-core Xeon, Python 3.11).
+    "MAX_PLACES": 10_000,
 }
 
 
@@ -78,6 +82,12 @@ def _bounded_int(payload, key: str, limit: str) -> int:
             f"{key!r} must satisfy 1 <= {key} <= {limit} = {LIMITS[limit]}, got {value}"
         )
     return value
+
+
+def _check_place_count(count: int) -> None:
+    limit = LIMITS["MAX_PLACES"]
+    if count > limit:
+        raise ScenarioError(f"{count} places exceed MAX_PLACES = {limit}")
 
 
 def _field_from_json(obj) -> PrimeField:
@@ -140,9 +150,7 @@ def _jsonable(value):
 def _run_partition(payload):
     op = payload.get("op", "verify-lemma")
     if op == "verify-lemma":
-        n = payload.get("n")
-        if not isinstance(n, int):
-            raise ScenarioError("verify-lemma needs an integer 'n'")
+        n = _as_int(payload.get("n"), "'n'")
         try:
             report = parts.verify_conjugation_lemma(n)
         except ValueError as exc:
@@ -208,13 +216,14 @@ def _place_from_json(obj) -> ledger.PlaceSpec:
             raise ScenarioError(f"place of kind {kind!r} needs a 'condition'")
     local_degree = _payload_int(obj, "local_degree")
     delta = _payload_int(obj, "delta")
+    h0_local = _as_int(obj["h0_local"], "'h0_local'") if "h0_local" in obj else None
     try:
         return ledger.PlaceSpec(
             kind=kind,
             condition=condition,
             local_degree=local_degree,
             delta=delta,
-            h0_local=obj.get("h0_local"),
+            h0_local=h0_local,
         )
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad place: {exc}") from exc
@@ -233,7 +242,7 @@ def _lie_from_json(obj) -> ledger.LieDims:
                 dim_g_der=_as_int(obj["dim_g_der"], "'dim_g_der'"),
                 dim_g_ab=_as_int(obj["dim_g_ab"], "'dim_g_ab'"),
                 dim_b_der=_as_int(obj["dim_b_der"], "'dim_b_der'"),
-                dim_z=obj.get("dim_z"),
+                dim_z=_as_int(obj["dim_z"], "'dim_z'") if "dim_z" in obj else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad Lie dimensions: {exc}") from exc
@@ -241,12 +250,21 @@ def _lie_from_json(obj) -> ledger.LieDims:
 
 
 def _setting_from_json(payload) -> ledger.DeformationSetting:
+    places = payload.get("places", [])
+    if not isinstance(places, list):
+        raise ScenarioError(f"'places' must be a list, got {places!r}")
+    _check_place_count(len(places))
+    degrees_complete = payload.get("degrees_complete", True)
+    if not isinstance(degrees_complete, bool):
+        raise ScenarioError(
+            f"'degrees_complete' must be true or false, got {degrees_complete!r}"
+        )
     try:
         return ledger.DeformationSetting(
             lie=_lie_from_json(payload.get("lie")),
             deg_F=_payload_int(payload, "deg_F"),
-            places=tuple(_place_from_json(p) for p in payload.get("places", [])),
-            degrees_complete=bool(payload.get("degrees_complete", True)),
+            places=tuple(_place_from_json(p) for p in places),
+            degrees_complete=degrees_complete,
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
@@ -287,11 +305,16 @@ def _ledger_verdicts(setting, h0_global, h0_global_dual, h0_locals, run_dual):
 def _run_ledger(payload):
     setting = _setting_from_json(payload)
     run_dual = "h0_global" in payload or "h0_locals" in payload
+    h0_locals = payload.get("h0_locals")
+    if h0_locals is not None:
+        if not isinstance(h0_locals, list):
+            raise ScenarioError(f"'h0_locals' must be a list, got {h0_locals!r}")
+        h0_locals = [_as_int(h, "each 'h0_locals' entry") for h in h0_locals]
     return _ledger_verdicts(
         setting,
         _payload_int(payload, "h0_global"),
         _payload_int(payload, "h0_global_dual"),
-        payload.get("h0_locals"),
+        h0_locals,
         run_dual,
     )
 
@@ -404,6 +427,7 @@ def gn_audit(n: int, deg_F: int, s_count: int, ell_degrees) -> dict:
     ell_degrees = [_as_int(d, "each 'ell_degrees' entry") for d in ell_degrees]
     if n < 1 or deg_F < 1 or s_count < 0:
         raise ScenarioError("need n >= 1, deg_F >= 1, s_count >= 0")
+    _check_place_count(s_count + len(ell_degrees) + deg_F)
     if sum(ell_degrees) != deg_F:
         raise ScenarioError(
             f"ell degrees {ell_degrees} must sum to deg_F = {deg_F}"
@@ -446,6 +470,7 @@ _HANDLERS = {
     "taylor": _run_taylor,
     "gn-audit": _run_gn_audit_payload,
 }
+MODES = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +504,37 @@ def run_scenario_obj(obj) -> dict:
     return _report(name, mode, verdicts, diagnostics, ok, elapsed)
 
 
+def _print(text: str) -> None:
+    """Print ``text``; once the reader has closed stdout, drop all further output.
+
+    The recipe of the Python docs on SIGPIPE: stdout is pointed at devnull,
+    so neither this print nor the flush at exit raises again.  The exit
+    code stays the verdict's.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _write_report(payload, out: str | None) -> None:
+    """Print ``payload`` as indented, key-sorted JSON; also write it to ``out`` if given."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    _print(text)
+
+
+def _exit_code(reports) -> int:
+    """2 if any report is invalid, else 1 if any check failed, else 0."""
+    if any(r.get("invalid") for r in reports):
+        return EXIT_INVALID
+    return EXIT_OK if all(r["ok"] for r in reports) else EXIT_MATH_FAIL
+
+
 def run_scenario(path: str, out: str | None = None) -> int:
     """Run the scenario file (single object or list); emit the report JSON.
 
@@ -499,18 +555,8 @@ def run_scenario(path: str, out: str | None = None) -> int:
             return {"error": str(exc), "ok": False, "invalid": True}
 
     reports = [run_one(o) for o in (data if isinstance(data, list) else [data])]
-    invalid = any(r.get("invalid") for r in reports)
-    payload = reports if isinstance(data, list) else reports[0]
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    _print(text)
-    if invalid:
-        return EXIT_INVALID
-    if not all(r["ok"] for r in reports):
-        return EXIT_MATH_FAIL
-    return EXIT_OK
+    _write_report(reports if isinstance(data, list) else reports[0], out)
+    return _exit_code(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -588,102 +634,60 @@ def _parse_json_arg(text: str):
         raise ScenarioError(f"bad inline JSON: {exc}") from exc
 
 
-def _print(text: str) -> None:
-    """Print ``text``; once the reader has closed stdout, drop all further output.
-
-    The recipe of the Python docs on SIGPIPE: stdout is pointed at devnull,
-    so neither this print nor the flush at exit raises again.  The exit
-    code stays the verdict's.
-    """
+def _ell_degrees(text: str) -> list[int]:
     try:
-        print(text, flush=True)
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ScenarioError("--ell must be comma-separated integers") from None
 
 
-def _emit(report: dict) -> None:
-    _print(json.dumps(report, indent=2, sort_keys=True))
+# (command, subop) -> the scenario payload its parsed arguments stand for;
+# subop is None for a command without subcommands.
+_PAYLOADS = {
+    ("partition", "conjugate"): lambda a: {
+        "mode": "partition", "op": "conjugate", "partition": a.partition},
+    ("partition", "theta"): lambda a: {
+        "mode": "partition", "op": "theta", "partition": a.partition, "p": a.p, "m": a.m},
+    ("partition", "verify-lemma"): lambda a: {
+        "mode": "partition", "op": "verify-lemma", "n": a.n},
+    ("cohom", "cyclic"): lambda a: {
+        "mode": "cohomology", "op": "cyclic", "order": a.order,
+        "sigma": _parse_json_arg(a.sigma)},
+    ("cohom", "involution"): lambda a: {
+        "mode": "cohomology", "op": "involution", "n": a.n, "p": a.p, "m": a.m,
+        "J": a.J if a.J == "antidiag" else _parse_json_arg(a.J)},
+    ("taylor", "threshold"): lambda a: {
+        "mode": "taylor", "op": "threshold", "q": a.q, "n": a.n},
+    ("taylor", "check-type"): lambda a: {
+        "mode": "taylor", "op": "check-type", "matrix": _parse_json_arg(a.matrix)},
+    ("density", None): lambda a: {
+        "mode": "density", "gamma": a.gamma, "subgroup": a.subgroup, "k": a.k},
+    ("gn-audit", None): lambda a: {
+        "mode": "gn-audit", "n": a.n, "deg_F": a.degF, "s_count": a.s,
+        "ell_degrees": _ell_degrees(a.ell)},
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    if args.command == "run":
+        return run_scenario(args.file, args.out)
+    if args.command == "verify-all":
+        results = acceptance.run_all(max_n=args.max_n, seed=args.seed)
+        for res in results:
+            _print(res.line())
+        total = sum(r.elapsed_s for r in results)
+        passed = sum(r.ok for r in results)
+        _print(f"{passed}/{len(results)} criteria passed in {total:.2f}s")
+        return EXIT_OK if passed == len(results) else EXIT_MATH_FAIL
     try:
-        if args.command == "run":
-            return run_scenario(args.file, args.out)
-
-        if args.command == "gn-audit":
-            try:
-                degrees = [int(tok) for tok in args.ell.split(",") if tok]
-            except ValueError:
-                print("error: --ell must be comma-separated integers", file=sys.stderr)
-                return EXIT_INVALID
-            report = gn_audit(args.n, args.degF, args.s, degrees)
-            text = json.dumps(report, indent=2, sort_keys=True)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            _print(text)
-            return EXIT_OK if report["ok"] else EXIT_MATH_FAIL
-
-        if args.command == "verify-all":
-            results = acceptance.run_all(max_n=args.max_n, seed=args.seed)
-            for res in results:
-                _print(res.line())
-            total = sum(r.elapsed_s for r in results)
-            passed = sum(r.ok for r in results)
-            _print(f"{passed}/{len(results)} criteria passed in {total:.2f}s")
-            return EXIT_OK if passed == len(results) else EXIT_MATH_FAIL
-
-        if args.command == "partition":
-            if args.subop == "conjugate":
-                payload = {"mode": "partition", "op": "conjugate", "partition": args.partition}
-            elif args.subop == "theta":
-                payload = {"mode": "partition", "op": "theta", "partition": args.partition,
-                           "p": args.p, "m": args.m}
-            else:
-                payload = {"mode": "partition", "op": "verify-lemma", "n": args.n}
-            report = run_scenario_obj(payload)
-            _emit(report)
-            return EXIT_OK if report["ok"] else EXIT_MATH_FAIL
-
-        if args.command == "cohom":
-            if args.subop == "cyclic":
-                payload = {"mode": "cohomology", "op": "cyclic", "order": args.order,
-                           "sigma": _parse_json_arg(args.sigma)}
-            else:
-                jspec = args.J if args.J == "antidiag" else _parse_json_arg(args.J)
-                payload = {"mode": "cohomology", "op": "involution", "n": args.n,
-                           "J": jspec, "p": args.p, "m": args.m}
-            report = run_scenario_obj(payload)
-            _emit(report)
-            return EXIT_OK if report["ok"] else EXIT_MATH_FAIL
-
-        if args.command == "taylor":
-            if args.subop == "threshold":
-                payload = {"mode": "taylor", "op": "threshold", "q": args.q, "n": args.n}
-            else:
-                payload = {"mode": "taylor", "op": "check-type",
-                           "matrix": _parse_json_arg(args.matrix)}
-            report = run_scenario_obj(payload)
-            _emit(report)
-            return EXIT_OK if report["ok"] else EXIT_MATH_FAIL
-
-        if args.command == "density":
-            payload = {"mode": "density", "gamma": args.gamma,
-                       "subgroup": args.subgroup, "k": args.k}
-            report = run_scenario_obj(payload)
-            _emit(report)
-            return EXIT_OK if report["ok"] else EXIT_MATH_FAIL
-
+        build = _PAYLOADS[args.command, getattr(args, "subop", None)]
+        report = run_scenario_obj(build(args))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-
-    parser.error("no command")
-    return EXIT_INVALID
+    _write_report(report, getattr(args, "out", None))
+    return _exit_code([report])
 
 
 if __name__ == "__main__":

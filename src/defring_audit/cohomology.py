@@ -72,15 +72,26 @@ class CohomologyDims:
 
 
 def norm_matrix(action: CyclicAction) -> MatrixFF:
-    """N = sum_{j=0}^{n-1} sigma^j."""
-    f = action.field
-    d = action.dimension
-    acc = MatrixFF.zeros(f, d, d)
-    power = MatrixFF.identity(f, d)
-    for _ in range(action.order):
-        acc = acc + power
-        power = power * action.sigma
-    return acc
+    """N = sum_{j=0}^{n-1} sigma^j, in O(log n) matrix products.
+
+    Reads the bits of n from the top, carrying N_k = sum_{j<k} sigma^j and
+    sigma^k: N_2k = N_k (I + sigma^k) and N_2k+1 = N_2k + sigma^2k.  No
+    power is formed after the last bit.
+    """
+    sigma = action.sigma
+    ident = MatrixFF.identity(action.field, action.dimension)
+    norm, power = ident, sigma  # N_1 and sigma^1
+    bits = bin(action.order)[3:]
+    for i, bit in enumerate(bits, 1):
+        more = i < len(bits)
+        norm = norm * (ident + power)
+        if bit == "1" or more:
+            power = power * power
+        if bit == "1":
+            norm = norm + power
+            if more:
+                power = power * sigma
+    return norm
 
 
 def cohomology_dims(action: CyclicAction) -> CohomologyDims:

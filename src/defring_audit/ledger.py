@@ -340,7 +340,7 @@ def dual_selmer_verdict(
     places = setting.places
     if h0_locals is None:
         h0_locals = [p.h0_local or 0 for p in places]
-    h0_locals = [int(h) for h in h0_locals]
+    h0_locals = list(h0_locals)
     if len(h0_locals) != len(places):
         raise ValueError("h0_locals must align with the setting's places")
     if any(h < 0 for h in h0_locals):
@@ -374,60 +374,3 @@ def dual_selmer_verdict(
         dual_dim=dual_dim,
         tangent_dim=tangent_dim,
     )
-
-
-def local_euler_lift_vars(n: int, deg: int) -> int:
-    """n^2 ([K:Q_p] + 1): cocycle variables for the framed local lift."""
-    if n < 1 or deg < 1:
-        raise ValueError("n and deg must be >= 1")
-    return n * n * (deg + 1)
-
-
-def framed_variable_counts(lie: LieDims, sigma_size: int) -> dict[str, int]:
-    """t = dim(g) (#Sigma - 1) framing variables, u = dim(g^der)."""
-    if sigma_size < 1:
-        raise ValueError("sigma_size must be >= 1")
-    return {"t": lie.dim_g * (sigma_size - 1), "u": lie.dim_g_der}
-
-
-def presentability_check(lie: LieDims, local_dims, b: int) -> bool:
-    """Strict inequality sum(d_v) > dim(g) #Sigma - dim(z) - b."""
-    local_dims = list(local_dims)
-    return sum(local_dims) > lie.dim_g * len(local_dims) - lie.dim_z - b
-
-
-def smooth_quotient_test(a: int, u: int, b: int, gen: int) -> bool:
-    """gen <= a - u - b: the collapsed form of the three equivalent
-    power-series-quotient conditions."""
-    if u > a:
-        raise ValueError("u must not exceed a")
-    bound = a - u - b
-    if bound < 0:
-        raise ValueError("malformed bound: a - u - b is negative")
-    return gen <= bound
-
-
-def regularity_from_presentations(
-    alpha: int,
-    beta: int,
-    m: int,
-    h: int,
-    total_vars: int | None = None,
-) -> dict[str, bool]:
-    """Parameter-count bookkeeping for the one-component criterion.
-
-    alpha + beta relations inside alpha + m + beta + h variables
-    presenting a ring of dimension m + h force a regular system of
-    parameters; ``total_vars`` lets a caller cross-check its own
-    variable count against the required total.
-    """
-    if min(alpha, beta, m, h) < 0:
-        raise ValueError("counts must be nonnegative")
-    expected_total = alpha + m + beta + h
-    if total_vars is None:
-        total_vars = expected_total
-    consistent = (
-        total_vars == expected_total
-        and (alpha + m) + (beta + h) - (alpha + beta) == m + h
-    )
-    return {"consistent": consistent, "r1_regular": consistent}

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -411,6 +412,64 @@ def test_non_integer_payload_value_exits_two_and_names_the_key(
     assert f"{named} must be an integer" in reports[1]["error"]
 
 
+_LEDGER_DUAL = dict(_LEDGER, h0_global=0, h0_global_dual=0, h0_locals=[0, 0])
+
+
+@pytest.mark.parametrize(
+    "scenario, named",
+    [
+        ({"mode": "partition", "op": "verify-lemma", "n": True}, "'n'"),
+        (dict(_LEDGER_DUAL, h0_locals=["0", 0.9, 0, "1", 1.5]), "'h0_locals'"),
+        (dict(_LEDGER_DUAL, h0_locals=5), "'h0_locals'"),
+        (dict(_LEDGER_DUAL, h0_locals=[[1], 0]), "'h0_locals'"),
+        (dict(_LEDGER, places=[_PLACES[0], dict(_PLACES[1], h0_local=1.5)]), "'h0_local'"),
+        (dict(_LEDGER, degrees_complete="false"), "'degrees_complete'"),
+        (dict(_LEDGER, degrees_complete=0), "'degrees_complete'"),
+        (dict(_LEDGER, places={"kind": "arch"}), "'places'"),
+        (dict(_LEDGER, lie=dict(_DIMS, dim_z=1.0)), "'dim_z'"),
+    ],
+)
+def test_strict_ledger_and_partition_keys_exit_two_and_name_the_key(
+    tmp_path, capsys, scenario, named
+):
+    # an integer h0_local and a boolean degrees_complete are still accepted
+    places = [_PLACES[0], dict(_PLACES[1], h0_local=0)]
+    good = dict(_LEDGER, places=places, degrees_complete=False, h0_global=0)
+    path = _write(tmp_path, [good, scenario])
+    assert run_scenario(path) == EXIT_INVALID
+    good, bad = _last_json(capsys)
+    assert good["ok"] is True and good["verdicts"]["dual_selmer"]["vanishes"] is True
+    assert bad["invalid"] is True and named in bad["error"]
+
+
+def test_place_count_past_the_budget_exits_two_before_any_place_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    from defring_audit import ledger
+
+    def no_place(*args, **kwargs):
+        raise AssertionError("a place was built")
+
+    for name in ("PlaceSpec", "min_place", "sm_place", "arch_place"):
+        monkeypatch.setattr(ledger, name, no_place)
+    limit = LIMITS["MAX_PLACES"]
+    gn = {"mode": "gn-audit", "n": 2, "deg_F": 1, "s_count": limit - 1, "ell_degrees": [1]}
+    many = dict(_LEDGER, places=[_PLACES[1]] * (limit + 1))
+    path = _write(tmp_path, [gn, many])
+    assert run_scenario(path) == EXIT_INVALID
+    for report in _last_json(capsys):
+        assert report["invalid"] is True
+        assert f"{limit + 1} places exceed MAX_PLACES = {limit}" == report["error"]
+
+
+def test_place_count_at_the_budget_is_admitted():
+    # the benchmark, acceptance and the sweep script use at most 9 places
+    limit = LIMITS["MAX_PLACES"]
+    assert limit >= 9
+    report = gn_audit(1, 1, limit - 2, [1])
+    assert report["ok"] and report["diagnostics"]["s_ell_count"] == limit
+
+
 def test_integer_partition_list_and_string_parse_alike():
     as_list = run_scenario_obj({"mode": "partition", "op": "theta", "partition": [2, 1]})
     as_text = run_scenario_obj({"mode": "partition", "op": "theta", "partition": "2,1"})
@@ -531,3 +590,119 @@ def test_main_verify_all_smoke(capsys):
     assert main(["verify-all", "--max-n", "4"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("PASS") == 12
+
+
+# one (argv, equivalent scenario) pair for every entry of the subcommand table
+_SIGMA = {"p": 3, "m": 1, "rows": [[1, 0], [0, 2]]}
+_J = {"p": 5, "m": 1, "rows": [[0, 1], [4, 0]]}
+_UNIPOTENT = {"p": 5, "m": 1, "rows": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]}
+_SUBCOMMAND_CASES = {
+    ("partition", "conjugate"): (
+        ["partition", "conjugate", "4,2,1"],
+        {"mode": "partition", "op": "conjugate", "partition": "4,2,1"}),
+    ("partition", "theta"): (
+        ["partition", "theta", "3,1", "--p", "3", "--m", "2"],
+        {"mode": "partition", "op": "theta", "partition": "3,1", "p": 3, "m": 2}),
+    ("partition", "verify-lemma"): (
+        ["partition", "verify-lemma", "--n", "6"],
+        {"mode": "partition", "op": "verify-lemma", "n": 6}),
+    ("cohom", "cyclic"): (
+        ["cohom", "cyclic", "--order", "2", "--sigma", json.dumps(_SIGMA)],
+        {"mode": "cohomology", "op": "cyclic", "order": 2, "sigma": _SIGMA}),
+    ("cohom", "involution"): (
+        ["cohom", "involution", "--n", "2", "--J", json.dumps(_J)],
+        {"mode": "cohomology", "op": "involution", "n": 2, "J": _J}),
+    ("taylor", "threshold"): (
+        ["taylor", "threshold", "--q", "3", "--n", "2"],
+        {"mode": "taylor", "op": "threshold", "q": 3, "n": 2}),
+    ("taylor", "check-type"): (
+        ["taylor", "check-type", "--matrix", json.dumps(_UNIPOTENT)],
+        {"mode": "taylor", "op": "check-type", "matrix": _UNIPOTENT}),
+    ("density", None): (
+        ["density", "--gamma", "S3", "--subgroup", "(123)", "--k", "1"],
+        {"mode": "density", "gamma": "S3", "subgroup": "(123)", "k": 1}),
+    ("gn-audit", None): (
+        ["gn-audit", "--n", "3", "--degF", "2", "--s", "2", "--ell", "2"],
+        {"mode": "gn-audit", "n": 3, "deg_F": 2, "s_count": 2, "ell_degrees": [2]}),
+}
+
+
+def _argparse_commands() -> set:
+    """(command, subop) for every argparse subcommand but run and verify-all."""
+    import argparse
+
+    from defring_audit.cli import _build_parser
+
+    def choices(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                return action.choices
+        return None
+
+    keys = set()
+    for command, parser in choices(_build_parser()).items():
+        subops = choices(parser)
+        keys |= {(command, s) for s in subops} if subops else {(command, None)}
+    return keys - {("run", None), ("verify-all", None)}
+
+
+def test_subcommand_table_covers_every_argparse_subcommand():
+    from defring_audit.cli import _PAYLOADS
+
+    assert set(_PAYLOADS) == _argparse_commands() == set(_SUBCOMMAND_CASES)
+
+
+def _without_elapsed(report):
+    return {k: v for k, v in report.items() if k != "elapsed_s"}
+
+
+@pytest.mark.parametrize("key", list(_SUBCOMMAND_CASES), ids=str)
+def test_subcommand_prints_the_report_of_its_scenario(capsys, key):
+    argv, scenario = _SUBCOMMAND_CASES[key]
+    expected = run_scenario_obj(scenario)
+    assert main(argv) == (EXIT_OK if expected["ok"] else EXIT_MATH_FAIL)
+    printed = capsys.readouterr().out
+    assert printed == json.dumps(json.loads(printed), indent=2, sort_keys=True) + "\n"
+    assert _without_elapsed(json.loads(printed)) == _without_elapsed(expected)
+
+
+def test_gn_audit_out_file_holds_the_printed_report_with_a_measured_time(tmp_path, capsys):
+    argv, scenario = _SUBCOMMAND_CASES["gn-audit", None]
+    out = tmp_path / "gn.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert out.read_text(encoding="utf-8") == printed
+    report = json.loads(printed)
+    assert _without_elapsed(report) == _without_elapsed(run_scenario_obj(scenario))
+    assert report["elapsed_s"] > 0
+
+
+def test_benchmark_tracer_hooks_resolve_once_the_cli_is_imported():
+    # the traced launcher imports defring_audit.cli, takes each layer module
+    # from sys.modules at that moment and wraps perfbench/tracer.py's WRAPPED
+    # names on it; a layer loaded later would read 0 without an error
+    root = Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    wrapped = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]
+    )
+    code = (
+        "import json, sys\n"
+        "import defring_audit.cli\n"
+        f"wrapped = {wrapped!r}\n"
+        "loaded = {layer: sys.modules.get('defring_audit.' + layer) for layer in wrapped}\n"
+        "print(json.dumps({\n"
+        "    'unloaded': sorted(layer for layer, mod in loaded.items() if mod is None),\n"
+        "    'unresolved': [f'{layer}.{name}' for layer, names in wrapped.items()\n"
+        "                   for name in names if loaded[layer] is not None\n"
+        "                   and not callable(getattr(loaded[layer], name, None))],\n"
+        "}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "acceptance" in wrapped and "cli" in wrapped
+    assert json.loads(proc.stdout) == {"unloaded": [], "unresolved": []}

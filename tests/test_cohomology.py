@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -86,6 +87,43 @@ def test_norm_of_diag_involution():
 def test_norm_of_order_one_action_is_identity():
     action = CyclicAction(1, MatrixFF.identity(F5, 3))
     assert norm_matrix(action) == MatrixFF.identity(F5, 3)
+
+
+def _norm_by_summing(action):
+    """The oracle: N = sum_{j<n} sigma^j, one product per unit of the order."""
+    f = action.field
+    d = action.dimension
+    acc = MatrixFF.zeros(f, d, d)
+    power = MatrixFF.identity(f, d)
+    for _ in range(action.order):
+        acc = acc + power
+        power = power * action.sigma
+    return acc
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (5, 1), (3, 2)])
+def test_norm_by_doubling_matches_the_sum_for_every_order_up_to_64(monkeypatch, p, m):
+    # the doubling identities hold for any sigma, so a stand-in carries an
+    # arbitrary invertible matrix through every order, not only its own
+    field = mk_field(p, m)
+    rng = random.Random(f"norm:{p}:{m}")
+    products = []
+    real_mul = MatrixFF.__mul__
+
+    def counted_mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(MatrixFF, "__mul__", counted_mul)
+    for d in (1, 3, 4):
+        sigma = _random_invertible(rng, field, d)
+        for order in range(1, 65):
+            action = SimpleNamespace(order=order, sigma=sigma, field=field, dimension=d)
+            expected = _norm_by_summing(action)
+            products.clear()
+            assert norm_matrix(action) == expected, (d, order)
+            assert len(products) <= 3 * (order.bit_length() - 1)
+            assert len(products) < order or order == 1
 
 
 def test_cyclic_action_validates_order():

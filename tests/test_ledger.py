@@ -13,18 +13,13 @@ from defring_audit.ledger import (
     crys_place,
     dual_selmer_verdict,
     expected_local_dim,
-    framed_variable_counts,
     framework_check,
     gamma,
     gn_dims,
     greenberg_wiles_diff,
-    local_euler_lift_vars,
     min_place,
-    presentability_check,
     r0,
-    regularity_from_presentations,
     sm_place,
-    smooth_quotient_test,
     taylor_wiles_sum,
     unrestricted_s_place,
 )
@@ -315,48 +310,3 @@ def test_dual_selmer_vanishes_for_any_consistent_local_h0():
                 h0s.append(rng.randint(0, 5))
         v = dual_selmer_verdict(setting, 0, 0, h0s)
         assert v.vanishes and v.dual_dim == 0
-
-
-# ---------------------------------------------------------------------------
-# presentation bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def test_local_euler_lift_vars():
-    assert local_euler_lift_vars(2, 1) == 8
-    assert local_euler_lift_vars(3, 2) == 27
-    assert local_euler_lift_vars(1, 1) == 2
-    with pytest.raises(ValueError):
-        local_euler_lift_vars(0, 1)
-
-
-def test_framed_variable_counts():
-    assert framed_variable_counts(gn_dims(2), 3) == {"t": 10, "u": 4}
-    assert framed_variable_counts(gn_dims(3), 1)["t"] == 0
-    assert framed_variable_counts(gn_dims(1), 2) == {"t": 2, "u": 1}
-
-
-def test_presentability_check_boundary_is_strict():
-    lie = gn_dims(2)
-    assert not presentability_check(lie, [5, 5, 4, 3, 3], 4)  # 20 > 20 fails
-    assert presentability_check(lie, [5, 5, 4, 3, 4], 4)  # 21 > 20
-    assert presentability_check(lie, [], 1)  # 0 > -z - b
-
-
-def test_smooth_quotient_test():
-    assert smooth_quotient_test(10, 3, 2, 5)
-    assert not smooth_quotient_test(10, 3, 2, 6)
-    assert smooth_quotient_test(7, 0, 7, 0)
-    with pytest.raises(ValueError):
-        smooth_quotient_test(3, 4, 0, 0)
-    with pytest.raises(ValueError):
-        smooth_quotient_test(5, 3, 4, 0)
-
-
-def test_regularity_from_presentations():
-    assert regularity_from_presentations(2, 3, 4, 2) == {
-        "consistent": True,
-        "r1_regular": True,
-    }
-    assert regularity_from_presentations(2, 3, 4, 2, total_vars=12)["consistent"] is False
-    assert regularity_from_presentations(0, 0, 5, 7)["r1_regular"] is True
