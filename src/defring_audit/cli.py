@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from . import __version__
 from . import acceptance
@@ -59,6 +60,17 @@ LIMITS = {
     # len(ell_degrees) + deg_F.  Slowest at the limit: ~0.9 s and 37 MB
     # peak RSS in a fresh process (2-core Xeon, Python 3.11).
     "MAX_PLACES": 10_000,
+    # the size of a partition given to the partition mode.  Slowest at the
+    # limit: theta on the one-part partition "80", 0.9-1.2 s in a fresh
+    # process over F_5 or F_9 (2-core Xeon, Python 3.11).
+    "MAX_PARTITION_N": 80,
+    # every integer a ledger or gn-audit payload supplies (n or gn, the Lie
+    # dimensions, deg_F, s_count, local degrees, delta, the h0 values), so a
+    # report's integers stay far below Python's 4300-digit int/str limit.
+    # Slowest at the limit: gn-audit with n = 10^6 and 10000 places, ~1 s and
+    # 36 MB peak RSS in a fresh process, as at MAX_PLACES alone (2-core Xeon,
+    # Python 3.11).
+    "MAX_LEDGER_INT": 10**6,
 }
 
 
@@ -69,9 +81,21 @@ def _as_int(value, what: str) -> int:
     return value
 
 
+def _at_most(value: int, limit: str, message: str) -> int:
+    """``value``, or past LIMITS[limit] a ScenarioError "{message} {limit} = {bound}"."""
+    if value > LIMITS[limit]:
+        raise ScenarioError(f"{message} {limit} = {LIMITS[limit]}")
+    return value
+
+
+def _ledger_int(value, what: str) -> int:
+    """``value`` coerced by :func:`_as_int` and at most LIMITS["MAX_LEDGER_INT"]."""
+    return _at_most(_as_int(value, what), "MAX_LEDGER_INT", f"{what} must be at most")
+
+
 def _payload_int(payload, key: str) -> int:
-    """``payload[key]`` (default 0) coerced by :func:`_as_int`."""
-    return _as_int(payload.get(key, 0), repr(key))
+    """``payload[key]`` (default 0) coerced by :func:`_ledger_int`."""
+    return _ledger_int(payload.get(key, 0), repr(key))
 
 
 def _bounded_int(payload, key: str, limit: str) -> int:
@@ -82,12 +106,6 @@ def _bounded_int(payload, key: str, limit: str) -> int:
             f"{key!r} must satisfy 1 <= {key} <= {limit} = {LIMITS[limit]}, got {value}"
         )
     return value
-
-
-def _check_place_count(count: int) -> None:
-    limit = LIMITS["MAX_PLACES"]
-    if count > limit:
-        raise ScenarioError(f"{count} places exceed MAX_PLACES = {limit}")
 
 
 def _field_from_json(obj) -> PrimeField:
@@ -108,9 +126,7 @@ def _matrix_from_json(obj) -> MatrixFF:
         raise ScenarioError("matrix rows must be nested integer arrays")
     limit = LIMITS["MAX_MATRIX_DIM"]
     if len(rows) > limit or any(len(r) > limit for r in rows):
-        raise ScenarioError(
-            f"matrix has more than MAX_MATRIX_DIM = {limit} rows or columns"
-        )
+        raise ScenarioError(f"matrix has more than MAX_MATRIX_DIM = {limit} rows or columns")
     try:
         return MatrixFF.from_rows(f, rows)
     except (TypeError, ValueError) as exc:
@@ -118,14 +134,14 @@ def _matrix_from_json(obj) -> MatrixFF:
 
 
 def _partition_from_json(obj) -> parts.Partition:
-    try:
-        if isinstance(obj, str):
-            return parts.Partition.parse(obj)
-        if isinstance(obj, list):
-            return parts.Partition(tuple(_as_int(x, "each partition part") for x in obj))
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    raise ScenarioError("partition must be a string like '3,1' or an integer list")
+    if isinstance(obj, str):
+        lam = parts.Partition.parse(obj)
+    elif isinstance(obj, list):
+        lam = parts.Partition(tuple(_as_int(x, "each partition part") for x in obj))
+    else:
+        raise ScenarioError("partition must be a string like '3,1' or an integer list")
+    _at_most(lam.n, "MAX_PARTITION_N", f"partition of {lam.n} exceeds")
+    return lam
 
 
 def _jsonable(value):
@@ -150,11 +166,7 @@ def _jsonable(value):
 def _run_partition(payload):
     op = payload.get("op", "verify-lemma")
     if op == "verify-lemma":
-        n = _as_int(payload.get("n"), "'n'")
-        try:
-            report = parts.verify_conjugation_lemma(n)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        report = parts.verify_conjugation_lemma(_as_int(payload.get("n"), "'n'"))
         verdicts = {"checked": report.checked, "failures": list(report.failures)}
         diag = {} if report.ok else {"violated": "theta = conjugate on Young diagrams"}
         return verdicts, diag, report.ok
@@ -163,8 +175,7 @@ def _run_partition(payload):
         if op == "conjugate":
             out = parts.conjugate(lam)
         else:
-            f = _field_from_json(payload) if "p" in payload else None
-            out = parts.theta(lam, f)
+            out = parts.theta(lam, _field_from_json(payload) if "p" in payload else None)
         return {"input": str(lam), op: str(out)}, {}, True
     raise ScenarioError(f"unknown partition op {op!r}")
 
@@ -174,10 +185,7 @@ def _run_cohomology(payload):
     if op == "cyclic":
         order = _bounded_int(payload, "order", "MAX_CYCLIC_ORDER")
         sigma = _matrix_from_json(payload.get("sigma"))
-        try:
-            action = coh.CyclicAction(order=order, sigma=sigma)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        action = coh.CyclicAction(order=order, sigma=sigma)
         dims = coh.cohomology_dims(action)
         return dataclasses.asdict(dims), {"dimension": action.dimension}, True
     if op == "involution":
@@ -188,10 +196,7 @@ def _run_cohomology(payload):
             J = coh.antidiagonal_ones(n, f)
         else:
             J = _matrix_from_json(jspec)
-        try:
-            spec = coh.InvolutionSpec(n, J)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        spec = coh.InvolutionSpec(n, J)
         action = coh.twisted_involution_action(spec)
         minus = coh.eigenspace_dim(action.sigma, J.field.neg(1))
         plus = coh.eigenspace_dim(action.sigma, 1)
@@ -216,7 +221,7 @@ def _place_from_json(obj) -> ledger.PlaceSpec:
             raise ScenarioError(f"place of kind {kind!r} needs a 'condition'")
     local_degree = _payload_int(obj, "local_degree")
     delta = _payload_int(obj, "delta")
-    h0_local = _as_int(obj["h0_local"], "'h0_local'") if "h0_local" in obj else None
+    h0_local = _ledger_int(obj["h0_local"], "'h0_local'") if "h0_local" in obj else None
     try:
         return ledger.PlaceSpec(
             kind=kind,
@@ -231,18 +236,15 @@ def _place_from_json(obj) -> ledger.PlaceSpec:
 
 def _lie_from_json(obj) -> ledger.LieDims:
     if isinstance(obj, dict) and "gn" in obj:
-        try:
-            return ledger.gn_dims(_as_int(obj["gn"], "'gn'"))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(str(exc)) from exc
+        return ledger.gn_dims(_ledger_int(obj["gn"], "'gn'"))
     if isinstance(obj, dict):
         try:
             return ledger.LieDims(
-                dim_g=_as_int(obj["dim_g"], "'dim_g'"),
-                dim_g_der=_as_int(obj["dim_g_der"], "'dim_g_der'"),
-                dim_g_ab=_as_int(obj["dim_g_ab"], "'dim_g_ab'"),
-                dim_b_der=_as_int(obj["dim_b_der"], "'dim_b_der'"),
-                dim_z=_as_int(obj["dim_z"], "'dim_z'") if "dim_z" in obj else None,
+                dim_g=_ledger_int(obj["dim_g"], "'dim_g'"),
+                dim_g_der=_ledger_int(obj["dim_g_der"], "'dim_g_der'"),
+                dim_g_ab=_ledger_int(obj["dim_g_ab"], "'dim_g_ab'"),
+                dim_b_der=_ledger_int(obj["dim_b_der"], "'dim_b_der'"),
+                dim_z=_ledger_int(obj["dim_z"], "'dim_z'") if "dim_z" in obj else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad Lie dimensions: {exc}") from exc
@@ -253,48 +255,28 @@ def _setting_from_json(payload) -> ledger.DeformationSetting:
     places = payload.get("places", [])
     if not isinstance(places, list):
         raise ScenarioError(f"'places' must be a list, got {places!r}")
-    _check_place_count(len(places))
+    _at_most(len(places), "MAX_PLACES", f"{len(places)} places exceed")
     degrees_complete = payload.get("degrees_complete", True)
     if not isinstance(degrees_complete, bool):
-        raise ScenarioError(
-            f"'degrees_complete' must be true or false, got {degrees_complete!r}"
-        )
-    try:
-        return ledger.DeformationSetting(
-            lie=_lie_from_json(payload.get("lie")),
-            deg_F=_payload_int(payload, "deg_F"),
-            places=tuple(_place_from_json(p) for p in places),
-            degrees_complete=degrees_complete,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(str(exc)) from exc
+        raise ScenarioError(f"'degrees_complete' must be true or false, got {degrees_complete!r}")
+    return ledger.DeformationSetting(
+        lie=_lie_from_json(payload.get("lie")),
+        deg_F=_payload_int(payload, "deg_F"),
+        places=tuple(_place_from_json(p) for p in places),
+        degrees_complete=degrees_complete,
+    )
 
 
 def _ledger_verdicts(setting, h0_global, h0_global_dual, h0_locals, run_dual):
-    try:
-        verdict = ledger.framework_check(setting)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    verdicts = {
-        "gamma": verdict.gamma,
-        "r0": verdict.r0,
-        "gen_I": verdict.gen_I,
-        "gen_bound": verdict.gen_bound,
-        "margin": verdict.margin,
-        "smooth": verdict.smooth,
-        "unframed_dim": verdict.unframed_dim,
-    }
+    verdict = ledger.framework_check(setting)
+    verdicts = {key: getattr(verdict, key) for key in
+                ("gamma", "r0", "gen_I", "gen_bound", "margin", "smooth", "unframed_dim")}
     ok = verdict.smooth
     diag = {"places": [dataclasses.asdict(d) for d in verdict.diagnostics]}
     if not verdict.smooth:
         diag["violated"] = "generator bound gen_I <= gamma - r0"
     if run_dual:
-        try:
-            dual = ledger.dual_selmer_verdict(setting, h0_global, h0_global_dual, h0_locals)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        dual = ledger.dual_selmer_verdict(setting, h0_global, h0_global_dual, h0_locals)
         verdicts["dual_selmer"] = dataclasses.asdict(dual)
         ok = ok and dual.vanishes
         if not dual.vanishes:
@@ -309,7 +291,7 @@ def _run_ledger(payload):
     if h0_locals is not None:
         if not isinstance(h0_locals, list):
             raise ScenarioError(f"'h0_locals' must be a list, got {h0_locals!r}")
-        h0_locals = [_as_int(h, "each 'h0_locals' entry") for h in h0_locals]
+        h0_locals = [_ledger_int(h, "each 'h0_locals' entry") for h in h0_locals]
     return _ledger_verdicts(
         setting,
         _payload_int(payload, "h0_global"),
@@ -331,20 +313,16 @@ def _subgroup_from_json(gamma: dens.FiniteGroup, gamma_spec, obj) -> frozenset[i
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad subgroup generators: {exc}") from exc
     if isinstance(obj, str):
-        name = str(gamma_spec).strip().lower() if isinstance(gamma_spec, str) else ""
+        name = gamma_spec.strip().lower() if isinstance(gamma_spec, str) else ""
         if name.startswith("s") and name[1:].isdigit():
-            n = int(name[1:])
+            gens = [dens.perm_index_from_cycles(int(name[1:]), tok) for tok in obj.split(",")]
+        else:
             try:
-                gens = [dens.perm_index_from_cycles(n, tok) for tok in obj.split(",")]
+                gens = [parts.parse_int(tok) for tok in obj.split(",")]
             except ValueError as exc:
-                raise ScenarioError(str(exc)) from exc
-            return dens.subgroup_closure(gamma, gens)
-        try:
-            gens = [int(tok) for tok in obj.split(",")]
-        except ValueError as exc:
-            raise ScenarioError(
-                "subgroup strings are cycle notation for S_n or integer generators"
-            ) from exc
+                raise ScenarioError(
+                    "subgroup strings are cycle notation for S_n or integer generators"
+                ) from exc
         return dens.subgroup_closure(gamma, gens)
     raise ScenarioError("subgroup must be 'trivial', 'full', generators or cycles")
 
@@ -361,10 +339,7 @@ def _run_density(payload):
     except ValueError as exc:
         raise ScenarioError(f"density 'k': {exc}") from exc
     subgroup = _subgroup_from_json(gamma, gamma_spec, payload.get("subgroup"))
-    try:
-        problem = dens.SplitDensityProblem(gamma, subgroup, k)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    problem = dens.SplitDensityProblem(gamma, subgroup, k)
     cert = dens.bound_certificate(problem)
     verdicts = {
         "density": _jsonable(cert.density),
@@ -385,30 +360,18 @@ def _run_density(payload):
 
 def _run_taylor(payload):
     op = payload.get("op")
-    if op == "threshold":
-        try:
-            q = _as_int(payload.get("q"), "'q'")
-            n = _as_int(payload.get("n"), "'n'")
-            value = taylor.taylor_threshold(q, n)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(str(exc)) from exc
-        return {"q": q, "n": n, "threshold": value}, {}, True
-    if op == "coprime":
-        try:
-            ell = _as_int(payload.get("ell"), "'ell'")
-            q = _as_int(payload.get("q"), "'q'")
-            n = _as_int(payload.get("n"), "'n'")
-            result = taylor.threshold_coprime(ell, q, n)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(str(exc)) from exc
+    if op in ("threshold", "coprime"):
+        ell = _as_int(payload.get("ell"), "'ell'") if op == "coprime" else None
+        q = _as_int(payload.get("q"), "'q'")
+        n = _as_int(payload.get("n"), "'n'")
+        if op == "threshold":
+            return {"q": q, "n": n, "threshold": taylor.taylor_threshold(q, n)}, {}, True
+        result = taylor.threshold_coprime(ell, q, n)
         diag = {} if result else {"violated": "gcd(ell, q^(n!)-1) = 1"}
         return {"ell": ell, "q": q, "n": n, "coprime": result}, diag, result
     if op == "check-type":
         M = _matrix_from_json(payload.get("matrix"))
-        try:
-            lam = taylor.min_equals_type_partition(M)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        lam = taylor.min_equals_type_partition(M)
         one_cond = taylor.satisfies_one_condition(M)
         return {"type_partition": str(lam), "one_condition": one_cond}, {}, True
     raise ScenarioError(f"unknown taylor op {op!r}")
@@ -424,14 +387,13 @@ def gn_audit(n: int, deg_F: int, s_count: int, ell_degrees) -> dict:
     """
     if not isinstance(ell_degrees, (list, tuple)):
         raise ScenarioError(f"'ell_degrees' must be a list, got {ell_degrees!r}")
-    ell_degrees = [_as_int(d, "each 'ell_degrees' entry") for d in ell_degrees]
+    ell_degrees = [_ledger_int(d, "each 'ell_degrees' entry") for d in ell_degrees]
     if n < 1 or deg_F < 1 or s_count < 0:
         raise ScenarioError("need n >= 1, deg_F >= 1, s_count >= 0")
-    _check_place_count(s_count + len(ell_degrees) + deg_F)
+    count = s_count + len(ell_degrees) + deg_F
+    _at_most(count, "MAX_PLACES", f"{count} places exceed")
     if sum(ell_degrees) != deg_F:
-        raise ScenarioError(
-            f"ell degrees {ell_degrees} must sum to deg_F = {deg_F}"
-        )
+        raise ScenarioError(f"ell degrees {ell_degrees} must sum to deg_F = {deg_F}")
     if any(d < 1 for d in ell_degrees):
         raise ScenarioError("each ell degree must be >= 1")
     lie = ledger.gn_dims(n)
@@ -455,8 +417,8 @@ def gn_audit(n: int, deg_F: int, s_count: int, ell_degrees) -> dict:
 
 
 def _run_gn_audit_payload(payload):
-    n = _as_int(payload.get("n"), "'n'")
-    deg_f = _as_int(payload.get("deg_F"), "'deg_F'")
+    n = _ledger_int(payload.get("n"), "'n'")
+    deg_f = _ledger_int(payload.get("deg_F"), "'deg_F'")
     s_count = _payload_int(payload, "s_count")
     report = gn_audit(n, deg_f, s_count, payload.get("ell_degrees", []))
     return report["verdicts"], report["diagnostics"], report["ok"]
@@ -491,7 +453,12 @@ def _report(name, mode, verdicts, diagnostics, ok, elapsed=0.0):
 
 
 def run_scenario_obj(obj) -> dict:
-    """Evaluate one parsed scenario object; raises ScenarioError on bad input."""
+    """Evaluate one parsed scenario object; raises ScenarioError on bad input.
+
+    The handlers' one error boundary: a ValueError or TypeError raised under
+    one becomes a ScenarioError with its message.  InternalCheckError (a bug)
+    is not caught.
+    """
     if not isinstance(obj, dict):
         raise ScenarioError("a scenario must be a JSON object")
     mode = obj.get("mode")
@@ -499,7 +466,12 @@ def run_scenario_obj(obj) -> dict:
         raise ScenarioError(f"mode must be one of {MODES}, got {mode!r}")
     name = obj.get("name", mode)
     start = time.perf_counter()
-    verdicts, diagnostics, ok = _HANDLERS[mode](obj)
+    try:
+        verdicts, diagnostics, ok = _HANDLERS[mode](obj)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(str(exc)) from exc
     elapsed = time.perf_counter() - start
     return _report(name, mode, verdicts, diagnostics, ok, elapsed)
 
@@ -519,20 +491,38 @@ def _print(text: str) -> None:
         os.close(devnull)
 
 
-def _write_report(payload, out: str | None) -> None:
-    """Print ``payload`` as indented, key-sorted JSON; also write it to ``out`` if given."""
+def _write_report(payload, reports, out: str | None) -> int:
+    """Print ``payload`` as indented, key-sorted JSON, first to ``out`` if given.
+
+    Returns 2 if any of ``reports`` is invalid or ``out`` cannot be written (a
+    one-line error is then all the output), else 1 if a check failed, else 0.
+    """
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     _print(text)
-
-
-def _exit_code(reports) -> int:
-    """2 if any report is invalid, else 1 if any check failed, else 0."""
     if any(r.get("invalid") for r in reports):
         return EXIT_INVALID
     return EXIT_OK if all(r["ok"] for r in reports) else EXIT_MATH_FAIL
+
+
+def _decode_json(source: str | Path, what: str):
+    """Parse JSON text, or the UTF-8 file at the path ``source``.
+
+    An unreadable file, bytes that are not UTF-8, bad JSON, an integer past
+    Python's 4300-digit limit or too deep a nesting is a ScenarioError line,
+    ``what: reason``.
+    """
+    try:
+        text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
+        return json.loads(text)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ScenarioError(f"{what}: {exc}") from exc
 
 
 def run_scenario(path: str, out: str | None = None) -> int:
@@ -542,10 +532,9 @@ def run_scenario(path: str, out: str | None = None) -> int:
     check, 2 on parse/validation failure.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
+        data = _decode_json(Path(path), "cannot read scenario")
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
     def run_one(obj):
@@ -555,8 +544,7 @@ def run_scenario(path: str, out: str | None = None) -> int:
             return {"error": str(exc), "ok": False, "invalid": True}
 
     reports = [run_one(o) for o in (data if isinstance(data, list) else [data])]
-    _write_report(reports if isinstance(data, list) else reports[0], out)
-    return _exit_code(reports)
+    return _write_report(reports if isinstance(data, list) else reports[0], reports, out)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic audits: partitions, cyclic cohomology, "
         "dimension ledgers, splitting densities and threshold arithmetic.",
     )
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_int_arg, default=0,
                         help="seed for randomized property subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -579,15 +567,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None)
 
     p_gn = sub.add_parser("gn-audit", help="preset rank-n framework audit")
-    p_gn.add_argument("--n", type=int, required=True)
-    p_gn.add_argument("--degF", type=int, required=True)
-    p_gn.add_argument("--s", type=int, default=0)
+    p_gn.add_argument("--n", type=_int_arg, required=True)
+    p_gn.add_argument("--degF", type=_int_arg, required=True)
+    p_gn.add_argument("--s", type=_int_arg, default=0)
     p_gn.add_argument("--ell", type=str, required=True,
                       help="comma-separated local degrees, e.g. 1,1")
     p_gn.add_argument("--out", default=None)
 
     p_all = sub.add_parser("verify-all", help="run the full acceptance suite")
-    p_all.add_argument("--max-n", type=int, default=10)
+    p_all.add_argument("--max-n", type=_int_arg, default=10)
 
     p_part = sub.add_parser("partition", help="Young diagram operations")
     part_sub = p_part.add_subparsers(dest="subop", required=True)
@@ -595,48 +583,52 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("partition")
     pt = part_sub.add_parser("theta")
     pt.add_argument("partition")
-    pt.add_argument("--p", type=int, default=5)
-    pt.add_argument("--m", type=int, default=1)
+    pt.add_argument("--p", type=_int_arg, default=5)
+    pt.add_argument("--m", type=_int_arg, default=1)
     pv = part_sub.add_parser("verify-lemma")
-    pv.add_argument("--n", type=int, required=True)
+    pv.add_argument("--n", type=_int_arg, required=True)
 
     p_coh = sub.add_parser("cohom", help="cyclic cohomology dimensions")
     coh_sub = p_coh.add_subparsers(dest="subop", required=True)
     cc = coh_sub.add_parser("cyclic")
-    cc.add_argument("--order", type=int, required=True)
+    cc.add_argument("--order", type=_int_arg, required=True)
     cc.add_argument("--sigma", type=str, required=True, help="matrix JSON")
     ci = coh_sub.add_parser("involution")
-    ci.add_argument("--n", type=int, required=True)
+    ci.add_argument("--n", type=_int_arg, required=True)
     ci.add_argument("--J", type=str, default="antidiag")
-    ci.add_argument("--p", type=int, default=5)
-    ci.add_argument("--m", type=int, default=1)
+    ci.add_argument("--p", type=_int_arg, default=5)
+    ci.add_argument("--m", type=_int_arg, default=1)
 
     p_tay = sub.add_parser("taylor", help="threshold and type arithmetic")
     tay_sub = p_tay.add_subparsers(dest="subop", required=True)
     tt = tay_sub.add_parser("threshold")
-    tt.add_argument("--q", type=int, required=True)
-    tt.add_argument("--n", type=int, required=True)
+    tt.add_argument("--q", type=_int_arg, required=True)
+    tt.add_argument("--n", type=_int_arg, required=True)
     tc = tay_sub.add_parser("check-type")
     tc.add_argument("--matrix", type=str, required=True, help="matrix JSON")
 
     p_den = sub.add_parser("density", help="splitting density on Gamma x (Z/2)^k x Z/2")
     p_den.add_argument("--gamma", type=str, default="trivial")
     p_den.add_argument("--subgroup", type=str, default="trivial")
-    p_den.add_argument("--k", type=int, required=True)
+    p_den.add_argument("--k", type=_int_arg, required=True)
 
     return parser
 
 
-def _parse_json_arg(text: str):
+def _int_arg(text: str) -> int:
+    """argparse type of the integer flags: :func:`partitions.parse_int`.
+
+    A refused value gets the words argparse uses when the builtin int refuses one.
+    """
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"bad inline JSON: {exc}") from exc
+        return parts.parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _ell_degrees(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return [parts.parse_int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise ScenarioError("--ell must be comma-separated integers") from None
 
@@ -652,14 +644,14 @@ _PAYLOADS = {
         "mode": "partition", "op": "verify-lemma", "n": a.n},
     ("cohom", "cyclic"): lambda a: {
         "mode": "cohomology", "op": "cyclic", "order": a.order,
-        "sigma": _parse_json_arg(a.sigma)},
+        "sigma": _decode_json(a.sigma, "bad inline JSON")},
     ("cohom", "involution"): lambda a: {
         "mode": "cohomology", "op": "involution", "n": a.n, "p": a.p, "m": a.m,
-        "J": a.J if a.J == "antidiag" else _parse_json_arg(a.J)},
+        "J": a.J if a.J == "antidiag" else _decode_json(a.J, "bad inline JSON")},
     ("taylor", "threshold"): lambda a: {
         "mode": "taylor", "op": "threshold", "q": a.q, "n": a.n},
     ("taylor", "check-type"): lambda a: {
-        "mode": "taylor", "op": "check-type", "matrix": _parse_json_arg(a.matrix)},
+        "mode": "taylor", "op": "check-type", "matrix": _decode_json(a.matrix, "bad inline JSON")},
     ("density", None): lambda a: {
         "mode": "density", "gamma": a.gamma, "subgroup": a.subgroup, "k": a.k},
     ("gn-audit", None): lambda a: {
@@ -686,8 +678,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _write_report(report, getattr(args, "out", None))
-    return _exit_code([report])
+    return _write_report(report, [report], getattr(args, "out", None))
 
 
 if __name__ == "__main__":

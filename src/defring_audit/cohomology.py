@@ -61,6 +61,9 @@ class InvolutionSpec:
             raise ValueError("J must be n x n")
         # invertibility checked here so failures surface at construction
         mat_inverse(self.J)
+        # the twist squares to conjugation by J J^{-t}: the identity iff J = +-J^t
+        if self.J.transpose() not in (self.J, -self.J):
+            raise ValueError("J must be symmetric or antisymmetric, or the twist is no involution")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,14 @@ from .ff import (
 )
 
 
+def parse_int(text: str) -> int:
+    """``int(text)`` for an optional "-" then ASCII digits: no "_", "+", spaces or other digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class Partition:
     """Weakly decreasing positive parts; n is their sum."""
@@ -46,7 +54,7 @@ class Partition:
     def parse(cls, text: str) -> "Partition":
         """Parse the comma-separated serialization, e.g. ``"3,1"``."""
         try:
-            parts = tuple(int(tok) for tok in text.split(","))
+            parts = tuple(parse_int(tok) for tok in text.split(","))
         except ValueError as exc:
             raise ValueError(f"cannot parse partition {text!r}") from exc
         return cls(parts)
@@ -115,16 +123,6 @@ def kernel_sequence(M: MatrixFF) -> Partition:
         basis = _echelon(f, (R * A).to_lists(), n)
 
 
-_DEFAULT_THETA_FIELD: PrimeField | None = None
-
-
-def _default_field() -> PrimeField:
-    global _DEFAULT_THETA_FIELD
-    if _DEFAULT_THETA_FIELD is None:
-        _DEFAULT_THETA_FIELD = mk_field(5)
-    return _DEFAULT_THETA_FIELD
-
-
 def theta(lam: Partition, field: PrimeField | None = None) -> Partition:
     """Kernel sequence of the block-unipotent model of lam.
 
@@ -132,7 +130,7 @@ def theta(lam: Partition, field: PrimeField | None = None) -> Partition:
     CLI deterministic.
     """
     if field is None:
-        field = _default_field()
+        field = mk_field(5)
     return kernel_sequence(nabla_matrix(lam, field))
 
 
@@ -151,7 +149,7 @@ def verify_conjugation_lemma(n: int, field: PrimeField | None = None) -> LemmaRe
     if n < 1 or n > 12:
         raise ValueError("lemma verification supports 1 <= n <= 12")
     if field is None:
-        field = _default_field()
+        field = mk_field(5)
     checked = 0
     failures = []
     for lam in partitions_of(n):

@@ -24,6 +24,9 @@ from .ff import (
 from .partitions import Partition, conjugate, kernel_sequence
 
 MAX_THRESHOLD_N = 8
+# q^(n!) has at most bit_length(q) * n! bits; 14000 bits are fewer than 4215
+# digits, so a report prints the value within Python's 4300-digit limit
+MAX_THRESHOLD_BITS = 14_000
 
 
 @dataclass(frozen=True)
@@ -38,11 +41,13 @@ class TaylorThreshold:
 
 
 def taylor_threshold(q: int, n: int) -> int:
-    """Exact q^{n!} (n capped at 8: the exponent explodes past desk scale)."""
+    """Exact q^{n!}, for n <= 8 and at most MAX_THRESHOLD_BITS bits."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if n < 1 or n > MAX_THRESHOLD_N:
         raise ValueError(f"n must be in [1, {MAX_THRESHOLD_N}]")
+    if q.bit_length() * math.factorial(n) > MAX_THRESHOLD_BITS:
+        raise ValueError(f"bit_length(q) * n! exceeds MAX_THRESHOLD_BITS = {MAX_THRESHOLD_BITS}")
     return q ** math.factorial(n)
 
 

@@ -706,3 +706,192 @@ def test_benchmark_tracer_hooks_resolve_once_the_cli_is_imported():
     assert proc.returncode == 0, proc.stderr
     assert "acceptance" in wrapped and "cli" in wrapped
     assert json.loads(proc.stdout) == {"unloaded": [], "unresolved": []}
+
+
+# ---------------------------------------------------------------------------
+# one error boundary: no input ends in a traceback
+# ---------------------------------------------------------------------------
+
+_OK_ITEM = {"mode": "taylor", "op": "threshold", "q": 2, "n": 2}
+
+
+def _batch(bad):
+    return json.dumps([_OK_ITEM, bad]).encode()
+
+
+# (argv with {file} for the scenario file, file bytes or None, what the error names,
+# how it ends: "line" a one-line error, "report" an exit-2 batch item, "usage" argparse)
+_NO_TRACEBACK_CASES = {
+    "non-utf8-file": (
+        ["run", "{file}"], b'{"mode": "partition", "op": "conjugate", "partition": "3,1\xff"}',
+        "cannot read scenario: 'utf-8' codec can't decode", "line"),
+    "deeply-nested-file": (
+        ["run", "{file}"], b"[" * 100_000,
+        "cannot read scenario: maximum recursion depth", "line"),
+    "deeply-nested-sigma": (
+        ["cohom", "cyclic", "--order", "2", "--sigma", "[" * 5000], None,
+        "bad inline JSON: maximum recursion depth", "line"),
+    "5000-digit-integer": (
+        ["run", "{file}"],
+        b'{"mode": "taylor", "op": "threshold", "q": ' + b"7" * 5000 + b', "n": 1}',
+        "cannot read scenario: Exceeds the limit (4300 digits)", "line"),
+    "threshold-past-the-bit-budget": (
+        ["taylor", "threshold", "--q", "2", "--n", "8"], None, "MAX_THRESHOLD_BITS", "line"),
+    "coprime-with-a-huge-q": (
+        ["run", "{file}"],
+        _batch({"mode": "taylor", "op": "coprime", "ell": 5, "q": 10**4000, "n": 3}),
+        "MAX_THRESHOLD_BITS", "report"),
+    "gn-audit-3001-digit-n": (
+        ["gn-audit", "--n", "1" * 3001, "--degF", "1", "--ell", "1"], None,
+        "'n' must be at most MAX_LEDGER_INT", "line"),
+    "unwritable-out": (
+        ["gn-audit", "--n", "2", "--degF", "1", "--ell", "1", "--out", "{file}/report.json"],
+        b"", "cannot write report", "line"),
+    "generator-out-of-range": (
+        ["density", "--gamma", "Z3", "--subgroup=-1", "--k", "1"], None,
+        "generator -1 out of range", "line"),
+    "involution-J-not-symmetric": (
+        ["cohom", "involution", "--n", "2", "--J", '{"p": 5, "m": 1, "rows": [[3, 1], [4, 0]]}'],
+        None, "J must be symmetric or antisymmetric", "line"),
+    "theta-160": (
+        ["run", "{file}"], _batch({"mode": "partition", "op": "theta", "partition": "160"}),
+        "partition of 160 exceeds MAX_PARTITION_N", "report"),
+    "conjugate-1e9": (
+        ["partition", "conjugate", "1000000000"], None,
+        "partition of 1000000000 exceeds MAX_PARTITION_N", "line"),
+    "partition-with-underscore": (
+        ["run", "{file}"], _batch({"mode": "partition", "op": "conjugate", "partition": "3_0,1"}),
+        "cannot parse partition '3_0,1'", "report"),
+    "subgroup-generator-with-underscore": (
+        ["run", "{file}"], _batch({"mode": "density", "gamma": "Z3", "subgroup": "0_1", "k": 1}),
+        "subgroup strings are cycle notation", "report"),
+    "ell-with-plus-and-spaces": (
+        ["gn-audit", "--n", "2", "--degF", "1", "--ell", " +1 "], None,
+        "--ell must be comma-separated integers", "line"),
+    "flag-with-underscore": (
+        ["gn-audit", "--n", "1_0", "--degF", "1", "--ell", "1"], None,
+        "argument --n: invalid int value: '1_0'", "usage"),
+    "flag-with-plus-and-spaces": (
+        ["density", "--gamma", "S3", "--k", " +3 "], None,
+        "argument --k: invalid int value: ' +3 '", "usage"),
+    "flag-with-non-ascii-digit": (
+        ["partition", "verify-lemma", "--n", "٣"], None,
+        "argument --n: invalid int value: '٣'", "usage"),
+}
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("case", list(_NO_TRACEBACK_CASES))
+def test_input_ends_in_exit_two_without_a_traceback(tmp_path, case):
+    argv, content, named, ending = _NO_TRACEBACK_CASES[case]
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    root = Path(__file__).resolve().parent.parent
+    # a fresh process: a RecursionError or a memory blow-up stays in it
+    proc = subprocess.run(
+        [sys.executable, "-m", "defring_audit.cli", *argv], capture_output=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), preexec_fn=_limit_memory,
+    )
+    out = proc.stdout.decode()
+    err = proc.stderr.decode()
+    assert proc.returncode == EXIT_INVALID, err[-500:]
+    assert "Traceback" not in err
+    if ending == "report":
+        assert err == ""
+        good, bad = json.loads(out)
+        assert good["ok"] is True and bad["invalid"] is True and named in bad["error"]
+        return
+    assert out == ""
+    if ending == "usage":
+        assert err.splitlines()[-1].endswith(named)
+    else:
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err
+
+
+def test_a_handler_error_becomes_a_report_with_its_message(monkeypatch):
+    from defring_audit import taylor
+
+    for exc in (ValueError("bad q"), TypeError("bad q")):
+        def fail(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(taylor, "taylor_threshold", fail)
+        with pytest.raises(ScenarioError, match="^bad q$"):
+            run_scenario_obj(_OK_ITEM)
+
+
+def test_internal_check_errors_are_not_caught(monkeypatch):
+    from defring_audit import taylor
+    from defring_audit.ff import InternalCheckError
+
+    def broken(*args):
+        raise InternalCheckError("invariant broken")
+
+    monkeypatch.setattr(taylor, "taylor_threshold", broken)
+    with pytest.raises(InternalCheckError):
+        run_scenario_obj(_OK_ITEM)
+
+
+def test_partition_size_budget(monkeypatch):
+    from defring_audit import partitions
+
+    limit = LIMITS["MAX_PARTITION_N"]
+    assert limit >= 12  # the benchmark's theta items stop at n = 10
+    at_limit = run_scenario_obj({"mode": "partition", "op": "conjugate", "partition": [limit]})
+    assert at_limit["verdicts"]["conjugate"] == ",".join(["1"] * limit)
+
+    def no_theta(*args):
+        raise AssertionError("theta ran")
+
+    monkeypatch.setattr(partitions, "theta", no_theta)
+    for partition in ([limit, 1], f"{limit + 1}", [1] * (limit + 1)):
+        with pytest.raises(ScenarioError, match=f"exceeds MAX_PARTITION_N = {limit}"):
+            run_scenario_obj({"mode": "partition", "op": "theta", "partition": partition})
+
+
+_PAST = LIMITS["MAX_LEDGER_INT"] + 1
+_GN = {"mode": "gn-audit", "n": 2, "deg_F": 1, "s_count": 1, "ell_degrees": [1]}
+
+
+@pytest.mark.parametrize(
+    "scenario, named",
+    [
+        (dict(_LEDGER, lie={"gn": _PAST}), "'gn'"),
+        *((dict(_LEDGER, lie=dict(_DIMS, **{key: _PAST})), repr(key))
+          for key in ("dim_g", "dim_g_der", "dim_g_ab", "dim_b_der", "dim_z")),
+        (dict(_LEDGER, deg_F=_PAST), "'deg_F'"),
+        (dict(_LEDGER, places=[dict(_PLACES[0], local_degree=_PAST), _PLACES[1]]),
+         "'local_degree'"),
+        (dict(_LEDGER, places=[dict(_PLACES[0], delta=_PAST), _PLACES[1]]), "'delta'"),
+        (dict(_LEDGER, places=[_PLACES[0], dict(_PLACES[1], h0_local=_PAST)]), "'h0_local'"),
+        (dict(_LEDGER_DUAL, h0_locals=[0, _PAST]), "each 'h0_locals' entry"),
+        (dict(_LEDGER_DUAL, h0_global=_PAST), "'h0_global'"),
+        (dict(_LEDGER_DUAL, h0_global_dual=_PAST), "'h0_global_dual'"),
+        (dict(_GN, n=_PAST), "'n'"),
+        (dict(_GN, deg_F=_PAST), "'deg_F'"),
+        (dict(_GN, s_count=_PAST), "'s_count'"),
+        (dict(_GN, ell_degrees=[_PAST]), "each 'ell_degrees' entry"),
+    ],
+)
+def test_ledger_integer_past_its_budget_exits_two_and_names_the_key(
+    tmp_path, capsys, scenario, named
+):
+    path = _write(tmp_path, [_GN, scenario])
+    assert run_scenario(path) == EXIT_INVALID
+    good, bad = _last_json(capsys)
+    assert good["ok"] is True and bad["invalid"] is True
+    assert f"{named} must be at most MAX_LEDGER_INT = {LIMITS['MAX_LEDGER_INT']}" in bad["error"]
+
+
+def test_ledger_integers_at_their_budget_are_admitted():
+    limit = LIMITS["MAX_LEDGER_INT"]
+    report = run_scenario_obj(dict(_GN, n=limit))
+    assert report["verdicts"]["r0_identity"]["ok"] is True
+    assert len(str(report["verdicts"]["gamma"])) < 100

@@ -312,6 +312,12 @@ def test_twisted_involution_rejects_singular_or_even_char():
         InvolutionSpec(2, MatrixFF.identity(f2, 2))
 
 
+def test_twisted_involution_rejects_a_J_neither_symmetric_nor_antisymmetric():
+    # invertible, but J J^{-t} is not scalar, so the twist would not square to 1
+    with pytest.raises(ValueError, match="symmetric or antisymmetric"):
+        InvolutionSpec(2, MatrixFF.from_rows(F5, [[3, 1], [4, 0]]))
+
+
 def _random_symmetric_invertible(rng, field, n):
     while True:
         entries = [[0] * n for _ in range(n)]

@@ -19,6 +19,7 @@ from defring_audit.partitions import (
     conjugate,
     kernel_sequence,
     nabla_matrix,
+    parse_int,
     partitions_of,
     theta,
     verify_conjugation_lemma,
@@ -64,6 +65,25 @@ def test_partition_parse_and_str():
     assert str(lam) == "3,1"
     with pytest.raises(ValueError):
         Partition.parse("3,x")
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("17", 17), ("-3", -3), ("007", 7)])
+def test_parse_int_reads_a_minus_and_ascii_digits(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["", "-", "+3", " 3", "3 ", "1_0", "--3", "3.0", "\u0663", "\uff13", "\u00b2"]
+)
+def test_parse_int_refuses_what_int_would_read_or_nothing(text):
+    with pytest.raises(ValueError, match="invalid integer"):
+        parse_int(text)
+
+
+@pytest.mark.parametrize("text", ["3_0,1", " 3,1", "3, 1", "+3,1", "\u0663,1", "3,,1"])
+def test_partition_parse_is_strict(text):
+    with pytest.raises(ValueError, match="cannot parse partition"):
+        Partition.parse(text)
 
 
 def test_partition_counts():

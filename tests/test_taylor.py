@@ -6,6 +6,7 @@ import pytest
 from defring_audit.ff import MatrixFF, is_unipotent, mk_field, nilpotent_block
 from defring_audit.partitions import Partition, nabla_matrix, partitions_of
 from defring_audit.taylor import (
+    MAX_THRESHOLD_BITS,
     TaylorThreshold,
     eigenvalue_qpower_stable,
     min_equals_type_partition,
@@ -39,6 +40,17 @@ def test_taylor_threshold_bounds():
         taylor_threshold(2, 9)
     with pytest.raises(ValueError):
         taylor_threshold(2, 0)
+
+
+def test_taylor_threshold_bit_budget():
+    # q^(n!) stays printable: fewer than 4300 decimal digits
+    assert taylor_threshold(2, 7) == 2**5040 and taylor_threshold(3, 7) == 3**5040
+    assert len(str(2**MAX_THRESHOLD_BITS)) < 4300
+    for q, n in ((2, 8), (2**MAX_THRESHOLD_BITS, 1), (4, 7)):
+        with pytest.raises(ValueError, match=f"MAX_THRESHOLD_BITS = {MAX_THRESHOLD_BITS}"):
+            taylor_threshold(q, n)
+    with pytest.raises(ValueError, match="MAX_THRESHOLD_BITS"):
+        threshold_coprime(5, 10**4000, 3)
 
 
 def test_taylor_threshold_dataclass_checks_value():
