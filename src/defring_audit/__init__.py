@@ -56,6 +56,7 @@ from .density import (
     bound_certificate,
     build_group,
     e_exponent,
+    subgroup_classes,
     xi,
     xi_star,
 )

@@ -71,6 +71,11 @@ LIMITS = {
     # 36 MB peak RSS in a fresh process, as at MAX_PLACES alone (2-core Xeon,
     # Python 3.11).
     "MAX_LEDGER_INT": 10**6,
+    # verify-all --max-n, also the cap of verify_conjugation_lemma; the run
+    # grows ~1.4x per step of n.  Slowest at the limit: ~1.0 s in a fresh
+    # process, against ~0.8 s at the default 10 and 7.9 s at 18 (2-core
+    # Xeon, Python 3.11).
+    "MAX_VERIFY_N": 12,
 }
 
 
@@ -313,9 +318,9 @@ def _subgroup_from_json(gamma: dens.FiniteGroup, gamma_spec, obj) -> frozenset[i
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad subgroup generators: {exc}") from exc
     if isinstance(obj, str):
-        name = gamma_spec.strip().lower() if isinstance(gamma_spec, str) else ""
-        if name.startswith("s") and name[1:].isdigit():
-            gens = [dens.perm_index_from_cycles(int(name[1:]), tok) for tok in obj.split(",")]
+        n = dens.numbered_name(gamma_spec, "s") if isinstance(gamma_spec, str) else None
+        if n is not None:
+            gens = [dens.perm_index_from_cycles(n, tok) for tok in obj.split(",")]
         else:
             try:
                 gens = [parts.parse_int(tok) for tok in obj.split(",")]
@@ -665,6 +670,11 @@ def main(argv=None) -> int:
     if args.command == "run":
         return run_scenario(args.file, args.out)
     if args.command == "verify-all":
+        limit = LIMITS["MAX_VERIFY_N"]
+        if not 1 <= args.max_n <= limit:
+            print(f"error: --max-n must satisfy 1 <= max-n <= MAX_VERIFY_N = {limit}, "
+                  f"got {args.max_n}", file=sys.stderr)
+            return EXIT_INVALID
         results = acceptance.run_all(max_n=args.max_n, seed=args.seed)
         for res in results:
             _print(res.line())

@@ -17,6 +17,13 @@ Hence density = 1 - N_bad / (|Gamma| * 2^(k+1)), where N_bad is the total
 size of the Gamma-classes holding such an x.  ``xi_star`` and ``xi`` keep
 the exhaustive enumeration as a reference.
 
+The subgroup lattice is searched by conjugacy classes (the cyclic
+extension method): one subgroup per class is joined with the cyclic
+subgroups outside it, and each new subgroup's class is recorded at once
+as its orbit under conjugation.  ``subgroup_classes`` gives one
+representative per class with the class size, and ``all_subgroups`` the
+sorted union of the classes.
+
 Gamma's table is built a row at a time: row y*s of S_n is row s read
 through row y, so the rows of the adjacent transpositions fill the rest,
 and a row of a direct product is formed from one row of each factor.
@@ -288,16 +295,29 @@ def _spec_int(spec: dict, key: str) -> int:
     return value
 
 
+def numbered_name(name: str, prefix: str) -> int | None:
+    """n when ``name`` is ``prefix`` (any case) then ASCII digits, else None.
+
+    The digits follow the rule of ``partitions.parse_int``: "S3" is 3, but
+    "S" then an Arabic-Indic three is no name.
+    """
+    low = name.strip().lower()
+    digits = low[len(prefix):]
+    if low.startswith(prefix) and digits.isascii() and digits.isdigit():
+        return int(digits)
+    return None
+
+
 def _group_from_name(name: str) -> FiniteGroup:
-    text = name.strip()
-    low = text.lower()
-    if low in ("trivial", "1"):
+    if name.strip().lower() in ("trivial", "1"):
         return trivial_group()
-    if low.startswith("s") and low[1:].isdigit():
-        return symmetric_group(int(low[1:]))
+    n = numbered_name(name, "s")
+    if n is not None:
+        return symmetric_group(n)
     for prefix in ("z/", "z", "c"):
-        if low.startswith(prefix) and low[len(prefix):].isdigit():
-            return cyclic_group(int(low[len(prefix):]))
+        n = numbered_name(name, prefix)
+        if n is not None:
+            return cyclic_group(n)
     raise ValueError(f"unknown group name {name!r}")
 
 
@@ -382,21 +402,31 @@ def _cyclic_generators(group: FiniteGroup) -> list[int]:
     return out
 
 
-def all_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
-    """Every subgroup, as joins of found subgroups with cyclic subgroups.
+def _subgroup_class_lists(group: FiniteGroup) -> list[list[list[int]]]:
+    """Every subgroup, as the element lists of each conjugacy class.
 
-    Every subgroup is generated by finitely many elements, so it is
-    reached from {1} by joining one cyclic subgroup at a time.  Each
-    found H keeps the few generators it was reached with, and is joined
-    only with the cyclic subgroups it does not already contain.
+    Only one subgroup per class is joined with the cyclic subgroups it
+    does not contain.  A join that gives a new K records K and, at once,
+    its whole class: the orbit of K under conjugation by a generating
+    set of the group.  No subgroup is missed.  Each K other than {1} is
+    <H', c> for a proper subgroup H', found by induction on the order; if
+    H' = u^-1 H u for the joined member H of its class, then
+    u K u^-1 = <H, u c u^-1> is a join the search makes, and K lies in
+    its class.
     """
+    t = group.table
+    inverse = group.inverse
+    conjugators = [
+        tuple(t[t[u][x]][inverse[u]] for x in group.elements())
+        for u in _greedy_generators(t)
+    ]
     cyclic = _cyclic_generators(group)
     start = 1 << group.identity
-    found = {start: ((), [group.identity])}
-    frontier = [start]
+    found = {start}
+    classes = [[[group.identity]]]
+    frontier = [(start, (), [group.identity])]
     while frontier:
-        h = frontier.pop()
-        gens, elems = found[h]
+        h, gens, elems = frontier.pop()
         # <H, g> = <H, x> for every x in the coset H*g, which _join lists
         # right after H; `done` holds H and the cosets already joined
         done = h
@@ -406,18 +436,56 @@ def all_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
             k_elems, k = _join(group, elems, h, gens, g)
             for x in k_elems[len(elems):2 * len(elems)]:
                 done |= 1 << x
-            if k not in found:
-                found[k] = (gens + (g,), k_elems)
-                frontier.append(k)
-    subgroups = [frozenset(elems) for _gens, elems in found.values()]
-    return sorted(subgroups, key=lambda h: (len(h), sorted(h)))
+            if k in found:
+                continue
+            found.add(k)
+            frontier.append((k, gens + (g,), k_elems))
+            orbit = [k_elems]
+            for member in orbit:
+                for conj in conjugators:
+                    image = list(map(conj.__getitem__, member))
+                    mask = sum(map((1).__lshift__, image))  # distinct bits: sum is or
+                    if mask not in found:
+                        found.add(mask)
+                        orbit.append(image)
+            classes.append(orbit)
+    return classes
+
+
+def _subgroup_key(h: frozenset[int]) -> tuple[int, list[int]]:
+    return len(h), sorted(h)
+
+
+def subgroup_classes(group: FiniteGroup) -> list[tuple[frozenset[int], int]]:
+    """One ``(representative, class size)`` per conjugacy class of subgroups.
+
+    The representative is the least member of its class in the order of
+    ``all_subgroups``, and the classes come in the order of their
+    representatives.
+    """
+    reps = []
+    for members in _subgroup_class_lists(group):
+        rep = min((frozenset(m) for m in members), key=_subgroup_key)
+        reps.append((rep, len(members)))
+    return sorted(reps, key=lambda pair: _subgroup_key(pair[0]))
+
+
+def all_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
+    """Every subgroup, sorted by size and then by elements.
+
+    The union of the classes of :func:`subgroup_classes`.
+    """
+    subgroups = [
+        frozenset(m) for members in _subgroup_class_lists(group) for m in members
+    ]
+    return sorted(subgroups, key=_subgroup_key)
 
 
 def perm_index_from_cycles(n: int, text: str) -> int:
     """Index of a permutation of S_n given in cycle notation, e.g. "(12)(34)".
 
-    Points are the single digits 1..n; the empty string or "()" is the
-    identity.  The index is the lexicographic rank of the permutation,
+    Points are the single ASCII digits 1..n; the empty string or "()" is
+    the identity.  The index is the lexicographic rank of the permutation,
     which is its position in ``symmetric_group(n)``.
     """
     perm = list(range(n))
@@ -428,7 +496,8 @@ def perm_index_from_cycles(n: int, text: str) -> int:
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"bad cycle notation {text!r}")
         for cyc in text[1:-1].split(")("):
-            pts = [int(ch) - 1 for ch in cyc if not ch.isspace()]
+            # any character but an ASCII digit 1-9 finds -1, out of range
+            pts = ["123456789".find(ch) for ch in cyc if not ch.isspace()]
             if any(not (0 <= p < n) for p in pts) or len(set(pts)) != len(pts):
                 raise ValueError(f"bad cycle {cyc!r} for S{n}")
             for i, p in enumerate(pts):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from defring_audit import acceptance
 from defring_audit import cohomology as coh
 from defring_audit.cli import (
     EXIT_INVALID,
@@ -777,6 +778,25 @@ _NO_TRACEBACK_CASES = {
     "flag-with-non-ascii-digit": (
         ["partition", "verify-lemma", "--n", "٣"], None,
         "argument --n: invalid int value: '٣'", "usage"),
+    "group-name-with-non-ascii-digit": (
+        ["density", "--gamma", "S٣", "--subgroup", "(١٢)", "--k", "1"], None,
+        "bad gamma spec: unknown group name 'S٣'", "line"),
+    "cycle-with-non-ascii-digits": (
+        ["density", "--gamma", "S3", "--subgroup", "(١٢)", "--k", "1"], None,
+        "bad cycle '١٢' for S3", "line"),
+    "batch-group-name-with-non-ascii-digit": (
+        ["run", "{file}"], _batch({"mode": "density", "gamma": "S٣", "subgroup": "(١٢)", "k": 1}),
+        "bad gamma spec: unknown group name 'S٣'", "report"),
+    "batch-cyclic-name-with-non-ascii-digit": (
+        ["run", "{file}"], _batch({"mode": "density", "gamma": "Z٢", "k": 1}),
+        "bad gamma spec: unknown group name 'Z٢'", "report"),
+    "batch-cycle-with-non-ascii-digits": (
+        ["run", "{file}"], _batch({"mode": "density", "gamma": "S3", "subgroup": "(١٢)", "k": 1}),
+        "bad cycle '١٢' for S3", "report"),
+    "verify-all-max-n-past-the-budget": (
+        ["verify-all", "--max-n", "40"], None, "MAX_VERIFY_N = 12, got 40", "line"),
+    "verify-all-max-n-zero": (
+        ["verify-all", "--max-n", "0"], None, "MAX_VERIFY_N = 12, got 0", "line"),
 }
 
 
@@ -895,3 +915,28 @@ def test_ledger_integers_at_their_budget_are_admitted():
     report = run_scenario_obj(dict(_GN, n=limit))
     assert report["verdicts"]["r0_identity"]["ok"] is True
     assert len(str(report["verdicts"]["gamma"])) < 100
+
+
+@pytest.mark.parametrize("gamma, subgroup", [("S3", "(12)"), ("s3", "( 1 2 )"), ("Z2", "1")])
+def test_ascii_group_names_and_cycles_are_read_as_before(capsys, gamma, subgroup):
+    assert main(["density", "--gamma", gamma, "--subgroup", subgroup, "--k", "1"]) == EXIT_OK
+    report = _last_json(capsys)
+    assert report["diagnostics"]["subgroup_order"] == 2
+    assert report["diagnostics"]["gamma_order"] == (6 if gamma.lower() == "s3" else 2)
+
+
+def test_verify_all_max_n_is_checked_before_any_criterion(monkeypatch, capsys):
+    limit = LIMITS["MAX_VERIFY_N"]
+    assert limit == 12  # the cap of verify_conjugation_lemma
+    ran = []
+    monkeypatch.setattr(acceptance, "run_all", lambda max_n, seed: ran.append(max_n) or [])
+    for max_n in (0, -1, limit + 1, 10**6):
+        assert main(["verify-all", "--max-n", str(max_n)]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: --max-n must satisfy 1 <= max-n <= MAX_VERIFY_N = {limit}, got {max_n}\n"
+        )
+    assert ran == []
+    for max_n in (1, limit):
+        assert main(["verify-all", "--max-n", str(max_n)]) == EXIT_OK
+    assert ran == [1, limit]
+    capsys.readouterr()

@@ -18,13 +18,16 @@ from defring_audit.density import (
     e_exponent,
     elementary_abelian_2,
     is_subgroup,
+    numbered_name,
     perm_index_from_cycles,
+    subgroup_classes,
     subgroup_closure,
     symmetric_group,
     trivial_group,
     xi,
     xi_star,
 )
+from defring_audit import density as density_module
 from defring_audit.ff import InternalCheckError
 
 
@@ -66,6 +69,37 @@ def _saturation_oracle(group):
                 found.add(k)
                 frontier.append(k)
     return sorted(found, key=lambda h: (len(h), sorted(h)))
+
+
+def _join_search_oracle(group):
+    """Every subgroup, by joining every found subgroup with each cyclic subgroup outside it."""
+    cyclic = density_module._cyclic_generators(group)
+    start = 1 << group.identity
+    found = {start: ((), [group.identity])}
+    frontier = [start]
+    while frontier:
+        h = frontier.pop()
+        gens, elems = found[h]
+        # <H, g> = <H, x> for every x in the coset H*g, which _join lists
+        # right after H; `done` holds H and the cosets already joined
+        done = h
+        for g in cyclic:
+            if done >> g & 1:
+                continue
+            k_elems, k = density_module._join(group, elems, h, gens, g)
+            for x in k_elems[len(elems):2 * len(elems)]:
+                done |= 1 << x
+            if k not in found:
+                found[k] = (gens + (g,), k_elems)
+                frontier.append(k)
+    subgroups = [frozenset(elems) for _gens, elems in found.values()]
+    return sorted(subgroups, key=lambda h: (len(h), sorted(h)))
+
+
+def _conjugates_oracle(group, h):
+    """The class of h, by conjugating it with every element of the group."""
+    return {frozenset(group.mul(group.mul(u, x), group.inv(u)) for x in h)
+            for u in group.elements()}
 
 
 def _is_subgroup_oracle(group, subset):
@@ -252,6 +286,22 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(cyclic_group(3))) == 2
     assert len(all_subgroups(symmetric_group(3))) == 6
     assert len(all_subgroups(symmetric_group(4))) == 30
+
+
+def test_group_names_and_cycles_take_ascii_digits_only():
+    assert numbered_name(" S3 ", "s") == 3
+    assert numbered_name("z/12", "z/") == 12
+    for name in ("S\u0663", "S\uff13", "S-3", "S", "S 3", "S3a"):
+        assert numbered_name(name, "s") is None
+        with pytest.raises(ValueError, match="unknown group name"):
+            build_group(name)
+    for name in ("Z\u0662", "C\u0662", "Z/\u0662"):
+        with pytest.raises(ValueError, match="unknown group name"):
+            build_group(name)
+    assert perm_index_from_cycles(3, "(12)") == perm_index_from_cycles(3, "( 1 2 )") == 2
+    for cycles in ("(\u0661\u0662)", "(1\uff12)", "(1a)", "(10)", "(1-2)"):
+        with pytest.raises(ValueError, match="bad cycle"):
+            perm_index_from_cycles(3, cycles)
 
 
 def test_cycle_parsing():
@@ -455,6 +505,79 @@ LATTICE_ZOO = dict(ORACLE_ZOO, Z2xS4=direct_product(Z2, symmetric_group(4)), S5=
 def test_lattice_matches_saturation_oracle(name):
     group = LATTICE_ZOO[name]
     assert all_subgroups(group) == _saturation_oracle(group)
+
+
+LATTICE_ORACLE_ZOO = dict(
+    LATTICE_ZOO,
+    E32=elementary_abelian_2(5),
+    Z3xS3=direct_product(cyclic_group(3), symmetric_group(3)),
+    S3xS3=direct_product(symmetric_group(3), symmetric_group(3)),
+    V4xZ6=direct_product(elementary_abelian_2(2), cyclic_group(6)),
+)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_ORACLE_ZOO))
+def test_lattice_matches_join_search_oracle(name):
+    group = LATTICE_ORACLE_ZOO[name]
+    assert all_subgroups(group) == _join_search_oracle(group)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_ORACLE_ZOO))
+def test_subgroup_classes_are_the_conjugacy_classes(name):
+    group = LATTICE_ORACLE_ZOO[name]
+    classes = subgroup_classes(group)
+    lattice = all_subgroups(group)
+    assert sum(size for _rep, size in classes) == len(lattice)
+    seen = set()
+    for rep, size in classes:
+        members = _conjugates_oracle(group, rep)
+        assert len(members) == size  # the class is closed under conjugation
+        assert rep == min(members, key=sorted)  # the members have one size
+        assert not seen & members  # no two representatives are conjugate
+        seen |= members
+    assert seen == set(lattice)
+    reps = [rep for rep, _size in classes]
+    assert reps == sorted(reps, key=lambda h: (len(h), sorted(h)))
+
+
+def test_subgroup_class_counts():
+    assert [len(subgroup_classes(symmetric_group(n))) for n in (3, 4, 5)] == [4, 11, 19]
+    assert subgroup_classes(symmetric_group(3)) == [
+        (frozenset({0}), 1), (frozenset({0, 1}), 3), (frozenset({0, 3, 4}), 1),
+        (frozenset(range(6)), 1),
+    ]
+    abelian = LATTICE_ORACLE_ZOO["E32"]
+    assert all(size == 1 for _rep, size in subgroup_classes(abelian))
+
+
+def test_s6_lattice_by_classes():
+    s6 = symmetric_group(6)
+    classes = subgroup_classes(s6)
+    assert len(classes) == 56
+    assert sum(size for _rep, size in classes) == 1455
+    assert len(all_subgroups(s6)) == 1455
+
+
+def _conjugate_class_key(group, mask):
+    h = [x for x in group.elements() if mask >> x & 1]
+    return min(tuple(sorted(c)) for c in _conjugates_oracle(group, h))
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "Z2xS4"])
+def test_joins_start_from_one_subgroup_per_class(monkeypatch, name):
+    group = LATTICE_ZOO[name]
+    joined = set()
+    real = density_module._join
+
+    def counting_join(group, h_elems, h_mask, gens, g):
+        joined.add(h_mask)
+        return real(group, h_elems, h_mask, gens, g)
+
+    monkeypatch.setattr(density_module, "_join", counting_join)
+    classes = subgroup_classes(group)
+    # every class but the whole group's is joined, from exactly one member
+    assert len(joined) == len(classes) - 1
+    assert len({_conjugate_class_key(group, h) for h in joined}) == len(joined)
 
 
 def test_lattice_counts():
