@@ -71,11 +71,11 @@ LIMITS = {
     # 36 MB peak RSS in a fresh process, as at MAX_PLACES alone (2-core Xeon,
     # Python 3.11).
     "MAX_LEDGER_INT": 10**6,
-    # verify-all --max-n, also the cap of verify_conjugation_lemma; the run
+    # verify-all --max-n, the cap of verify_conjugation_lemma; the run
     # grows ~1.4x per step of n.  Slowest at the limit: ~1.0 s in a fresh
     # process, against ~0.8 s at the default 10 and 7.9 s at 18 (2-core
     # Xeon, Python 3.11).
-    "MAX_VERIFY_N": 12,
+    "MAX_VERIFY_N": parts.MAX_VERIFY_N,
 }
 
 
@@ -203,11 +203,11 @@ def _run_cohomology(payload):
             J = _matrix_from_json(jspec)
         spec = coh.InvolutionSpec(n, J)
         action = coh.twisted_involution_action(spec)
-        minus = coh.eigenspace_dim(action.sigma, J.field.neg(1))
-        plus = coh.eigenspace_dim(action.sigma, 1)
+        # for order 2, N = 1 + sigma: Z^1 is the (-1)- and H^0 the (+1)-eigenspace
+        dims = coh.cohomology_dims(action)
         verdicts = {
-            "minus_eigenspace_dim": minus,
-            "plus_eigenspace_dim": plus,
+            "minus_eigenspace_dim": dims.z1,
+            "plus_eigenspace_dim": dims.h0,
             "arch_lift_dim": coh.arch_lift_dim(action),
         }
         return verdicts, {"space_dim": n * n}, True
@@ -306,7 +306,7 @@ def _run_ledger(payload):
     )
 
 
-def _subgroup_from_json(gamma: dens.FiniteGroup, gamma_spec, obj) -> frozenset[int]:
+def _subgroup_from_json(gamma: dens.FiniteGroup, obj) -> frozenset[int]:
     if obj in (None, "trivial", ""):
         return frozenset({gamma.identity})
     if obj == "full":
@@ -318,7 +318,8 @@ def _subgroup_from_json(gamma: dens.FiniteGroup, gamma_spec, obj) -> frozenset[i
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad subgroup generators: {exc}") from exc
     if isinstance(obj, str):
-        n = dens.numbered_name(gamma_spec, "s") if isinstance(gamma_spec, str) else None
+        # only symmetric_group names a group S<n>, however gamma was given
+        n = dens.numbered_name(gamma.name, "s")
         if n is not None:
             gens = [dens.perm_index_from_cycles(n, tok) for tok in obj.split(",")]
         else:
@@ -333,9 +334,8 @@ def _subgroup_from_json(gamma: dens.FiniteGroup, gamma_spec, obj) -> frozenset[i
 
 
 def _run_density(payload):
-    gamma_spec = payload.get("gamma", "trivial")
     try:
-        gamma = dens.build_group(gamma_spec)
+        gamma = dens.build_group(payload.get("gamma", "trivial"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad gamma spec: {exc}") from exc
     k = payload.get("k")
@@ -343,7 +343,7 @@ def _run_density(payload):
         dens.check_density_k(k)
     except ValueError as exc:
         raise ScenarioError(f"density 'k': {exc}") from exc
-    subgroup = _subgroup_from_json(gamma, gamma_spec, payload.get("subgroup"))
+    subgroup = _subgroup_from_json(gamma, payload.get("subgroup"))
     problem = dens.SplitDensityProblem(gamma, subgroup, k)
     cert = dens.bound_certificate(problem)
     verdicts = {

@@ -17,7 +17,6 @@ from .ff import (
     MatrixFF,
     PrimeField,
     _echelon,
-    kernel_dim,
     mat_inverse,
     mat_rank,
 )
@@ -78,16 +77,16 @@ def norm_matrix(action: CyclicAction) -> MatrixFF:
     """N = sum_{j=0}^{n-1} sigma^j, in O(log n) matrix products.
 
     Reads the bits of n from the top, carrying N_k = sum_{j<k} sigma^j and
-    sigma^k: N_2k = N_k (I + sigma^k) and N_2k+1 = N_2k + sigma^2k.  No
-    power is formed after the last bit.
+    sigma^k: N_2k = N_k + N_k sigma^k and N_2k+1 = N_2k + sigma^2k.  N_1 is
+    I, so N_2 = I + sigma takes no product, and no power is formed after
+    the last bit.
     """
     sigma = action.sigma
-    ident = MatrixFF.identity(action.field, action.dimension)
-    norm, power = ident, sigma  # N_1 and sigma^1
+    norm, power = MatrixFF.identity(action.field, action.dimension), sigma  # N_1, sigma^1
     bits = bin(action.order)[3:]
     for i, bit in enumerate(bits, 1):
         more = i < len(bits)
-        norm = norm * (ident + power)
+        norm = norm + (norm * power if i > 1 else power)
         if bit == "1" or more:
             power = power * power
         if bit == "1":
@@ -98,19 +97,16 @@ def norm_matrix(action: CyclicAction) -> MatrixFF:
 
 
 def cohomology_dims(action: CyclicAction) -> CohomologyDims:
-    """h^0, h^1, h^2 and dim Z^1 of the cyclic action.
+    """h^0, h^1, h^2 and dim Z^1 of the cyclic action, from two ranks.
 
-    h0 = dim ker(sigma-1), z1 = dim ker N, h1 = z1 - rank(sigma-1),
-    h2 = h0 - rank(N).
+    With d the dimension, r = rank(sigma-1) and s = rank(N): h0 = d - r,
+    z1 = d - s, h1 = z1 - r and h2 = h0 - s.
     """
-    f = action.field
     d = action.dimension
-    s_minus_1 = action.sigma - MatrixFF.identity(f, d)
-    norm = norm_matrix(action)
-    h0 = kernel_dim(s_minus_1)
-    z1 = kernel_dim(norm)
-    h1 = z1 - mat_rank(s_minus_1)
-    h2 = h0 - mat_rank(norm)
+    r = mat_rank(action.sigma - MatrixFF.identity(action.field, d))
+    s = mat_rank(norm_matrix(action))
+    h0, z1 = d - r, d - s
+    h1, h2 = z1 - r, h0 - s
     if h1 < 0 or h2 < 0:
         raise InternalCheckError("negative cohomology dimension")
     return CohomologyDims(h0=h0, h1=h1, h2=h2, z1=z1)
@@ -119,21 +115,18 @@ def cohomology_dims(action: CyclicAction) -> CohomologyDims:
 def arch_lift_dim(action: CyclicAction) -> int:
     """Number of lift variables for an order-2 action in odd characteristic.
 
-    Equals the dimension of the (-1)-eigenspace of the involution; H^2
-    vanishes, so the lifting ring is a power series ring on that many
-    variables.
+    Equals the dimension of the (-1)-eigenspace of the involution, which
+    is dim Z^1 = dim ker(1 + sigma); H^2 vanishes, so the lifting ring is a
+    power series ring on that many variables.
     """
     if action.order != 2:
         raise ValueError("archimedean lifting needs an order-2 action")
     if action.field.p == 2:
         raise ValueError("archimedean lifting needs odd characteristic")
-    f = action.field
-    d = action.dimension
-    m = kernel_dim(action.sigma + MatrixFF.identity(f, d))
     dims = cohomology_dims(action)
-    if dims.h2 != 0 or m != dims.z1:
+    if dims.h2 != 0:
         raise InternalCheckError("order-2 action in odd characteristic must be semisimple")
-    return m
+    return dims.z1
 
 
 def eigenspace_dim(M: MatrixFF, scalar: int) -> int:

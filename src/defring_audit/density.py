@@ -369,21 +369,13 @@ def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> frozenset
 def is_subgroup(group: FiniteGroup, subset: Iterable[int]) -> bool:
     """Whether the subset is a subgroup, without testing every product.
 
-    The subset is grown from {1} by joins with its own elements; it is a
-    subgroup exactly when no join ever leaves it.
+    It is one exactly when it holds the identity and equals the subgroup
+    its own elements generate.
     """
     h = frozenset(subset)
     if group.identity not in h or any(not (0 <= a < group.order) for a in h):
         return False
-    target = sum(1 << a for a in h)
-    elems, mask, gens = [group.identity], 1 << group.identity, ()
-    for a in sorted(h):
-        if not mask >> a & 1:
-            elems, mask = _join(group, elems, mask, gens, a)
-            gens += (a,)
-            if mask & ~target:
-                return False
-    return True
+    return subgroup_closure(group, h) == h
 
 
 def _cyclic_generators(group: FiniteGroup) -> list[int]:

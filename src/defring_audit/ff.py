@@ -105,6 +105,23 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
+def _power(x, e: int, mul: Callable, one):
+    """x^e by left-to-right square-and-multiply (Knuth, TAOCP 2, 4.6.3).
+
+    ``one`` is returned only for e = 0.  Otherwise each bit of e after the
+    top one costs a squaring, and each set bit after it a product by x:
+    bit_length(e) - 1 + popcount(e) - 1 products in all.
+    """
+    if e == 0:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic over the prime field F_p (coefficient lists of ints,
 # lowest degree first).  Used only for modulus selection and embeddings.
@@ -153,14 +170,7 @@ def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 
 def _ppowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    b = _prem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _prem(_pmul(result, b, p), mod, p)
-        b = _prem(_pmul(b, b, p), mod, p)
-        e >>= 1
-    return result
+    return _power(_prem(base, mod, p), e, lambda a, b: _prem(_pmul(a, b, p), mod, p), [1])
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -274,18 +284,9 @@ def _log_tables(p: int, m: int, modulus: Sequence[int]) -> tuple[list, list, lis
 
     mul = _digit_product(p, m, modulus)
 
-    def power(a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = mul(result, a)
-            a = mul(a, a)
-            e >>= 1
-        return result
-
     primes = _prime_divisors(n)
     # encodings below p are the constants F_p^*, whose orders divide p - 1 < n
-    g = next(a for a in range(p, q) if all(power(a, n // r) != 1 for r in primes))
+    g = next(a for a in range(p, q) if all(_power(a, n // r, mul, 1) != 1 for r in primes))
     # Multiplying by T is cheap, by g is not.  With k the order of T and
     # e = n / k, g^e generates <T>: g^e = T^v, and g^(i + e*l) = g^i T^(l*v).
     # So coset i of <T>, listed as g^i T^j, fills exp[i::e] in the order l.
@@ -296,7 +297,7 @@ def _log_tables(p: int, m: int, modulus: Sequence[int]) -> tuple[list, list, lis
         x = times_t(x)
     k = len(t_powers)
     e = n // k
-    v = t_powers.index(power(g, e))
+    v = t_powers.index(_power(g, e, mul, 1))
     exp = [0] * n
     h = 1
     for i in range(e):
@@ -508,15 +509,8 @@ class PolyFF:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def evaluate(self, x: int) -> int:
         f = self.field
@@ -524,22 +518,6 @@ class PolyFF:
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, x), c)
         return acc
-
-    def __add__(self, other: "PolyFF") -> "PolyFF":
-        f = self._common_field(other)
-        out = [
-            f.add(a, b)
-            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        ]
-        return PolyFF(f, tuple(out))
-
-    def __sub__(self, other: "PolyFF") -> "PolyFF":
-        f = self._common_field(other)
-        out = [
-            f.sub(a, b)
-            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        ]
-        return PolyFF(f, tuple(out))
 
     def __mul__(self, other: "PolyFF") -> "PolyFF":
         f = self._common_field(other)
@@ -555,14 +533,7 @@ class PolyFF:
     def __pow__(self, e: int) -> "PolyFF":
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = PolyFF(self.field, (1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, operator.mul, PolyFF(self.field, (1,)))
 
     def _common_field(self, other: "PolyFF") -> PrimeField:
         if self.field != other.field:
@@ -718,14 +689,7 @@ class MatrixFF:
             raise ValueError("power of a non-square matrix")
         if e < 0:
             raise ValueError("negative matrix power")
-        result = MatrixFF.identity(self.field, self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, operator.mul, MatrixFF.identity(self.field, self.rows))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)

@@ -22,6 +22,10 @@ from .ff import (
     nilpotent_block,
 )
 
+# Largest n whose partitions verify_conjugation_lemma checks; also the cap
+# of verify-all --max-n.
+MAX_VERIFY_N = 12
+
 
 def parse_int(text: str) -> int:
     """``int(text)`` for an optional "-" then ASCII digits: no "_", "+", spaces or other digits."""
@@ -145,9 +149,9 @@ class LemmaReport:
 
 
 def verify_conjugation_lemma(n: int, field: PrimeField | None = None) -> LemmaReport:
-    """Check theta == conjugate on every partition of n (n <= 12)."""
-    if n < 1 or n > 12:
-        raise ValueError("lemma verification supports 1 <= n <= 12")
+    """Check theta == conjugate on every partition of n (n <= MAX_VERIFY_N)."""
+    if n < 1 or n > MAX_VERIFY_N:
+        raise ValueError(f"lemma verification supports 1 <= n <= {MAX_VERIFY_N}")
     if field is None:
         field = mk_field(5)
     checked = 0

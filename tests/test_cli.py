@@ -940,3 +940,38 @@ def test_verify_all_max_n_is_checked_before_any_criterion(monkeypatch, capsys):
         assert main(["verify-all", "--max-n", str(max_n)]) == EXIT_OK
     assert ran == [1, limit]
     capsys.readouterr()
+
+
+def test_cycles_are_read_for_s_n_however_gamma_is_given(tmp_path, capsys):
+    # S_n is recognised from the built group, so a dict spec reads cycles as
+    # the name does; cyclic and product groups still refuse them
+    refused = "subgroup strings are cycle notation for S_n or integer generators"
+    batch = [
+        {"mode": "density", "gamma": {"type": "symmetric", "n": 3}, "subgroup": "(12)", "k": 1},
+        {"mode": "density", "gamma": "S3", "subgroup": "(12)", "k": 1},
+        {"mode": "density", "gamma": {"type": "symmetric", "n": 4}, "subgroup": "(12),(34)",
+         "k": 1},
+        {"mode": "density", "gamma": {"type": "cyclic", "n": 3}, "subgroup": "(12)", "k": 1},
+        {"mode": "density", "gamma": {"type": "product", "factors": ["S3", "Z2"]},
+         "subgroup": "(12)", "k": 1},
+    ]
+    assert run_scenario(_write(tmp_path, batch)) == EXIT_INVALID
+    dict_s3, named_s3, dict_s4, cyclic, product = _last_json(capsys)
+    assert dict_s3["ok"] is True and dict_s3["verdicts"]["density"] == "3/4"
+    assert dict_s3["verdicts"] == named_s3["verdicts"]
+    assert dict_s3["diagnostics"] == named_s3["diagnostics"]
+    assert dict_s4["ok"] is True and dict_s4["diagnostics"]["subgroup_order"] == 4
+    assert cyclic == {"error": refused, "invalid": True, "ok": False}
+    assert product == {"error": refused, "invalid": True, "ok": False}
+
+
+def test_the_verify_cap_is_the_lemma_cap(capsys):
+    from defring_audit import partitions
+
+    assert LIMITS["MAX_VERIFY_N"] == partitions.MAX_VERIFY_N == 12
+    with pytest.raises(ValueError, match=r"^lemma verification supports 1 <= n <= 12$"):
+        partitions.verify_conjugation_lemma(partitions.MAX_VERIFY_N + 1)
+    assert main(["verify-all", "--max-n", "13"]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "error: --max-n must satisfy 1 <= max-n <= MAX_VERIFY_N = 12, got 13\n"
+    )

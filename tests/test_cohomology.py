@@ -4,6 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from defring_audit import cohomology as coh
+from defring_audit import ff
+from defring_audit.cli import run_scenario_obj
 from defring_audit.cohomology import (
     CohomologyDims,
     CyclicAction,
@@ -365,3 +368,128 @@ def test_twisted_eigenspace_dimensions_split_the_space():
             J = _random_antisymmetric_invertible(rng, field, n)
             sigma = twisted_involution_action(InvolutionSpec(n, J)).sigma
             assert eigenspace_dim(sigma, field.neg(1)) == n * (n - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# every dimension from two ranks; the involution report from one call
+# ---------------------------------------------------------------------------
+
+F9 = mk_field(3, 2)
+F49 = mk_field(7, 2)
+
+
+def _count_eliminations(monkeypatch):
+    """Patch the elimination kernel, where ff and cohomology call it; list the column counts."""
+    columns = []
+    real = ff._echelon
+
+    def counted(field, rows, ncols, full=False):
+        columns.append(ncols)
+        return real(field, rows, ncols, full)
+
+    monkeypatch.setattr(ff, "_echelon", counted)
+    monkeypatch.setattr(coh, "_echelon", counted)
+    return columns
+
+
+def _count_products(monkeypatch):
+    products = []
+    real_mul = MatrixFF.__mul__
+
+    def counted_mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(MatrixFF, "__mul__", counted_mul)
+    return products
+
+
+def _sample_actions():
+    rng = random.Random(17)
+    for n in (2, 3):
+        for field in (F5, F7, F9):
+            for _ in range(8):
+                yield _random_order_n_action(rng, field, n, rng.randint(1, 5))
+    # non-semisimple: order 3 in characteristic 3, where h1 and h2 need not vanish
+    for d in (1, 2, 3):
+        yield CyclicAction(3, MatrixFF.identity(F3, d))
+        yield CyclicAction(3, MatrixFF.identity(F3, d) + MatrixFF(
+            F3, d, d, [1 if j == i + 1 else 0 for i in range(d) for j in range(d)]))
+
+
+def test_cohomology_dims_match_the_kernels_of_sigma_minus_one_and_the_norm():
+    for action in _sample_actions():
+        d = action.dimension
+        s1 = action.sigma - MatrixFF.identity(action.field, d)
+        norm = _norm_by_summing(action)
+        want = CohomologyDims(
+            h0=kernel_dim(s1),
+            h1=kernel_dim(norm) - mat_rank(s1),
+            h2=kernel_dim(s1) - mat_rank(norm),
+            z1=kernel_dim(norm),
+        )
+        assert cohomology_dims(action) == want
+
+
+def test_cohomology_dims_takes_two_eliminations(monkeypatch):
+    actions = list(_sample_actions())
+    columns = _count_eliminations(monkeypatch)
+    for action in actions:
+        columns.clear()
+        cohomology_dims(action)
+        assert columns == [action.dimension] * 2
+
+
+def test_order2_dims_are_the_eigenspaces():
+    rng = random.Random(19)
+    for field in (F5, F7, F9, F49):
+        for _ in range(10):
+            sigma = _random_order_n_action(rng, field, 2, rng.randint(1, 5)).sigma
+            dims = cohomology_dims(CyclicAction(2, sigma))
+            assert dims.z1 == eigenspace_dim(sigma, field.neg(1))
+            assert dims.h0 == eigenspace_dim(sigma, 1)
+            assert arch_lift_dim(CyclicAction(2, sigma)) == dims.z1
+
+
+def _involution_js():
+    """(label, n, J) for antidiagonal, symmetric and antisymmetric J."""
+    rng = random.Random(23)
+    for field in (F5, F9, F49):
+        for n in (1, 2, 3):
+            yield "antidiag", n, antidiagonal_ones(n, field)
+            yield "symmetric", n, _random_symmetric_invertible(rng, field, n)
+        for n in (2, 4):
+            yield "antisymmetric", n, _random_antisymmetric_invertible(rng, field, n)
+
+
+def test_involution_report_reads_the_eigenspaces_from_one_cohomology_call():
+    for label, n, J in _involution_js():
+        f = J.field
+        payload = {"mode": "cohomology", "op": "involution", "n": n}
+        if label == "antidiag":
+            payload.update(p=f.p, m=f.m)
+        else:
+            payload["J"] = {"p": f.p, "m": f.m, "rows": J.to_lists()}
+        verdicts = run_scenario_obj(payload)["verdicts"]
+        sigma = twisted_involution_action(InvolutionSpec(n, J)).sigma
+        assert verdicts == {
+            "minus_eigenspace_dim": eigenspace_dim(sigma, f.neg(1)),
+            "plus_eigenspace_dim": eigenspace_dim(sigma, 1),
+            "arch_lift_dim": eigenspace_dim(sigma, f.neg(1)),
+        }, (label, n, f)
+        if label != "antisymmetric":
+            assert verdicts["minus_eigenspace_dim"] == n * (n + 1) // 2
+        else:
+            assert verdicts["minus_eigenspace_dim"] == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (3, 2)])
+def test_involution_report_takes_four_eliminations_and_two_products(monkeypatch, p, m):
+    columns = _count_eliminations(monkeypatch)
+    products = _count_products(monkeypatch)
+    n = 3
+    report = run_scenario_obj({"mode": "cohomology", "op": "involution", "n": n, "p": p, "m": m})
+    assert report["verdicts"]["arch_lift_dim"] == 6
+    # theta * theta in the twist, and sigma^2 in the CyclicAction check
+    assert len(products) <= 2
+    assert columns.count(n * n) <= 4

@@ -19,6 +19,8 @@ from defring_audit.ff import (
     _echelon,
     _is_irreducible,
     _pmul,
+    _power,
+    _ppowmod,
     _prem,
     block_diag,
     charpoly,
@@ -814,3 +816,68 @@ def test_is_unipotent():
     from defring_audit.partitions import Partition, nabla_matrix
 
     assert is_unipotent(nabla_matrix(Partition((2, 2)), mk_field(7)))
+
+
+# ---------------------------------------------------------------------------
+# square-and-multiply: one loop for matrices, polynomials and residues
+# ---------------------------------------------------------------------------
+
+
+def _square_and_multiply_products(e):
+    """bit_length(e) - 1 squarings and popcount(e) - 1 products by the base."""
+    return max(0, e.bit_length() - 1 + bin(e).count("1") - 1)
+
+
+def test_power_of_integers_counts_its_products():
+    products = []
+
+    def mul(a, b):
+        products.append(1)
+        return a * b
+
+    for e in range(0, 130):
+        products.clear()
+        assert _power(3, e, mul, 1) == 3**e
+        assert len(products) == _square_and_multiply_products(e)
+
+
+@pytest.mark.parametrize("field", [F5, mk_field(3, 2)])
+def test_matpow_matches_repeated_products_with_the_fewest_products(monkeypatch, field):
+    rng = random.Random(f"matpow:{field.p}:{field.m}")
+    M = MatrixFF(field, 3, 3, [rng.randrange(field.order) for _ in range(9)])
+    oracle = [MatrixFF.identity(field, 3)]
+    for _ in range(64):
+        oracle.append(oracle[-1] * M)
+    products = []
+    real_mul = MatrixFF.__mul__
+
+    def counted_mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(MatrixFF, "__mul__", counted_mul)
+    for e in range(0, 65):
+        products.clear()
+        assert M.matpow(e) == oracle[e], e
+        assert len(products) == _square_and_multiply_products(e), e
+
+
+@pytest.mark.parametrize("field", [F5, mk_field(3, 2)])
+def test_poly_power_matches_repeated_products(field):
+    rng = random.Random(f"polypow:{field.p}:{field.m}")
+    for base in (PolyFF(field, ()), PolyFF(field, (1,)), PolyFF(field, (2, 1)),
+                 PolyFF(field, tuple(rng.randrange(field.order) for _ in range(3)))):
+        want = PolyFF(field, (1,))
+        for e in range(0, 12):
+            assert base**e == want, (base, e)
+            want = want * base
+
+
+@pytest.mark.parametrize("p, mod", [(2, [1, 1, 0, 1]), (3, [2, 2, 0, 1]), (5, [2, 0, 1])])
+def test_ppowmod_matches_repeated_products(p, mod):
+    rng = random.Random(f"ppowmod:{p}")
+    for base in ([0, 1], [1], [rng.randrange(p) for _ in range(5)]):
+        want = [1]
+        for e in range(0, 40):
+            assert _ppowmod(base, e, mod, p) == want, (base, e)
+            want = _prem(_pmul(want, base, p), mod, p)
