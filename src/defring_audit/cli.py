@@ -203,12 +203,13 @@ def _run_cohomology(payload):
             J = _matrix_from_json(jspec)
         spec = coh.InvolutionSpec(n, J)
         action = coh.twisted_involution_action(spec)
-        # for order 2, N = 1 + sigma: Z^1 is the (-1)- and H^0 the (+1)-eigenspace
-        dims = coh.cohomology_dims(action)
+        # for order 2, N = 1 + sigma, so Z^1 is the (-1)-eigenspace; arch_lift_dim
+        # checks h2 = h0 - rank N = 0, so h0, the (+1)-eigenspace, is dim - z1
+        minus = coh.arch_lift_dim(action)
         verdicts = {
-            "minus_eigenspace_dim": dims.z1,
-            "plus_eigenspace_dim": dims.h0,
-            "arch_lift_dim": coh.arch_lift_dim(action),
+            "minus_eigenspace_dim": minus,
+            "plus_eigenspace_dim": action.dimension - minus,
+            "arch_lift_dim": minus,
         }
         return verdicts, {"space_dim": n * n}, True
     raise ScenarioError(f"unknown cohomology op {op!r}")

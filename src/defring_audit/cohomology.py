@@ -10,6 +10,7 @@ semisimple and H^2 vanishes.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .ff import (
@@ -24,18 +25,25 @@ from .ff import (
 
 @dataclass(frozen=True)
 class CyclicAction:
-    """A Z/nZ-module: the generator acts by ``sigma`` (d x d)."""
+    """A Z/nZ-module: the generator acts by ``sigma`` (d x d).
+
+    ``norm`` is the norm map N, formed at construction by the walk that
+    also forms sigma^n for the sigma^n = I check.
+    """
 
     order: int
     sigma: MatrixFF
+    norm: MatrixFF = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("group order must be >= 1")
         if self.sigma.rows != self.sigma.cols:
             raise ValueError("generator matrix must be square")
-        if self.sigma.matpow(self.order) != MatrixFF.identity(self.field, self.dimension):
+        norm, power = _norm_and_power(self.sigma, self.order)
+        if power != MatrixFF.identity(self.field, self.dimension):
             raise ValueError("sigma^n must be the identity")
+        object.__setattr__(self, "norm", norm)
 
     @property
     def field(self) -> PrimeField:
@@ -52,14 +60,15 @@ class InvolutionSpec:
 
     n: int
     J: MatrixFF
+    J_inv: MatrixFF = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.J.field.p == 2:
             raise ValueError("the twisted involution needs odd characteristic")
         if self.J.rows != self.n or self.J.cols != self.n:
             raise ValueError("J must be n x n")
-        # invertibility checked here so failures surface at construction
-        mat_inverse(self.J)
+        # inverted here so a singular J fails at construction
+        object.__setattr__(self, "J_inv", mat_inverse(self.J))
         # the twist squares to conjugation by J J^{-t}: the identity iff J = +-J^t
         if self.J.transpose() not in (self.J, -self.J):
             raise ValueError("J must be symmetric or antisymmetric, or the twist is no involution")
@@ -73,27 +82,28 @@ class CohomologyDims:
     z1: int
 
 
-def norm_matrix(action: CyclicAction) -> MatrixFF:
-    """N = sum_{j=0}^{n-1} sigma^j, in O(log n) matrix products.
+def _norm_and_power(sigma: MatrixFF, order: int) -> tuple[MatrixFF, MatrixFF]:
+    """N = sum_{j=0}^{n-1} sigma^j and sigma^n, with n = order, by one walk.
 
     Reads the bits of n from the top, carrying N_k = sum_{j<k} sigma^j and
     sigma^k: N_2k = N_k + N_k sigma^k and N_2k+1 = N_2k + sigma^2k.  N_1 is
-    I, so N_2 = I + sigma takes no product, and no power is formed after
-    the last bit.
+    I, so N_2 = I + sigma takes no product.  Each bit after the top one
+    costs a squaring, a product by sigma if it is set, and, past the first
+    such bit, the product N_k sigma^k.
     """
-    sigma = action.sigma
-    norm, power = MatrixFF.identity(action.field, action.dimension), sigma  # N_1, sigma^1
-    bits = bin(action.order)[3:]
-    for i, bit in enumerate(bits, 1):
-        more = i < len(bits)
-        norm = norm + (norm * power if i > 1 else power)
-        if bit == "1" or more:
-            power = power * power
+    norm, power = MatrixFF.identity(sigma.field, sigma.rows), sigma  # N_1, sigma^1
+    for i, bit in enumerate(bin(order)[3:]):
+        norm = norm + (norm * power if i else power)
+        power = power * power
         if bit == "1":
             norm = norm + power
-            if more:
-                power = power * sigma
-    return norm
+            power = power * sigma
+    return norm, power
+
+
+def norm_matrix(action: CyclicAction) -> MatrixFF:
+    """N = sum_{j=0}^{n-1} sigma^j, in O(log n) matrix products."""
+    return _norm_and_power(action.sigma, action.order)[0]
 
 
 def cohomology_dims(action: CyclicAction) -> CohomologyDims:
@@ -104,7 +114,7 @@ def cohomology_dims(action: CyclicAction) -> CohomologyDims:
     """
     d = action.dimension
     r = mat_rank(action.sigma - MatrixFF.identity(action.field, d))
-    s = mat_rank(norm_matrix(action))
+    s = mat_rank(action.norm)
     h0, z1 = d - r, d - s
     h1, h2 = z1 - r, h0 - s
     if h1 < 0 or h2 < 0:
@@ -151,11 +161,11 @@ def twisted_involution_action(spec: InvolutionSpec) -> CyclicAction:
     """The order-2 action theta(x) = -J x^t J^{-1} on n x n matrices.
 
     Matrices are flattened row-major, so the action lives on an
-    n^2-dimensional space; theta^2 = 1 is verified.
+    n^2-dimensional space; theta^2 = 1 is verified by ``CyclicAction``.
     """
     f = spec.J.field
     n = spec.n
-    jinv = mat_inverse(spec.J)
+    jinv = spec.J_inv
     # theta(E_ij) has (a,d)-entry -J[a][j] * Jinv[i][d]
     size = n * n
     entries = [0] * (size * size)
@@ -171,6 +181,7 @@ def twisted_involution_action(spec: InvolutionSpec) -> CyclicAction:
                     if val:
                         entries[(a * n + d) * size + col] = val
     theta = MatrixFF(f, size, size, entries)
-    if theta * theta != MatrixFF.identity(f, size):
-        raise InternalCheckError("twist is not an involution")
-    return CyclicAction(order=2, sigma=theta)
+    try:
+        return CyclicAction(order=2, sigma=theta)
+    except ValueError as exc:  # theta^2 != 1, although J = +-J^t was checked
+        raise InternalCheckError("twist is not an involution") from exc

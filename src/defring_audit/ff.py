@@ -20,9 +20,12 @@ tables; p is capped only by the exact primality test, at MAX_PRIMALITY_N.
 
 Rank, kernel dimensions, eigenspaces and inverses share one elimination
 kernel, ``_echelon``, and the characteristic polynomial comes from a
-Hessenberg reduction in O(n^3).  Both work a row at a time: over F_p a
-row operation is one comprehension reduced mod p, and over F_{p^m} it
-reads the tables directly, as the matrix product does.
+Hessenberg reduction in O(n^3).  Both work a row at a time through
+``_vector_ops``: over F_p a row operation is one comprehension reduced
+mod p, over F_{p^m} a walk of the field's tables.  Over F_{p^m} the
+matrix product takes each entry from the same ``dot``; over F_p an entry
+is one ``sum(map(...))`` reduced mod p.  ``PrimeField`` and
+``_vector_ops`` are the only readers of the tables.
 """
 
 from __future__ import annotations
@@ -124,8 +127,26 @@ def _power(x, e: int, mul: Callable, one):
 
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic over the prime field F_p (coefficient lists of ints,
-# lowest degree first).  Used only for modulus selection and embeddings.
+# lowest degree first).  Used for modulus selection and by the table builder.
 # ---------------------------------------------------------------------------
+
+
+def _digits(a: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of a, lowest first: the coefficients of an element."""
+    out = []
+    for _ in range(m):
+        a, d = divmod(a, p)
+        out.append(d)
+    return out
+
+
+def _encode(coeffs: Iterable[int], p: int) -> int:
+    """The element whose coefficients are ``coeffs`` (lowest first), reduced mod p."""
+    out, mult = 0, 1
+    for c in coeffs:
+        out += (c % p) * mult
+        mult *= p
+    return out
 
 
 def _ptrim(c: list[int]) -> list[int]:
@@ -181,16 +202,15 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     if m == 1:
         return True
     x = [0, 1]
-    t = _ppowmod(x, p**m, poly, p)
-    diff = _ptrim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)])
-    if diff:
+
+    def frobenius_minus_x(k: int) -> list[int]:
+        # T^(p^k) - T mod poly
+        t = _ppowmod(x, p**k, poly, p)
+        return _ptrim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)])
+
+    if frobenius_minus_x(m):
         return False
-    for r in _prime_divisors(m):
-        t = _ppowmod(x, p ** (m // r), poly, p)
-        diff = _ptrim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)])
-        if len(_pgcd(diff, poly, p)) > 1:
-            return False
-    return True
+    return all(len(_pgcd(frobenius_minus_x(m // r), poly, p)) == 1 for r in _prime_divisors(m))
 
 
 # ---------------------------------------------------------------------------
@@ -205,51 +225,6 @@ def _check_field_order(p: int, m: int) -> None:
         raise ValueError(
             f"F_{p}^{m} has more than MAX_FIELD_ORDER = {MAX_FIELD_ORDER} elements"
         )
-
-
-def _digit_product(p: int, m: int, modulus: Sequence[int]) -> Callable[[int, int], int]:
-    """Schoolbook product of encoded elements of F_p[T]/(modulus), m >= 2.
-
-    Only the table builder uses it, to test primitive elements and to form
-    coset representatives; field arithmetic reads the tables.  The outer
-    loop skips zero digits of the first factor, so a sparse first factor
-    is cheap.
-    """
-    # digit vectors of T^k mod modulus for k in [m, 2m-2]
-    cur = [(-c) % p for c in modulus[:m]]
-    reductions = {m: tuple(cur)}
-    for k in range(m + 1, 2 * m - 1):
-        top = cur[m - 1]
-        cur = [0] + cur[: m - 1]
-        if top:
-            cur = [(o + top * r) % p for o, r in zip(cur, reductions[m])]
-        reductions[k] = tuple(cur)
-    weights = [p**i for i in range(m)]
-
-    def digits(a: int) -> list[int]:
-        out = []
-        for _ in range(m):
-            a, d = divmod(a, p)
-            out.append(d)
-        return out
-
-    def mul(a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        db = digits(b)
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(digits(a)):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:m]]
-        for k in range(m, 2 * m - 1):
-            c = conv[k] % p
-            if c:
-                out = [(d + c * r) % p for d, r in zip(out, reductions[k])]
-        return sum(d * w for d, w in zip(out, weights))
-
-    return mul
 
 
 def _log_tables(p: int, m: int, modulus: Sequence[int]) -> tuple[list, list, list]:
@@ -282,7 +257,9 @@ def _log_tables(p: int, m: int, modulus: Sequence[int]) -> tuple[list, list, lis
             x = times_t(x)
         return out
 
-    mul = _digit_product(p, m, modulus)
+    def mul(a: int, b: int) -> int:
+        # schoolbook product in F_p[T], reduced mod the modulus
+        return _encode(_prem(_pmul(_digits(a, p, m), _digits(b, p, m), p), modulus, p), p)
 
     primes = _prime_divisors(n)
     # encodings below p are the constants F_p^*, whose orders divide p - 1 < n
@@ -344,20 +321,10 @@ class PrimeField:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of length m, lowest degree first."""
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
+        return tuple(_digits(a, self.p, self.m))
 
     def encode(self, coeffs: Iterable[int]) -> int:
-        out = 0
-        mult = 1
-        for c in coeffs:
-            out += (c % self.p) * mult
-            mult *= self.p
-        return out
+        return _encode(coeffs, self.p)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -467,14 +434,8 @@ def embed_field(sub: PrimeField, ext: PrimeField) -> Callable[[int], int]:
         raise ValueError("target is not an extension of the source field")
     if sub.m == 1:
         return lambda a: a
-    root = None
-    for z in ext.elements():
-        acc = 0
-        for c in reversed(sub.modulus):
-            acc = ext.add(ext.mul(acc, z), c)
-        if acc == 0:
-            root = z
-            break
+    modulus = PolyFF(ext, sub.modulus)
+    root = next((z for z in ext.elements() if modulus.evaluate(z) == 0), None)
     if root is None:
         raise InternalCheckError("subfield modulus has no root in extension")
     powers = [1]
@@ -651,31 +612,14 @@ class MatrixFF:
         f = self.field
         n, k, m = self.rows, self.cols, other.cols
         e1, e2 = self.entries, other.entries
+        rows = [e1[i * k : (i + 1) * k] for i in range(n)]
+        cols = [e2[j::m] for j in range(m)]
         if f.m == 1:
             p, mul = f.p, operator.mul
-            rows = [e1[i * k : (i + 1) * k] for i in range(n)]
-            cols = [e2[j::m] for j in range(m)]
             out = [sum(map(mul, r, c)) % p for r in rows for c in cols]
         else:
-            out = [0] * (n * m)
-            # f.add/f.mul inlined on the field's tables; None is the log of 0
-            exp, log, zech = f._exp, f._log, f._zech
-            col_logs = [[log[e2[t * m + j]] for t in range(k)] for j in range(m)]
-            for i in range(n):
-                row_logs = [log[x] for x in e1[i * k : (i + 1) * k]]
-                for j in range(m):
-                    s = 0
-                    for a, b in zip(row_logs, col_logs[j]):
-                        if a is None or b is None:
-                            continue
-                        v = exp[a + b]
-                        if s:
-                            ls = log[s]
-                            z = zech[log[v] - ls]
-                            s = 0 if z is None else exp[ls + z]
-                        else:
-                            s = v
-                    out[i * m + j] = s
+            dot = _vector_ops(f)[2]
+            out = [dot(r, c) for r in rows for c in cols]
         return MatrixFF(f, n, m, out)
 
     def transpose(self) -> "MatrixFF":
@@ -744,8 +688,8 @@ def _vector_ops(f: PrimeField):
     ``scale(c, y)`` is c*y, ``axpy(x, c, y)`` is x - c*y and ``dot(x, y)``
     is the sum of the x_j y_j; zip stops at the shorter list.  Over F_p
     each is one comprehension or ``sum(map(...))`` reduced mod p.  Over
-    F_{p^m} each walks the log/exp/Zech tables, as ``MatrixFF.__mul__``
-    does, instead of calling the field per entry.
+    F_{p^m} each walks the log/exp/Zech tables instead of calling the
+    field per entry.
     """
     if f.m == 1:
         p, mul = f.p, operator.mul

@@ -10,8 +10,6 @@ q^{n!} - 1, and eigenvalue multisets stable under z -> z^q consist of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .ff import (
     InternalCheckError,
     MatrixFF,
@@ -27,17 +25,6 @@ MAX_THRESHOLD_N = 8
 # q^(n!) has at most bit_length(q) * n! bits; 14000 bits are fewer than 4215
 # digits, so a report prints the value within Python's 4300-digit limit
 MAX_THRESHOLD_BITS = 14_000
-
-
-@dataclass(frozen=True)
-class TaylorThreshold:
-    q: int
-    n: int
-    value: int
-
-    def __post_init__(self):
-        if self.value != self.q ** math.factorial(self.n):
-            raise ValueError("threshold value must equal q^(n!)")
 
 
 def taylor_threshold(q: int, n: int) -> int:

@@ -18,7 +18,14 @@ from defring_audit.cohomology import (
     norm_matrix,
     twisted_involution_action,
 )
-from defring_audit.ff import MatrixFF, kernel_dim, mat_inverse, mat_rank, mk_field
+from defring_audit.ff import (
+    InternalCheckError,
+    MatrixFF,
+    kernel_dim,
+    mat_inverse,
+    mat_rank,
+    mk_field,
+)
 
 F3 = mk_field(3)
 F5 = mk_field(5)
@@ -493,3 +500,48 @@ def test_involution_report_takes_four_eliminations_and_two_products(monkeypatch,
     # theta * theta in the twist, and sigma^2 in the CyclicAction check
     assert len(products) <= 2
     assert columns.count(n * n) <= 4
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (3, 2)])
+def test_involution_report_inverts_once_ranks_twice_and_squares_once(monkeypatch, p, m):
+    columns = _count_eliminations(monkeypatch)
+    products = _count_products(monkeypatch)
+    n = 3
+    report = run_scenario_obj({"mode": "cohomology", "op": "involution", "n": n, "p": p, "m": m})
+    assert report["verdicts"] == {
+        "minus_eigenspace_dim": 6, "plus_eigenspace_dim": 3, "arch_lift_dim": 6,
+    }
+    # J^{-1} in InvolutionSpec, then the ranks of theta - 1 and of N = 1 + theta
+    assert columns == [n, n * n, n * n]
+    # theta^2, formed once by the walk that forms N
+    assert len(products) == 1
+
+
+@pytest.mark.parametrize("order, p, rows, dims, walk_products", [
+    # unipotent over F_2: N = 2048 (1 + sigma) = 0
+    (4096, 2, [[1, 1], [0, 1]], {"h0": 1, "h1": 1, "h2": 1, "z1": 2}, 23),
+    # 3 and 5 have order 6 mod 7
+    (6, 7, [[3, 0], [0, 5]], {"h0": 0, "h1": 0, "h2": 0, "z1": 2}, 4),
+])
+def test_cyclic_report_forms_sigma_to_the_order_once(monkeypatch, order, p, rows, dims,
+                                                     walk_products):
+    columns = _count_eliminations(monkeypatch)
+    products = _count_products(monkeypatch)
+    sigma = {"p": p, "m": 1, "rows": rows}
+    report = run_scenario_obj({"mode": "cohomology", "op": "cyclic", "order": order,
+                               "sigma": sigma})
+    assert report["verdicts"] == dims
+    assert columns == [2, 2]
+    # one doubling walk serves the sigma^n = 1 check and N: for n = 2^12, 12
+    # squarings and 11 products N_k sigma^k; for n = 6, 2 squarings, one
+    # product by sigma and one N_3 sigma^3
+    assert len(products) == walk_products
+
+
+def test_a_twist_that_is_no_involution_is_an_internal_error():
+    spec = InvolutionSpec(2, antidiagonal_ones(2, F5))
+    J = MatrixFF.from_rows(F5, [[1, 1], [0, 1]])  # neither symmetric nor antisymmetric
+    object.__setattr__(spec, "J", J)
+    object.__setattr__(spec, "J_inv", mat_inverse(J))
+    with pytest.raises(InternalCheckError, match="not an involution"):
+        twisted_involution_action(spec)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import random
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defring_audit import ff
 from defring_audit.acceptance import cofactor_charpoly
 from defring_audit.cohomology import eigenspace_dim
 from defring_audit.ff import (
@@ -15,7 +18,6 @@ from defring_audit.ff import (
     PrimeField,
     ScanBudgetExceeded,
     _check_field_order,
-    _digit_product,
     _echelon,
     _is_irreducible,
     _pmul,
@@ -247,7 +249,10 @@ def _repeated_pow(f, a, e):
 
 
 def _check_ops(f, pairs):
-    mul = _digit_product(f.p, f.m, f.modulus)
+    def mul(a, b):
+        # independent of every table: F_p[T] remainder of the product
+        return f.encode(_prem(_pmul(f.coeffs(a), f.coeffs(b), f.p), f.modulus, f.p))
+
     for a, b in pairs:
         assert f.add(a, b) == _digit_add(f, a, b)
         assert f.sub(a, b) == _digit_add(f, a, _digit_neg(f, b))
@@ -274,16 +279,6 @@ def test_table_ops_match_digit_loops_on_random_pairs(p, m):
         for e in (-3, -1, 0, 1, 2, f.order, 7 * f.order + 5):
             if a:
                 assert f.pow(a, e) == _repeated_pow(f, a, e)
-
-
-@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 3)])
-def test_digit_product_is_polynomial_product_mod_modulus(p, m):
-    # independent of every table: F_p[T] remainder of the product
-    f = mk_field(p, m)
-    mul = _digit_product(p, m, f.modulus)
-    for a, b in itertools.product(f.elements(), repeat=2):
-        expect = f.encode(_prem(_pmul(f.coeffs(a), f.coeffs(b), p), f.modulus, p))
-        assert mul(a, b) == expect
 
 
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2), (2, 8), (7, 2)])
@@ -333,9 +328,11 @@ def test_field_order_cap_is_inclusive():
 def test_matmul_over_extension_matches_entrywise_sums(p, m):
     f = mk_field(p, m)
     rng = random.Random(f"matmul {p}^{m}")
-    for rows, inner, cols in [(1, 1, 1), (3, 4, 2), (5, 5, 5)]:
+    for rows, inner, cols in [(1, 1, 1), (3, 4, 2), (5, 5, 5), (2, 0, 3), (3, 3, 0)]:
         es1 = [rng.choice([0, rng.randrange(f.order)]) for _ in range(rows * inner)]
         es2 = [rng.choice([0, rng.randrange(f.order)]) for _ in range(inner * cols)]
+        if rows > 1:
+            es1[:inner] = [0] * inner  # an all-zero row
         A, B = MatrixFF(f, rows, inner, es1), MatrixFF(f, inner, cols, es2)
         expect = []
         for i in range(rows):
@@ -758,6 +755,25 @@ def test_eigenvalues_over_extension_base_field():
     assert all(lifted.evaluate(z) == 0 for z in roots)
 
 
+@pytest.mark.parametrize("p, m, big_m", [(2, 2, 4), (3, 2, 4), (2, 3, 6)])
+def test_embed_field_sends_the_generator_to_the_smallest_root(p, m, big_m):
+    sub, ext = mk_field(p, m), mk_field(p, big_m)
+
+    def modulus_at(z):
+        # sum of c_i z^i, one power per term
+        value = 0
+        for i, c in enumerate(sub.modulus):
+            value = ext.add(value, ext.mul(c, ext.pow(z, i)))
+        return value
+
+    roots = [z for z in ext.elements() if modulus_at(z) == 0]
+    emb = embed_field(sub, ext)
+    assert emb(p) == min(roots)  # the encoding p is the generator T
+    for a, b in itertools.product(sub.elements(), repeat=2):
+        assert emb(sub.mul(a, b)) == ext.mul(emb(a), emb(b))
+        assert emb(sub.add(a, b)) == ext.add(emb(a), emb(b))
+
+
 def test_scan_budget_error_is_explicit():
     # T^2 - 2 is irreducible over F_101 (2 is a non-residue mod 101),
     # so the roots live in a field of 10201 elements
@@ -881,3 +897,14 @@ def test_ppowmod_matches_repeated_products(p, mod):
         for e in range(0, 40):
             assert _ppowmod(base, e, mod, p) == want, (base, e)
             want = _prem(_pmul(want, base, p), mod, p)
+
+
+def test_only_the_field_and_the_vector_ops_read_the_tables():
+    # every table walk lives in PrimeField's methods or in _vector_ops
+    tree = ast.parse(inspect.getsource(ff))
+    readers = set()
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr in ("_exp", "_log", "_zech"):
+                readers.add(getattr(node, "name", "<module level>"))
+    assert readers == {"PrimeField", "_vector_ops"}

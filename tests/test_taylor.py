@@ -7,7 +7,6 @@ from defring_audit.ff import MatrixFF, is_unipotent, mk_field, nilpotent_block
 from defring_audit.partitions import Partition, nabla_matrix, partitions_of
 from defring_audit.taylor import (
     MAX_THRESHOLD_BITS,
-    TaylorThreshold,
     eigenvalue_qpower_stable,
     min_equals_type_partition,
     qpower_conjugacy,
@@ -51,12 +50,6 @@ def test_taylor_threshold_bit_budget():
             taylor_threshold(q, n)
     with pytest.raises(ValueError, match="MAX_THRESHOLD_BITS"):
         threshold_coprime(5, 10**4000, 3)
-
-
-def test_taylor_threshold_dataclass_checks_value():
-    TaylorThreshold(2, 3, 64)
-    with pytest.raises(ValueError):
-        TaylorThreshold(2, 3, 63)
 
 
 def test_threshold_coprime():
