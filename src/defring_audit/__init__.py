@@ -55,10 +55,7 @@ from .density import (
     SplitDensityProblem,
     bound_certificate,
     build_group,
-    e_exponent,
     subgroup_classes,
-    xi,
-    xi_star,
 )
 from .taylor import (
     eigenvalue_qpower_stable,

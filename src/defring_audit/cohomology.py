@@ -102,8 +102,8 @@ def _norm_and_power(sigma: MatrixFF, order: int) -> tuple[MatrixFF, MatrixFF]:
 
 
 def norm_matrix(action: CyclicAction) -> MatrixFF:
-    """N = sum_{j=0}^{n-1} sigma^j, in O(log n) matrix products."""
-    return _norm_and_power(action.sigma, action.order)[0]
+    """N = sum_{j=0}^{n-1} sigma^j, formed when the action was built."""
+    return action.norm
 
 
 def cohomology_dims(action: CyclicAction) -> CohomologyDims:

@@ -14,8 +14,10 @@ omega*[e odd], delta*[e odd]), so the density has a closed form on Gamma
 alone: an element fails to split exactly when omega = 1, delta != 1 and
 some conjugate x of gamma has odd e_H(x), the least e >= 1 with x^e in H.
 Hence density = 1 - N_bad / (|Gamma| * 2^(k+1)), where N_bad is the total
-size of the Gamma-classes holding such an x.  ``xi_star`` and ``xi`` keep
-the exhaustive enumeration as a reference.
+size of the Gamma-classes holding such an x.  e_H(x) = [<x> : <x> & H] is
+odd exactly when H holds the 2-part of x, which generates the same cyclic
+subgroup as x^M for M the odd part of |Gamma|.  So N_bad counts the x
+whose power x^M is conjugate into H, and one power map gives it.
 
 The subgroup lattice is searched by conjugacy classes (the cyclic
 extension method): one subgroup per class is joined with the cyclic
@@ -39,16 +41,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .ff import InternalCheckError
+from .ff import InternalCheckError, _power
 
 MAX_GROUP_ORDER = 5040
 MAX_DENSITY_K = 64
 _FULL_ASSOCIATIVITY_ORDER = 48
 _SPOT_CHECK_TRIPLES = 300
-
-Triple = tuple[int, int, int]
 
 
 class FiniteGroup:
@@ -476,9 +476,10 @@ def all_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
 def perm_index_from_cycles(n: int, text: str) -> int:
     """Index of a permutation of S_n given in cycle notation, e.g. "(12)(34)".
 
-    Points are the single ASCII digits 1..n; the empty string or "()" is
-    the identity.  The index is the lexicographic rank of the permutation,
-    which is its position in ``symmetric_group(n)``.
+    Points are the single ASCII digits 1..n, and no point may lie in two
+    cycles; the empty string or "()" is the identity.  The index is the
+    lexicographic rank of the permutation, which is its position in
+    ``symmetric_group(n)``.
     """
     perm = list(range(n))
     text = text.strip()
@@ -487,11 +488,16 @@ def perm_index_from_cycles(n: int, text: str) -> int:
     else:
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"bad cycle notation {text!r}")
+        moved = set()
         for cyc in text[1:-1].split(")("):
             # any character but an ASCII digit 1-9 finds -1, out of range
             pts = ["123456789".find(ch) for ch in cyc if not ch.isspace()]
             if any(not (0 <= p < n) for p in pts) or len(set(pts)) != len(pts):
                 raise ValueError(f"bad cycle {cyc!r} for S{n}")
+            # a later cycle would overwrite the image of a point already placed
+            if not moved.isdisjoint(pts):
+                raise ValueError(f"bad cycle notation {text!r}: a point lies in two cycles")
+            moved.update(pts)
             for i, p in enumerate(pts):
                 perm[p] = pts[(i + 1) % len(pts)]
     rank = 0
@@ -532,102 +538,35 @@ class SplitDensityProblem:
     def group_order(self) -> int:
         return self.gamma.order * (2**self.k) * 2
 
-    def elements(self) -> Iterator[Triple]:
-        return itertools.product(
-            self.gamma.elements(), range(2**self.k), range(2)
-        )
-
-    def mul(self, x: Triple, y: Triple) -> Triple:
-        return (self.gamma.mul(x[0], y[0]), x[1] ^ y[1], x[2] ^ y[2])
-
-
-def e_exponent(problem: SplitDensityProblem, g: Triple) -> int:
-    """Least e >= 1 with g^e in H x {1} x Delta."""
-    gam, om, de = g
-    if not (0 <= gam < problem.gamma.order and 0 <= om < 2**problem.k and de in (0, 1)):
-        raise ValueError("element outside the group")
-    h = g
-    e = 1
-    while not (h[1] == 0 and h[0] in problem.subgroup):
-        h = problem.mul(h, g)
-        e += 1
-        if e > problem.group_order:
-            raise InternalCheckError("exponent search exceeded the group order")
-    return e
-
-
-def _power(problem: SplitDensityProblem, g: Triple, e: int) -> Triple:
-    h = (problem.gamma.identity, 0, 0)
-    for _ in range(e):
-        h = problem.mul(h, g)
-    return h
-
-
-def xi_star(problem: SplitDensityProblem) -> frozenset[Triple]:
-    """Elements whose minimal H x {1} x Delta power lands in H x {1} x {1}."""
-    out = set()
-    for g in problem.elements():
-        e = e_exponent(problem, g)
-        if _power(problem, g, e)[2] == 0:
-            out.add(g)
-    return frozenset(out)
-
-
-def xi(problem: SplitDensityProblem) -> frozenset[Triple]:
-    """The conjugation-closed core of xi_star.
-
-    Conjugacy in Gamma x Omega x Delta only moves the Gamma component
-    (the other factors are abelian), so a triple belongs exactly when the
-    whole Gamma-class times its (omega, delta) tail sits inside xi_star.
-    """
-    star = xi_star(problem)
-    classes = problem.gamma.conjugacy_classes()
-    class_of = {}
-    for cls in classes:
-        for g in cls:
-            class_of[g] = cls
-    out = set()
-    for g in star:
-        gam, om, de = g
-        if all((x, om, de) in star for x in class_of[gam]):
-            out.add(g)
-    # closure sanity: conjugating must not leave the set
-    for gam, om, de in out:
-        if any((x, om, de) not in out for x in class_of[gam]):
-            raise InternalCheckError("xi is not closed under conjugation")
-    return frozenset(out)
-
 
 def _bad_class_total(problem: SplitDensityProblem) -> int:
-    """N_bad: the total size of the Gamma-classes holding an x with odd e_H(x).
+    """N_bad: the number of x in Gamma with x^M conjugate into H.
 
-    e_H(x) is found by powering x in the table.  Exactly the triples
-    (x, 1, delta) with delta != 1 and x in such a class fail to split.
+    M is the odd part of |Gamma|.  Whether x^M is conjugate into H is the
+    same for every conjugate of x, so one power map x -> x^M over one
+    representative per class takes about log2(M) table lookups each, and
+    the elements conjugate into H are the classes that meet H.
     """
     gamma = problem.gamma
+    n = gamma.order
     t = gamma.table
-    h = problem.subgroup
-    odd = []
-    for x in gamma.elements():
-        power, e = x, 1
-        while power not in h:
-            power = t[power][x]
-            e += 1
-            if e > gamma.order:
-                raise InternalCheckError("exponent search exceeded the order of Gamma")
-        odd.append(e % 2 == 1)
     classes = gamma.conjugacy_classes()
     if sorted(itertools.chain.from_iterable(classes)) != list(gamma.elements()):
         raise InternalCheckError("conjugacy classes do not partition Gamma")
-    n_bad = sum(len(c) for c in classes if any(odd[x] for x in c))
-    # the identity lies in H with e_H = 1, so its class is always counted
-    if not 1 <= n_bad <= gamma.order:
+    into_h = set().union(*(c for c in classes if not c.isdisjoint(problem.subgroup)))
+    powers = _power(
+        [next(iter(c)) for c in classes], n // (n & -n),
+        lambda a, b: [t[i][j] for i, j in zip(a, b)], [gamma.identity] * len(classes),
+    )
+    n_bad = sum(len(c) for c, x in zip(classes, powers) if x in into_h)
+    # the identity lies in H, so its power does too and is always counted
+    if not 1 <= n_bad <= n:
         raise InternalCheckError(f"N_bad = {n_bad} is not within 1..|Gamma|")
     return n_bad
 
 
 def density(problem: SplitDensityProblem) -> Fraction:
-    """|xi| / |G| as an exact fraction in lowest terms, by the closed form."""
+    """The splitting density |xi| / |G| as an exact fraction, by the closed form."""
     return 1 - Fraction(_bad_class_total(problem), problem.group_order)
 
 

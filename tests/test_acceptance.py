@@ -5,6 +5,8 @@ stated per-criterion time budgets are asserted where the criterion
 carries one, and the whole suite must finish well under a minute.
 """
 
+import re
+
 import pytest
 
 from defring_audit import acceptance
@@ -28,3 +30,37 @@ def test_full_suite_under_sixty_seconds():
     results = acceptance.run_all(max_n=10, seed=0)
     assert all(r.ok for r in results)
     assert sum(r.elapsed_s for r in results) < 60.0
+
+
+# verify-all's lines at max_n = 10, seed 0, without the timing; the benchmark's
+# golden digests pin the same lines, so a change to one is a benchmark change
+_PINNED_LINES = [
+    "PASS c01 conjugation lemma (theta = conjugate, n <= 10, three fields): "
+    "414 (partition, field) pairs agree",
+    "PASS c02 kernel formula dim ker B_m^i = min(i, m): 264 kernel dimensions match min(i, m)",
+    "PASS c03 archimedean cohomology of order-2 actions: "
+    "200 random order-2 actions: h2 = 0 and z1 = (-1)-eigenspace dim",
+    "PASS c04 twisted involution eigenspace dimension n(n+1)/2: "
+    "(-1)-eigenspace dim = n(n+1)/2 for n <= 6 over F_5 and F_11",
+    "PASS c05 framework gamma agreement and zero margin: "
+    "500 randomized settings: gamma routes agree and margin = 0",
+    "PASS c06 worked rank-2 audit (gamma 30, r0 24, gen 6): "
+    "gamma=30 r0=24 gen_I=6 smooth unframed=6 dual-Selmer vanishes",
+    "PASS c07 r0 identity (n^2+1)k - 1: r0 = (n^2+1)k - 1 for n <= 6, k <= 10",
+    "PASS c08 density bound over the group zoo, every subgroup: "
+    "123 problems: density >= 1 - 1/2^k with exact witness counts",
+    "PASS c09 exact spot densities 3/4 and 7/8: "
+    "spot densities 3/4 and 7/8 reproduced by enumeration",
+    "PASS c10 threshold coprimality for primes above q^(n!): "
+    "632 primes in the threshold windows are coprime to q^(n!)-1",
+    "PASS c11 charpoly against the cofactor oracle: "
+    "1081 matrices: division-free charpoly = cofactor expansion",
+    "PASS c12 partition round trip through the block model: "
+    "138 partitions: type partition of the block model is the input",
+]
+
+
+def test_verify_all_lines_are_pinned():
+    lines = [re.sub(r" \(\d+\.\d+s\)", "", r.line(), count=1)
+             for r in acceptance.run_all(max_n=10, seed=0)]
+    assert lines == _PINNED_LINES

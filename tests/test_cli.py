@@ -793,6 +793,12 @@ _NO_TRACEBACK_CASES = {
     "batch-cycle-with-non-ascii-digits": (
         ["run", "{file}"], _batch({"mode": "density", "gamma": "S3", "subgroup": "(١٢)", "k": 1}),
         "bad cycle '١٢' for S3", "report"),
+    "point-in-two-cycles": (
+        ["density", "--gamma", "S4", "--subgroup", "(12)(12)", "--k", "1"], None,
+        "bad cycle notation '(12)(12)': a point lies in two cycles", "line"),
+    "batch-point-in-two-cycles": (
+        ["run", "{file}"], _batch({"mode": "density", "gamma": "S3", "subgroup": "(123)(1)", "k": 1}),
+        "bad cycle notation '(123)(1)': a point lies in two cycles", "report"),
     "verify-all-max-n-past-the-budget": (
         ["verify-all", "--max-n", "40"], None, "MAX_VERIFY_N = 12, got 40", "line"),
     "verify-all-max-n-zero": (

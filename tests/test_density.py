@@ -15,7 +15,6 @@ from defring_audit.density import (
     cyclic_group,
     density,
     direct_product,
-    e_exponent,
     elementary_abelian_2,
     is_subgroup,
     numbered_name,
@@ -24,10 +23,9 @@ from defring_audit.density import (
     subgroup_closure,
     symmetric_group,
     trivial_group,
-    xi,
-    xi_star,
 )
 from defring_audit import density as density_module
+from defring_audit.acceptance import enumerated_density, enumerated_xi
 from defring_audit.ff import InternalCheckError
 
 
@@ -185,8 +183,23 @@ def _cycle_notation(perm):
     return "".join(cycles)
 
 
-def _enumerated_density(problem):
-    return Fraction(len(xi(problem)), problem.group_order)
+def _e_exponent(group, h, x):
+    """e_H(x): the least e >= 1 with x^e in H, by powering x in the table."""
+    power, e = x, 1
+    while power not in h:
+        power = group.mul(power, x)
+        e += 1
+    return e
+
+
+def _bad_class_total_oracle(problem):
+    """N_bad by the exponent search: the x with a conjugate of odd e_H."""
+    group = problem.gamma
+    odd = [_e_exponent(group, problem.subgroup, x) % 2 == 1 for x in group.elements()]
+    return sum(
+        any(odd[group.mul(group.mul(u, x), group.inv(u))] for u in group.elements())
+        for x in group.elements()
+    )
 
 
 Z2 = cyclic_group(2)
@@ -314,6 +327,15 @@ def test_cycle_parsing():
         perm_index_from_cycles(3, "(14)")
 
 
+def test_a_point_in_two_cycles_is_refused():
+    # each cycle was written over the last, so (12)(12) ranked as (12), not the identity
+    for n, text in ((4, "(12)(12)"), (3, "(123)(1)"), (3, "(12)(23)"), (3, "(1)(1)")):
+        with pytest.raises(ValueError, match="bad cycle notation .*two cycles"):
+            perm_index_from_cycles(n, text)
+    assert perm_index_from_cycles(4, "(12)(34)") == perm_index_from_cycles(4, "(34)(12)") == 7
+    assert perm_index_from_cycles(3, "(1)(2)") == perm_index_from_cycles(3, "(1)(2)(3)") == 0
+
+
 def test_problem_validates_subgroup():
     s3 = symmetric_group(3)
     i12 = perm_index_from_cycles(3, "(12)")
@@ -335,44 +357,28 @@ def _trivial_problem(k=1):
 
 
 def test_e_exponent_examples():
-    p = _trivial_problem()
-    assert e_exponent(p, (0, 0, 0)) == 1
-    assert e_exponent(p, (0, 1, 0)) == 2
-    assert e_exponent(p, (0, 0, 1)) == 1
-
-
-def test_e_exponent_divides_group_order():
+    # e_H is not a class function when H is not normal, but N_bad counts whole classes
     s3 = symmetric_group(3)
-    i12 = perm_index_from_cycles(3, "(12)")
-    p = SplitDensityProblem(s3, subgroup_closure(s3, [i12]), 1)
-    for g in p.elements():
-        e = e_exponent(p, g)
-        assert p.group_order % e == 0
-        power = (p.gamma.identity, 0, 0)
-        for _ in range(e):
-            power = p.mul(power, g)
-        assert power[1] == 0 and power[0] in p.subgroup
+    i12, i13, i123 = (perm_index_from_cycles(3, c) for c in ("(12)", "(13)", "(123)"))
+    h = subgroup_closure(s3, [i12])
+    assert [_e_exponent(s3, h, x) for x in (s3.identity, i12, i13, i123)] == [1, 1, 2, 3]
+    problem = SplitDensityProblem(s3, h, 1)
+    assert density_module._bad_class_total(problem) == _bad_class_total_oracle(problem) == 6
 
 
 def test_xi_star_hand_enumeration():
+    # trivial Gamma, k = 1: of (1, w, d), only w = 1, d != 1 has its least
+    # power in H x {1} x Delta (itself) outside H x {1} x {1}
     p = _trivial_problem()
-    star = xi_star(p)
-    assert star == {(0, 0, 0), (0, 1, 0), (0, 1, 1)}
-    assert (0, 0, 1) not in star
-
-
-def test_xi_equals_xi_star_for_abelian_gamma():
-    for gamma in (trivial_group(), cyclic_group(2), cyclic_group(3), elementary_abelian_2(2)):
-        for h in all_subgroups(gamma):
-            p = SplitDensityProblem(gamma, h, 2)
-            assert xi(p) == xi_star(p)
+    assert enumerated_xi(p) == {(0, 0, 0), (0, 1, 0), (0, 1, 1)}
+    assert enumerated_density(p) == density(p) == Fraction(3, 4)
 
 
 def test_xi_is_conjugation_closed():
     s3 = symmetric_group(3)
     i12 = perm_index_from_cycles(3, "(12)")
     p = SplitDensityProblem(s3, subgroup_closure(s3, [i12]), 1)
-    xs = xi(p)
+    xs = enumerated_xi(p)
     for gam, om, de in xs:
         for u in s3.elements():
             conj = s3.mul(s3.mul(u, gam), s3.inv(u))
@@ -382,10 +388,9 @@ def test_xi_is_conjugation_closed():
 def test_omega_nontrivial_elements_are_witnesses():
     s3 = symmetric_group(3)
     p = SplitDensityProblem(s3, frozenset({s3.identity}), 2)
-    xs = xi(p)
-    witnesses = [g for g in p.elements() if g[1] != 0]
+    witnesses = list(itertools.product(s3.elements(), range(1, 2**2), range(2)))
     assert len(witnesses) == (2**2 - 1) * 2 * 6
-    assert all(g in xs for g in witnesses)
+    assert enumerated_xi(p).issuperset(witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +448,12 @@ def test_closed_form_matches_enumeration(name):
     for h in all_subgroups(gamma):
         for k in (1, 2, 3):
             problem = SplitDensityProblem(gamma, h, k)
-            xs = xi(problem)
+            xs = enumerated_xi(problem)
             cert = bound_certificate(problem)
-            assert cert.density == density(problem) == _enumerated_density(problem)
-            witnesses = [g for g in problem.elements() if g[1] != 0]
-            assert cert.witness_count == len(witnesses)
-            assert cert.holds == (cert.density >= cert.bound and all(g in xs for g in witnesses))
+            assert cert.density == density(problem) == Fraction(len(xs), problem.group_order)
+            # every element with omega != 1 is in xi, and there are witness_count of them
+            assert cert.witness_count == sum(1 for g in xs if g[1] != 0)
+            assert cert.holds == (cert.density >= cert.bound)
             # the closed form never goes below the sharper bound 1 - 1/2^(k+1)
             assert cert.density >= 1 - Fraction(1, 2 ** (k + 1))
 
@@ -458,7 +463,7 @@ def test_closed_form_matches_enumeration_on_s5_slice():
     for h in all_subgroups(s5)[::7]:
         for k in (1, 2):
             problem = SplitDensityProblem(s5, h, k)
-            assert density(problem) == _enumerated_density(problem)
+            assert density(problem) == enumerated_density(problem)
 
 
 def test_closed_form_is_attained_when_h_is_gamma():
@@ -487,7 +492,7 @@ def test_subgroup_without_identity_raises_internal_check():
     s3 = symmetric_group(3)
     problem = SplitDensityProblem(s3, frozenset({s3.identity}), 1)
     object.__setattr__(problem, "subgroup", frozenset())
-    with pytest.raises(InternalCheckError, match="exponent"):
+    with pytest.raises(InternalCheckError, match="N_bad = 0"):
         bound_certificate(problem)
 
 
@@ -538,6 +543,27 @@ def test_subgroup_classes_are_the_conjugacy_classes(name):
     assert seen == set(lattice)
     reps = [rep for rep, _size in classes]
     assert reps == sorted(reps, key=lambda h: (len(h), sorted(h)))
+
+
+N_BAD_ZOO = dict(LATTICE_ORACLE_ZOO, Z8=cyclic_group(8), Z12=cyclic_group(12), Z30=cyclic_group(30))
+
+
+@pytest.mark.parametrize("name", sorted(N_BAD_ZOO))
+def test_bad_class_total_matches_the_exponent_search(name):
+    group = N_BAD_ZOO[name]
+    for h in all_subgroups(group):
+        problem = SplitDensityProblem(group, h, 1)
+        assert density_module._bad_class_total(problem) == _bad_class_total_oracle(problem), h
+
+
+@pytest.mark.parametrize("left, right", [("S3", "Z4"), ("S4", "Z3"), ("S3", "S4"), ("Z2", "S5")])
+def test_bad_class_total_matches_the_exponent_search_on_non_normal_subgroups(left, right):
+    group = direct_product(LATTICE_ZOO[left], LATTICE_ZOO[right])
+    non_normal = [h for h in all_subgroups(group) if len(_conjugates_oracle(group, h)) > 1]
+    rng = random.Random(f"n_bad:{left}x{right}")
+    for h in rng.sample(non_normal, 8):
+        problem = SplitDensityProblem(group, h, 1)
+        assert density_module._bad_class_total(problem) == _bad_class_total_oracle(problem), h
 
 
 def test_subgroup_class_counts():
