@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import cohomology as coh
 from . import density as dens
@@ -34,8 +33,7 @@ from .ff import (
 )
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     ident: str
     description: str
     ok: bool

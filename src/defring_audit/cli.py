@@ -12,7 +12,6 @@ early (``| head``) gets no traceback and leaves the exit code unchanged.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -152,8 +151,6 @@ def _partition_from_json(obj) -> parts.Partition:
 def _jsonable(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -192,7 +189,7 @@ def _run_cohomology(payload):
         sigma = _matrix_from_json(payload.get("sigma"))
         action = coh.CyclicAction(order=order, sigma=sigma)
         dims = coh.cohomology_dims(action)
-        return dataclasses.asdict(dims), {"dimension": action.dimension}, True
+        return dims._asdict(), {"dimension": action.dimension}, True
     if op == "involution":
         n = _bounded_int(payload, "n", "MAX_INVOLUTION_N")
         jspec = payload.get("J", "antidiag")
@@ -278,12 +275,12 @@ def _ledger_verdicts(setting, h0_global, h0_global_dual, h0_locals, run_dual):
     verdicts = {key: getattr(verdict, key) for key in
                 ("gamma", "r0", "gen_I", "gen_bound", "margin", "smooth", "unframed_dim")}
     ok = verdict.smooth
-    diag = {"places": [dataclasses.asdict(d) for d in verdict.diagnostics]}
+    diag = {"places": [d._asdict() for d in verdict.diagnostics]}
     if not verdict.smooth:
         diag["violated"] = "generator bound gen_I <= gamma - r0"
     if run_dual:
         dual = ledger.dual_selmer_verdict(setting, h0_global, h0_global_dual, h0_locals)
-        verdicts["dual_selmer"] = dataclasses.asdict(dual)
+        verdicts["dual_selmer"] = dual._asdict()
         ok = ok and dual.vanishes
         if not dual.vanishes:
             diag["violated_dual"] = "dual-Selmer dimension must vanish"

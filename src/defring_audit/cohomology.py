@@ -10,40 +10,38 @@ semisimple and H^2 vanishes.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ff import (
     InternalCheckError,
     MatrixFF,
     PrimeField,
+    Record,
     _echelon,
     mat_inverse,
     mat_rank,
 )
 
 
-@dataclass(frozen=True)
-class CyclicAction:
+class CyclicAction(Record):
     """A Z/nZ-module: the generator acts by ``sigma`` (d x d).
 
     ``norm`` is the norm map N, formed at construction by the walk that
-    also forms sigma^n for the sigma^n = I check.
+    also forms sigma^n for the sigma^n = I check; it is not a field.
     """
 
-    order: int
-    sigma: MatrixFF
-    norm: MatrixFF = dataclasses.field(init=False, repr=False, compare=False)
+    _fields = ("order", "sigma")
+    __slots__ = _fields + ("norm",)
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, sigma: MatrixFF):
+        if order < 1:
             raise ValueError("group order must be >= 1")
-        if self.sigma.rows != self.sigma.cols:
+        if sigma.rows != sigma.cols:
             raise ValueError("generator matrix must be square")
-        norm, power = _norm_and_power(self.sigma, self.order)
-        if power != MatrixFF.identity(self.field, self.dimension):
+        norm, power = _norm_and_power(sigma, order)
+        if power != MatrixFF.identity(sigma.field, sigma.rows):
             raise ValueError("sigma^n must be the identity")
-        object.__setattr__(self, "norm", norm)
+        self._store(order=order, sigma=sigma, norm=norm)
 
     @property
     def field(self) -> PrimeField:
@@ -54,28 +52,29 @@ class CyclicAction:
         return self.sigma.rows
 
 
-@dataclass(frozen=True)
-class InvolutionSpec:
-    """Input for the order-2 twist x -> -J x^t J^{-1} on n x n matrices."""
+class InvolutionSpec(Record):
+    """Input for the order-2 twist x -> -J x^t J^{-1} on n x n matrices.
 
-    n: int
-    J: MatrixFF
-    J_inv: MatrixFF = dataclasses.field(init=False, repr=False, compare=False)
+    ``J_inv`` is J^{-1}, formed at construction; it is not a field.
+    """
 
-    def __post_init__(self):
-        if self.J.field.p == 2:
+    _fields = ("n", "J")
+    __slots__ = _fields + ("J_inv",)
+
+    def __init__(self, n: int, J: MatrixFF):
+        if J.field.p == 2:
             raise ValueError("the twisted involution needs odd characteristic")
-        if self.J.rows != self.n or self.J.cols != self.n:
+        if J.rows != n or J.cols != n:
             raise ValueError("J must be n x n")
         # inverted here so a singular J fails at construction
-        object.__setattr__(self, "J_inv", mat_inverse(self.J))
+        J_inv = mat_inverse(J)
         # the twist squares to conjugation by J J^{-t}: the identity iff J = +-J^t
-        if self.J.transpose() not in (self.J, -self.J):
+        if J.transpose() not in (J, -J):
             raise ValueError("J must be symmetric or antisymmetric, or the twist is no involution")
+        self._store(n=n, J=J, J_inv=J_inv)
 
 
-@dataclass(frozen=True)
-class CohomologyDims:
+class CohomologyDims(NamedTuple):
     h0: int
     h1: int
     h2: int

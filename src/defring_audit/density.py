@@ -38,12 +38,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .ff import InternalCheckError, _power
+from .ff import InternalCheckError, Record, _power
 
 MAX_GROUP_ORDER = 5040
 MAX_DENSITY_K = 64
@@ -57,10 +56,11 @@ class FiniteGroup:
     Elements are 0..N-1; ``table[a][b]`` is the index of a*b.  The
     identity and inverse table are located on construction; associativity
     is checked exactly for N <= 48 (by Light's test) and spot-checked
-    (deterministically) for larger tables.
+    (deterministically) for larger tables.  The conjugacy classes are found
+    on first use and kept.
     """
 
-    __slots__ = ("order", "table", "identity", "inverse", "name")
+    __slots__ = ("order", "table", "identity", "inverse", "name", "_classes")
 
     def __init__(self, table, name: str = ""):
         table = tuple(tuple(row) for row in table)
@@ -76,6 +76,7 @@ class FiniteGroup:
         self.order = n
         self.table = table
         self.name = name
+        self._classes = None
 
         points = tuple(range(n))
         identity = None
@@ -138,7 +139,13 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def conjugacy_classes(self) -> list[frozenset[int]]:
+    def conjugacy_classes(self) -> tuple[frozenset[int], ...]:
+        """The conjugacy classes, swept by ``_class_orbits`` on the first call only."""
+        if self._classes is None:
+            self._classes = self._class_orbits()
+        return self._classes
+
+    def _class_orbits(self) -> tuple[frozenset[int], ...]:
         """Classes by full orbit enumeration under conjugation."""
         seen = [False] * self.order
         classes = []
@@ -151,7 +158,7 @@ class FiniteGroup:
             for x in orbit:
                 seen[x] = True
             classes.append(frozenset(orbit))
-        return classes
+        return tuple(classes)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name or self.order})"
@@ -520,19 +527,17 @@ def check_density_k(k) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SplitDensityProblem:
+class SplitDensityProblem(Record):
     """Gamma, a subgroup H of Gamma and the rank k of Omega = (Z/2)^k."""
 
-    gamma: FiniteGroup
-    subgroup: frozenset[int]
-    k: int
+    __slots__ = _fields = ("gamma", "subgroup", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "subgroup", frozenset(self.subgroup))
-        check_density_k(self.k)
-        if not is_subgroup(self.gamma, self.subgroup):
+    def __init__(self, gamma: FiniteGroup, subgroup: frozenset[int], k: int):
+        subgroup = frozenset(subgroup)
+        check_density_k(k)
+        if not is_subgroup(gamma, subgroup):
             raise ValueError("H must be a genuine subgroup of Gamma")
+        self._store(gamma=gamma, subgroup=subgroup, k=k)
 
     @property
     def group_order(self) -> int:
@@ -570,8 +575,7 @@ def density(problem: SplitDensityProblem) -> Fraction:
     return 1 - Fraction(_bad_class_total(problem), problem.group_order)
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     density: Fraction
     bound: Fraction
     witness_count: int

@@ -26,13 +26,14 @@ mod p, over F_{p^m} a walk of the field's tables.  Over F_{p^m} the
 matrix product takes each entry from the same ``dot``; over F_p an entry
 is one ``sum(map(...))`` reduced mod p.  ``PrimeField`` and
 ``_vector_ops`` are the only readers of the tables.
+
+``Record`` is the immutable base of the validated inputs of every layer.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -47,6 +48,51 @@ class ScanBudgetExceeded(ValueError):
 
 class InternalCheckError(RuntimeError):
     """A mathematically guaranteed invariant failed; indicates a bug."""
+
+
+class Record:
+    """Immutable value record: equality, hash and repr by the fields in ``_fields``.
+
+    A subclass lists its fields in ``_fields`` and every stored attribute in
+    ``__slots__``; its ``__init__`` checks the arguments and stores them with
+    ``_store``.  Assigning or deleting an attribute afterwards raises
+    AttributeError.  Defining a subclass generates no code, so the layers
+    import quickly.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field values in one C-level call (the bare value for one field)
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def _store(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which checks the values again
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
 # Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
@@ -457,18 +503,16 @@ def embed_field(sub: PrimeField, ext: PrimeField) -> Callable[[int], int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyFF:
+class PolyFF(Record):
     """Polynomial over a PrimeField; coefficients lowest degree first."""
 
-    field: PrimeField
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("field", "coeffs")
 
-    def __post_init__(self):
-        c = list(self.coeffs)
+    def __init__(self, field: PrimeField, coeffs: tuple[int, ...]):
+        c = list(coeffs)
         while c and c[-1] == 0:
             c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        self._store(field=field, coeffs=tuple(c))
 
     def is_zero(self) -> bool:
         return not self.coeffs

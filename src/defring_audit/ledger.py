@@ -12,7 +12,9 @@ hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from .ff import Record
 
 KIND_S = "S"
 KIND_ELL = "ell"
@@ -27,33 +29,32 @@ _KINDS = (KIND_S, KIND_ELL, KIND_ARCH)
 _CONDS = (COND_MIN, COND_SM, COND_CRYS, COND_UNRESTRICTED)
 
 
-@dataclass(frozen=True)
-class LieDims:
+class LieDims(Record):
     """Dimensions of g, g^der, g^ab, b^der and the center z.
 
     dim_z is derived (dim_g - dim_g_der); supplying a conflicting value
     is a validation error.
     """
 
-    dim_g: int
-    dim_g_der: int
-    dim_g_ab: int
-    dim_b_der: int
-    dim_z: int | None = None
+    __slots__ = _fields = ("dim_g", "dim_g_der", "dim_g_ab", "dim_b_der", "dim_z")
 
-    def __post_init__(self):
-        vals = (self.dim_g, self.dim_g_der, self.dim_g_ab, self.dim_b_der)
-        if any(v < 0 for v in vals):
+    def __init__(
+        self, dim_g: int, dim_g_der: int, dim_g_ab: int, dim_b_der: int,
+        dim_z: int | None = None,
+    ):
+        if any(v < 0 for v in (dim_g, dim_g_der, dim_g_ab, dim_b_der)):
             raise ValueError("dimensions must be nonnegative")
-        if self.dim_g != self.dim_g_der + self.dim_g_ab:
+        if dim_g != dim_g_der + dim_g_ab:
             raise ValueError("dim_g must equal dim_g_der + dim_g_ab")
-        if self.dim_b_der > self.dim_g_der:
+        if dim_b_der > dim_g_der:
             raise ValueError("dim_b_der cannot exceed dim_g_der")
-        derived = self.dim_g - self.dim_g_der
-        if self.dim_z is None:
-            object.__setattr__(self, "dim_z", derived)
-        elif self.dim_z != derived:
+        derived = dim_g - dim_g_der
+        if dim_z is None:
+            dim_z = derived
+        elif dim_z != derived:
             raise ValueError("dim_z must equal dim_g - dim_g_der")
+        self._store(dim_g=dim_g, dim_g_der=dim_g_der, dim_g_ab=dim_g_ab,
+                    dim_b_der=dim_b_der, dim_z=dim_z)
 
 
 def gn_dims(n: int) -> LieDims:
@@ -68,8 +69,7 @@ def gn_dims(n: int) -> LieDims:
     )
 
 
-@dataclass(frozen=True)
-class PlaceSpec:
+class PlaceSpec(Record):
     """A typed place with its local condition.
 
     kind "S" (finite, prime-to-l), "ell" (above l, with local degree) or
@@ -77,34 +77,35 @@ class PlaceSpec:
     with sm; archimedean places are always unrestricted.
     """
 
-    kind: str
-    condition: str = COND_UNRESTRICTED
-    local_degree: int = 0
-    delta: int = 0
-    h0_local: int | None = None
+    __slots__ = _fields = ("kind", "condition", "local_degree", "delta", "h0_local")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown place kind {self.kind!r}")
-        if self.condition not in _CONDS:
-            raise ValueError(f"unknown condition {self.condition!r}")
-        if self.condition == COND_MIN and self.kind != KIND_S:
+    def __init__(
+        self, kind: str, condition: str = COND_UNRESTRICTED, local_degree: int = 0,
+        delta: int = 0, h0_local: int | None = None,
+    ):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown place kind {kind!r}")
+        if condition not in _CONDS:
+            raise ValueError(f"unknown condition {condition!r}")
+        if condition == COND_MIN and kind != KIND_S:
             raise ValueError("condition 'min' only applies at S-places")
-        if self.condition in (COND_SM, COND_CRYS) and self.kind != KIND_ELL:
-            raise ValueError(f"condition {self.condition!r} only applies at ell-places")
-        if self.kind == KIND_ARCH and self.condition != COND_UNRESTRICTED:
+        if condition in (COND_SM, COND_CRYS) and kind != KIND_ELL:
+            raise ValueError(f"condition {condition!r} only applies at ell-places")
+        if kind == KIND_ARCH and condition != COND_UNRESTRICTED:
             raise ValueError("archimedean places are unrestricted")
-        if self.kind == KIND_ELL:
-            if self.local_degree < 1:
+        if kind == KIND_ELL:
+            if local_degree < 1:
                 raise ValueError("ell-places need a local degree >= 1")
-        elif self.local_degree != 0:
+        elif local_degree != 0:
             raise ValueError("only ell-places carry a local degree")
-        if self.delta < 0:
+        if delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.delta and self.condition != COND_SM:
+        if delta and condition != COND_SM:
             raise ValueError("delta is only meaningful for the sm condition")
-        if self.h0_local is not None and self.h0_local < 0:
+        if h0_local is not None and h0_local < 0:
             raise ValueError("h0_local must be nonnegative")
+        self._store(kind=kind, condition=condition, local_degree=local_degree,
+                    delta=delta, h0_local=h0_local)
 
 
 def min_place(h0_local: int | None = None) -> PlaceSpec:
@@ -127,28 +128,28 @@ def arch_place(h0_local: int | None = None) -> PlaceSpec:
     return PlaceSpec(KIND_ARCH, COND_UNRESTRICTED, h0_local=h0_local)
 
 
-@dataclass(frozen=True)
-class DeformationSetting:
+class DeformationSetting(Record):
     """Lie dimensions + typed places; the input to all global checks."""
 
-    lie: LieDims
-    deg_F: int
-    places: tuple[PlaceSpec, ...]
-    degrees_complete: bool = True
+    __slots__ = _fields = ("lie", "deg_F", "places", "degrees_complete")
 
-    def __post_init__(self):
-        object.__setattr__(self, "places", tuple(self.places))
-        if self.deg_F < 1:
+    def __init__(
+        self, lie: LieDims, deg_F: int, places: tuple[PlaceSpec, ...],
+        degrees_complete: bool = True,
+    ):
+        places = tuple(places)
+        if deg_F < 1:
             raise ValueError("deg_F must be >= 1")
-        if not self.places:
+        if not places:
             raise ValueError("at least one place is required")
-        if self.degrees_complete:
-            total = sum(p.local_degree for p in self.places if p.kind == KIND_ELL)
-            if total != self.deg_F:
+        if degrees_complete:
+            total = sum(p.local_degree for p in places if p.kind == KIND_ELL)
+            if total != deg_F:
                 raise ValueError(
                     f"degrees-complete setting needs ell degrees summing to deg_F "
-                    f"({total} != {self.deg_F})"
+                    f"({total} != {deg_F})"
                 )
+        self._store(lie=lie, deg_F=deg_F, places=places, degrees_complete=degrees_complete)
 
     @property
     def s_ell_count(self) -> int:
@@ -227,8 +228,7 @@ def gamma(setting: DeformationSetting) -> int:
     return per_place
 
 
-@dataclass(frozen=True)
-class PlaceDim:
+class PlaceDim(NamedTuple):
     index: int
     kind: str
     condition: str
@@ -237,8 +237,7 @@ class PlaceDim:
     dim: int
 
 
-@dataclass(frozen=True)
-class FrameworkVerdict:
+class FrameworkVerdict(NamedTuple):
     gamma: int
     r0: int
     gen_bound: int
@@ -246,7 +245,7 @@ class FrameworkVerdict:
     margin: int
     smooth: bool
     unframed_dim: int
-    diagnostics: tuple[PlaceDim, ...] = field(repr=False)
+    diagnostics: tuple[PlaceDim, ...]
 
 
 def framework_check(setting: DeformationSetting) -> FrameworkVerdict:
@@ -285,20 +284,20 @@ def framework_check(setting: DeformationSetting) -> FrameworkVerdict:
     )
 
 
-@dataclass(frozen=True)
-class SelmerInput:
+class SelmerInput(Record):
     """Global h^0 terms and per-place (dim L_v, h^0_v) pairs."""
 
-    h0_global: int
-    h0_global_dual: int
-    local_pairs: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("h0_global", "h0_global_dual", "local_pairs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "local_pairs", tuple(tuple(p) for p in self.local_pairs))
-        if self.h0_global < 0 or self.h0_global_dual < 0:
+    def __init__(
+        self, h0_global: int, h0_global_dual: int, local_pairs: tuple[tuple[int, int], ...],
+    ):
+        local_pairs = tuple(tuple(p) for p in local_pairs)
+        if h0_global < 0 or h0_global_dual < 0:
             raise ValueError("global h^0 terms must be nonnegative")
-        if any(l < 0 or h < 0 for l, h in self.local_pairs):
+        if any(l < 0 or h < 0 for l, h in local_pairs):
             raise ValueError("local entries must be nonnegative")
+        self._store(h0_global=h0_global, h0_global_dual=h0_global_dual, local_pairs=local_pairs)
 
 
 def greenberg_wiles_diff(si: SelmerInput) -> int:
@@ -310,8 +309,7 @@ def greenberg_wiles_diff(si: SelmerInput) -> int:
     )
 
 
-@dataclass(frozen=True)
-class DualSelmerVerdict:
+class DualSelmerVerdict(NamedTuple):
     vanishes: bool
     dual_dim: int
     tangent_dim: int

@@ -10,12 +10,12 @@ the Young diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .ff import (
     MatrixFF,
     PrimeField,
+    Record,
     _echelon,
     block_diag,
     mk_field,
@@ -35,20 +35,23 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing positive parts; n is their sum."""
+class Partition(Record):
+    """Weakly decreasing positive integer parts; n is their sum."""
 
-    parts: tuple[int, ...]
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(x) for x in self.parts))
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(parts)
+        for x in parts:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"parts must be integers, got {x!r}")
+        if not parts:
             raise ValueError("partition must be nonempty")
-        if any(x < 1 for x in self.parts):
+        if any(x < 1 for x in parts):
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
+        self._store(parts=parts)
 
     @property
     def n(self) -> int:
@@ -138,8 +141,7 @@ def theta(lam: Partition, field: PrimeField | None = None) -> Partition:
     return kernel_sequence(nabla_matrix(lam, field))
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     checked: int
     failures: tuple[tuple[str, str, str], ...]  # (partition, theta, conjugate)
 

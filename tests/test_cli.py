@@ -477,11 +477,19 @@ def test_integer_partition_list_and_string_parse_alike():
     assert as_list["verdicts"] == as_text["verdicts"] == {"input": "2,1", "theta": "2,1"}
 
 
-def test_importing_the_cli_starts_no_thread_machinery():
+# modules an import of the package must not load: thread machinery, and
+# dataclasses with the source-inspection modules it pulls in (~8 ms cold)
+_FORBIDDEN_AT_IMPORT = (
+    "concurrent.futures", "logging", "threading",
+    "dataclasses", "inspect", "ast", "dis", "tokenize",
+)
+
+
+def _forbidden_modules_loaded_by(module: str) -> str:
     code = (
-        "import sys; before = set(sys.modules); import defring_audit.cli; "
+        f"import sys; before = set(sys.modules); import {module}; "
         "added = set(sys.modules) - before; "
-        "print(sorted({'concurrent.futures', 'logging', 'threading'} & added))"
+        f"print(sorted(set({_FORBIDDEN_AT_IMPORT!r}) & added))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
@@ -489,7 +497,16 @@ def test_importing_the_cli_starts_no_thread_machinery():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_starts_no_thread_machinery():
+    assert _forbidden_modules_loaded_by("defring_audit.cli") == "[]"
+
+
+def test_importing_the_library_starts_no_thread_machinery():
+    # the library-scan entry imports the package without the CLI
+    assert _forbidden_modules_loaded_by("defring_audit") == "[]"
 
 
 # ---------------------------------------------------------------------------

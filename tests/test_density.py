@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from defring_audit.density import (
     trivial_group,
 )
 from defring_audit import density as density_module
-from defring_audit.acceptance import enumerated_density, enumerated_xi
+from defring_audit.acceptance import c08_density_bound, enumerated_density, enumerated_xi
 from defring_audit.ff import InternalCheckError
 
 
@@ -486,6 +487,24 @@ def test_broken_class_partition_raises_internal_check(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "conjugacy_classes", lambda self: real(self)[1:])
     with pytest.raises(InternalCheckError, match="partition"):
         density(problem)
+
+
+def test_classes_are_swept_once_per_group_across_c08(monkeypatch):
+    # c08 certifies 123 problems over five groups (S4 90 times, S3 18 times);
+    # every certificate reads the classes its group keeps from one sweep
+    symmetric_group.cache_clear()  # so S3 and S4 are built, and swept, afresh
+    swept = Counter()
+    real = FiniteGroup._class_orbits
+
+    def counted(group):
+        swept[group] += 1
+        return real(group)
+
+    monkeypatch.setattr(FiniteGroup, "_class_orbits", counted)
+    ok, detail = c08_density_bound()
+    assert ok, detail
+    assert sorted(group.order for group in swept) == [1, 2, 3, 6, 24]
+    assert set(swept.values()) == {1}
 
 
 def test_subgroup_without_identity_raises_internal_check():

@@ -59,6 +59,13 @@ def test_partition_validation():
         Partition((2, 0))
 
 
+@pytest.mark.parametrize("parts", [(2.9, 1), (3.0,), ("3", 1), (3, True), (False,), (2, None)])
+def test_partition_refuses_parts_that_are_not_integers(parts):
+    # int() would read each of these; a part must already be an int
+    with pytest.raises(ValueError, match="parts must be integers"):
+        Partition(parts)
+
+
 def test_partition_parse_and_str():
     lam = Partition.parse("3,1")
     assert lam == Partition((3, 1))
