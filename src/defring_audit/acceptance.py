@@ -1,16 +1,18 @@
 """The acceptance suite: twelve exact criteria, one function each.
 
 Each criterion is a self-contained check with its own independent route
-(hand-counted values, or an oracle below: cofactor expansion for the
-charpoly, enumeration of G for the splitting density, which the tests
-also use).  ``run_all`` executes them in order and reports exact pass/fail
-verdicts with elapsed times; the CLI subcommand ``verify-all`` and the
-pytest acceptance module both drive this registry.
+(hand-counted values, or an oracle below, which the tests also use: the
+cofactor expansion of one integer matrix, by Kronecker substitution, for
+the charpoly; enumeration of G for the splitting density).  ``run_all``
+executes them in order and reports exact pass/fail verdicts with elapsed
+times; the CLI subcommand ``verify-all`` and the pytest acceptance module
+both drive this registry.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,6 +24,7 @@ from . import ledger
 from . import partitions as parts
 from . import taylor
 from .ff import (
+    InternalCheckError,
     MatrixFF,
     PolyFF,
     charpoly,
@@ -52,70 +55,59 @@ class CriterionResult(NamedTuple):
 
 
 def cofactor_charpoly(M: MatrixFF) -> PolyFF:
-    """det(T*I - M) by cofactor expansion over polynomial entries.
+    """det(T*I - M) by cofactor expansion of one integer matrix.
 
-    Completely separate route from the production characteristic
-    polynomial: entries of T*I - M are coefficient lists, and the
-    determinant is expanded along the first remaining row (minors
-    memoized by column subset).
+    A route apart from the production charpoly: it calls no field
+    arithmetic.  Each entry of T*I - M becomes one integer by Kronecker
+    substitution (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    8.4): an element's coefficient vector is read in base 2^k, and T
+    becomes 2^(k*D), with D = n(m-1) + 1 above the degree in the generator
+    of any minor.  Each coefficient of the integer determinant has
+    |c| <= n!*(mp)^n < 2^(k-1), so it is one balanced base-2^k digit.  The
+    expansion runs along the rows with minors filled bottom-up by column
+    bitmask; the digits are reduced mod p, then mod the field's modulus.
+    A nonzero leftover past the last digit raises InternalCheckError.
     """
     f = M.field
-    n = M.rows
-    if n == 0:
-        return PolyFF(f, (1,))
-
-    def padd(a, b):
-        out = [0] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def pmul(a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = f.add(out[i + j], f.mul(x, y))
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    entry = [
-        [
-            [f.neg(M.at(i, j)), 1] if i == j else
-            ([f.neg(M.at(i, j))] if M.at(i, j) else [])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    memo: dict[tuple[int, ...], list[int]] = {}
-
-    def minor(cols: tuple[int, ...]) -> list[int]:
-        if not cols:
-            return [1]
-        if cols in memo:
-            return memo[cols]
-        row = n - len(cols)
-        acc: list[int] = []
-        for pos, col in enumerate(cols):
-            e = entry[row][col]
-            if not e:
-                continue
-            term = pmul(e, minor(cols[:pos] + cols[pos + 1 :]))
-            if pos % 2 == 1:
-                term = [f.neg(c) for c in term]
-            acc = padd(acc, term)
-        memo[cols] = acc
-        return acc
-
-    return PolyFF(f, tuple(minor(tuple(range(n)))))
+    n, p, m = M.rows, f.p, f.m
+    k = (math.factorial(n) * (m * p) ** n).bit_length() + 1
+    D = n * (m - 1) + 1
+    if m == 1:
+        entries = [-e for e in M.entries]
+    else:
+        entries = [-sum(c << k * i for i, c in enumerate(f.coeffs(e))) for e in M.entries]
+    for i in range(n):
+        entries[i * n + i] += 1 << k * D
+    rows = [entries[i * n : (i + 1) * n] for i in range(n)]
+    minors = [1] * (1 << n)
+    for cols in range(1, 1 << n):
+        row, acc, sign, rest = rows[n - cols.bit_count()], 0, 1, cols
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            entry = row[bit.bit_length() - 1]
+            if entry:
+                acc += sign * entry * minors[cols ^ bit]
+            sign = -sign
+        minors[cols] = acc
+    det, half = minors[-1], 1 << k - 1
+    digits = []
+    for _ in range((n + 1) * D):
+        d = (det + half) % (1 << k) - half
+        digits.append(d % p)
+        det = (det - d) >> k
+    if det:
+        raise InternalCheckError(f"cofactor digits of width {k} overflow")
+    coeffs = []
+    for b in range(0, len(digits), D):
+        c = digits[b : b + D]
+        for top in range(D - 1, m - 1, -1):
+            lead = c[top]
+            if lead:
+                for i, g in enumerate(f.modulus):
+                    c[top - m + i] = (c[top - m + i] - lead * g) % p
+        coeffs.append(f.encode(c[:m]))
+    return PolyFF(f, tuple(coeffs))
 
 
 def enumerated_xi(problem: dens.SplitDensityProblem) -> frozenset[tuple[int, int, int]]:
@@ -351,6 +343,7 @@ def c11_charpoly_oracle(max_n: int = 10, seed: int = 0) -> tuple[bool, str]:
         if charpoly(M) != cofactor_charpoly(M):
             return False, f"{n}x{n} mismatch over {f}"
         count += 1
+    # perfbench/golden.json pins this line until ROADMAP item 4 rewords it
     return True, f"{count} matrices: division-free charpoly = cofactor expansion"
 
 

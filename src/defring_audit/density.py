@@ -71,7 +71,7 @@ class FiniteGroup:
             raise ValueError(f"group order {n} exceeds the budget {MAX_GROUP_ORDER}")
         if any(len(row) != n for row in table):
             raise ValueError("multiplication table must be square")
-        if any(min(row) < 0 or max(row) >= n for row in table):
+        if not set().union(*table) <= set(range(n)):
             raise ValueError("table entries must be element indices")
         self.order = n
         self.table = table
@@ -140,9 +140,13 @@ class FiniteGroup:
         return range(self.order)
 
     def conjugacy_classes(self) -> tuple[frozenset[int], ...]:
-        """The conjugacy classes, swept by ``_class_orbits`` on the first call only."""
+        """The conjugacy classes, swept by ``_class_orbits`` and checked to
+        partition the group on the first call only."""
         if self._classes is None:
-            self._classes = self._class_orbits()
+            classes = self._class_orbits()
+            if sorted(itertools.chain.from_iterable(classes)) != list(self.elements()):
+                raise InternalCheckError("conjugacy classes do not partition Gamma")
+            self._classes = classes
         return self._classes
 
     def _class_orbits(self) -> tuple[frozenset[int], ...]:
@@ -556,8 +560,6 @@ def _bad_class_total(problem: SplitDensityProblem) -> int:
     n = gamma.order
     t = gamma.table
     classes = gamma.conjugacy_classes()
-    if sorted(itertools.chain.from_iterable(classes)) != list(gamma.elements()):
-        raise InternalCheckError("conjugacy classes do not partition Gamma")
     into_h = set().union(*(c for c in classes if not c.isdisjoint(problem.subgroup)))
     powers = _power(
         [next(iter(c)) for c in classes], n // (n & -n),

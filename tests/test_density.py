@@ -273,6 +273,15 @@ def test_table_without_identity_rejected():
         FiniteGroup([[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_table_entries_outside_the_indices_are_rejected(bad):
+    # -1 would otherwise index the last row, and 4 past it
+    table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    table[2][1] = bad
+    with pytest.raises(ValueError, match="table entries must be element indices"):
+        FiniteGroup(table)
+
+
 def test_conjugacy_classes_of_s3():
     s3 = symmetric_group(3)
     sizes = sorted(len(c) for c in s3.conjugacy_classes())
@@ -481,10 +490,12 @@ def test_closed_form_at_the_largest_k_needs_no_enumeration():
 
 
 def test_broken_class_partition_raises_internal_check(monkeypatch):
-    s3 = symmetric_group(3)
+    # a fresh group, so its classes are swept (and checked) under the patch;
+    # the cached symmetric_group(3) may already keep its classes
+    s3 = FiniteGroup(symmetric_group(3).table)
     problem = SplitDensityProblem(s3, frozenset({s3.identity}), 1)
-    real = FiniteGroup.conjugacy_classes
-    monkeypatch.setattr(FiniteGroup, "conjugacy_classes", lambda self: real(self)[1:])
+    real = FiniteGroup._class_orbits
+    monkeypatch.setattr(FiniteGroup, "_class_orbits", lambda self: real(self)[1:])
     with pytest.raises(InternalCheckError, match="partition"):
         density(problem)
 

@@ -476,13 +476,118 @@ def test_charpoly_of_identity_is_t_minus_one_power(n):
     assert charpoly(MatrixFF.identity(f, n)) == target
 
 
+def _polynomial_cofactor_charpoly(M):
+    """det(T*I - M) by cofactor expansion over coefficient lists with f.add/f.mul.
+
+    The oracle of ``cofactor_charpoly``: the same expansion along the first
+    remaining row (minors memoized by column subset), with every entry a
+    polynomial in T over the field instead of one integer.
+    """
+    f = M.field
+    n = M.rows
+
+    def padd(a, b):
+        out = [0] * max(len(a), len(b))
+        for i, c in enumerate(a):
+            out[i] = c
+        for i, c in enumerate(b):
+            out[i] = f.add(out[i], c)
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def pmul(a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = f.add(out[i + j], f.mul(x, y))
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    entry = [
+        [
+            [f.neg(M.at(i, j)), 1] if i == j else
+            ([f.neg(M.at(i, j))] if M.at(i, j) else [])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    memo = {}
+
+    def minor(cols):
+        if not cols:
+            return [1]
+        if cols in memo:
+            return memo[cols]
+        row = n - len(cols)
+        acc = []
+        for pos, col in enumerate(cols):
+            e = entry[row][col]
+            if not e:
+                continue
+            term = pmul(e, minor(cols[:pos] + cols[pos + 1 :]))
+            if pos % 2 == 1:
+                term = [f.neg(c) for c in term]
+            acc = padd(acc, term)
+        memo[cols] = acc
+        return acc
+
+    return PolyFF(f, tuple(minor(tuple(range(n)))))
+
+
+def _every_matrix(field, n):
+    q = field.order
+    for code in range(q ** (n * n)):
+        yield MatrixFF(field, n, n, [(code // q**i) % q for i in range(n * n)])
+
+
 def test_charpoly_matches_cofactor_oracle_exhaustively_2x2():
     for field in (F2, F3):
-        q = field.order
-        for code in range(q**4):
-            es = [(code // q**i) % q for i in range(4)]
-            M = MatrixFF(field, 2, 2, es)
-            assert charpoly(M) == cofactor_charpoly(M)
+        for M in _every_matrix(field, 2):
+            want = _polynomial_cofactor_charpoly(M)
+            assert charpoly(M) == cofactor_charpoly(M) == want
+
+
+def test_cofactor_oracle_matches_the_polynomial_expansion_on_every_3x3_over_f2():
+    for M in _every_matrix(F2, 3):
+        assert cofactor_charpoly(M) == _polynomial_cofactor_charpoly(M) == charpoly(M)
+
+
+@pytest.mark.parametrize("field", [F101, mk_field(7, 2)], ids=repr)
+@pytest.mark.parametrize("fill", ["q - 1", "-1"])
+def test_cofactor_oracle_at_the_widest_digits(field, fill):
+    # every entry q - 1 has all its coefficients at p - 1 and every entry -1
+    # is -1 in F_p: the largest integer entries; c*J has charpoly T^4 (T - 5c)
+    value = field.order - 1 if fill == "q - 1" else field.neg(1)
+    M = MatrixFF(field, 5, 5, [value] * 25)
+    want = _polynomial_cofactor_charpoly(M)
+    assert cofactor_charpoly(M) == charpoly(M) == want
+    assert want.coeffs[:4] == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (2, 4), (7, 2)])
+def test_cofactor_oracle_calls_no_field_arithmetic(monkeypatch, p, m):
+    field = mk_field(p, m)
+    rng = random.Random(f"independent oracle {field!r}")
+    matrices = [
+        MatrixFF(field, n, n, [rng.randrange(field.order) for _ in range(n * n)])
+        for n in (0, 1, 2, 3, 4, 5)
+        for _ in range(3)
+    ]
+    before = [cofactor_charpoly(M) for M in matrices]
+
+    def refused(*args):
+        raise AssertionError("the cofactor oracle called field arithmetic")
+
+    for name in ("add", "sub", "mul", "neg", "inv", "pow"):
+        monkeypatch.setattr(PrimeField, name, refused)
+    with pytest.raises(AssertionError):
+        field.add(1, 1)
+    assert [cofactor_charpoly(M) for M in matrices] == before
 
 
 @settings(max_examples=60, deadline=None)
@@ -661,7 +766,7 @@ def test_charpoly_matches_berkowitz_and_cofactor_expansion(field):
         want = _berkowitz_charpoly(M)
         assert charpoly(M) == want
         if M.rows <= 5:
-            assert cofactor_charpoly(M) == want
+            assert cofactor_charpoly(M) == _polynomial_cofactor_charpoly(M) == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
