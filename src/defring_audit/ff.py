@@ -15,7 +15,7 @@ For m >= 2 a field carries log/antilog tables of a primitive element and
 a Zech-logarithm table, so add, sub, neg, mul, inv and pow are O(1)
 lookups; the tables change no encoding and no result.  Their size caps
 extension fields at MAX_FIELD_ORDER = 2^20 elements, which is also the
-default budget of the splitting-field scan.  Prime fields F_p need no
+default budget of the splitting-field search.  Prime fields F_p need no
 tables; p is capped only by the exact primality test, at MAX_PRIMALITY_N.
 
 Rank, kernel dimensions, eigenspaces and inverses share one elimination
@@ -27,23 +27,31 @@ matrix product takes each entry from the same ``dot``; over F_p an entry
 is one ``sum(map(...))`` reduced mod p.  ``PrimeField`` and
 ``_vector_ops`` are the only readers of the tables.
 
+Eigenvalues live in the splitting field L = F_{q^D} of the characteristic
+polynomial over K = F_q.  The roots in K come from a scan of K; the rest
+is split by distinct-degree factorization, whose factor degrees give D, so
+L is the only extension field built.  A root of a degree-e factor is
+sought only in L's subfield of q^e elements, each candidate costing one
+Horner evaluation, and ``embed_field`` finds its root in the same way.
+
 ``Record`` is the immutable base of the validated inputs of every layer.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 # Largest extension field F_{p^m}, m >= 2, that is built; also the default
-# budget of the splitting-field scan.
+# budget of the splitting-field search.
 MAX_FIELD_ORDER = 2**20
 
 
 class ScanBudgetExceeded(ValueError):
-    """Root scanning would need an extension field beyond the budget."""
+    """The splitting field of a characteristic polynomial is beyond the budget."""
 
 
 class InternalCheckError(RuntimeError):
@@ -172,8 +180,11 @@ def _power(x, e: int, mul: Callable, one):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic over the prime field F_p (coefficient lists of ints,
-# lowest degree first).  Used for modulus selection and by the table builder.
+# Polynomial arithmetic over F_p (coefficient lists of encoded elements, lowest
+# degree first), in plain integer loops mod p: the modulus search and the table
+# builder use it before any F_{p^m} exists.  Remainder, exact division and gcd
+# also work over an extension field K of F_p when K is given, calling K; the
+# splitting-field search needs no product over K.
 # ---------------------------------------------------------------------------
 
 
@@ -212,27 +223,48 @@ def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
-def _prem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a = list(a)
+def _prem(
+    a: Sequence[int], b: Sequence[int], p: int, K: PrimeField | None = None, quot=None
+) -> list[int]:
+    """Remainder of a by a nonzero b.  With ``quot``, a list of zeros of
+    length deg a - deg b + 1, the quotient's coefficients are written to it."""
+    a = _ptrim(list(a))
     db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    _ptrim(a)
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - db
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _ptrim(a)
+    if K is None:
+        inv_lead = pow(b[-1], p - 2, p)
+        while len(a) > db:
+            c = (a[-1] * inv_lead) % p
+            shift = len(a) - 1 - db
+            if quot is not None:
+                quot[shift] = c
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bi) % p
+            _ptrim(a)
+    else:
+        inv_lead, sub, mul = K.inv(b[-1]), K.sub, K.mul
+        while len(a) > db:
+            c = mul(a[-1], inv_lead)
+            shift = len(a) - 1 - db
+            if quot is not None:
+                quot[shift] = c
+            for i, bi in enumerate(b):
+                a[shift + i] = sub(a[shift + i], mul(c, bi))
+            _ptrim(a)
     return a
 
 
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+def _pdiv(a: Sequence[int], b: Sequence[int], p: int, K: PrimeField | None = None) -> list[int]:
+    """a / b for a b that divides a."""
+    quot = [0] * (len(a) - len(b) + 1)
+    _prem(a, b, p, K, quot)
+    return quot
+
+
+def _pgcd(a: Sequence[int], b: Sequence[int], p: int, K: PrimeField | None = None) -> list[int]:
+    """A gcd of a and b, not made monic ([] when both are zero)."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, _prem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
+        a, b = b, _prem(a, b, p, K)
     return a
 
 
@@ -426,6 +458,15 @@ class PrimeField:
     def elements(self) -> range:
         return range(self.order)
 
+    def subfield(self, order: int) -> list[int]:
+        """The elements of the subfield of ``order`` = p^e elements, e | m, m >= 2.
+
+        Zero, then g^(j(q-1)/(order-1)) for 0 <= j < order - 1, with g the
+        primitive element of the tables: log order, not encoding order.
+        """
+        n = self.order - 1
+        return [0] + self._exp[: n : n // (order - 1)]
+
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -472,7 +513,9 @@ def embed_field(sub: PrimeField, ext: PrimeField) -> Callable[[int], int]:
 
     The generator of the subfield is sent to the smallest root (by
     integer encoding) of the subfield modulus in the extension, so the
-    embedding is deterministic.  Prime subfields embed as constants.
+    embedding is deterministic.  The roots are sought only in the
+    extension's subfield of sub.order elements, where they all lie.
+    Prime subfields embed as constants.
     """
     if sub == ext:
         return lambda a: a
@@ -480,8 +523,8 @@ def embed_field(sub: PrimeField, ext: PrimeField) -> Callable[[int], int]:
         raise ValueError("target is not an extension of the source field")
     if sub.m == 1:
         return lambda a: a
-    modulus = PolyFF(ext, sub.modulus)
-    root = next((z for z in ext.elements() if modulus.evaluate(z) == 0), None)
+    horner = _vector_ops(ext)[3]
+    root = min((z for z in ext.subfield(sub.order) if horner(sub.modulus, z) == 0), default=None)
     if root is None:
         raise InternalCheckError("subfield modulus has no root in extension")
     powers = [1]
@@ -518,11 +561,7 @@ class PolyFF(Record):
         return not self.coeffs
 
     def evaluate(self, x: int) -> int:
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
+        return _vector_ops(self.field)[3](self.coeffs, x)
 
     def __mul__(self, other: "PolyFF") -> "PolyFF":
         f = self._common_field(other)
@@ -727,13 +766,14 @@ def block_diag(blocks: Sequence[MatrixFF], field: PrimeField | None = None) -> M
 
 
 def _vector_ops(f: PrimeField):
-    """``(scale, axpy, dot)`` on lists of encoded elements of ``f``.
+    """``(scale, axpy, dot, horner)`` on lists of encoded elements of ``f``.
 
     ``scale(c, y)`` is c*y, ``axpy(x, c, y)`` is x - c*y and ``dot(x, y)``
-    is the sum of the x_j y_j; zip stops at the shorter list.  Over F_p
-    each is one comprehension or ``sum(map(...))`` reduced mod p.  Over
-    F_{p^m} each walks the log/exp/Zech tables instead of calling the
-    field per entry.
+    is the sum of the x_j y_j; zip stops at the shorter list.
+    ``horner(c, x)`` is the polynomial with coefficients c (lowest degree
+    first) at x.  Over F_p each is one comprehension, ``sum(map(...))`` or
+    integer loop reduced mod p.  Over F_{p^m} each walks the log/exp/Zech
+    tables instead of calling the field per entry.
     """
     if f.m == 1:
         p, mul = f.p, operator.mul
@@ -747,7 +787,13 @@ def _vector_ops(f: PrimeField):
         def dot(x: list[int], y: list[int]) -> int:
             return sum(map(mul, x, y)) % p
 
-        return scale, axpy, dot
+        def horner(c: Sequence[int], x: int) -> int:
+            acc = 0
+            for a in reversed(c):
+                acc = (acc * x + a) % p
+            return acc
+
+        return scale, axpy, dot, horner
 
     exp, log, zech = f._exp, f._log, f._zech
     n = f.order - 1
@@ -787,7 +833,27 @@ def _vector_ops(f: PrimeField):
                     s = v
         return s
 
-    return scale, axpy, dot
+    def horner(c: Sequence[int], x: int) -> int:
+        if not x:
+            return c[0] if c else 0
+        lx = log[x]
+        s = 0
+        for a in reversed(c):
+            if s:
+                ls = log[s] + lx  # log(s*x), reduced below q - 1
+                if ls >= n:
+                    ls -= n
+                if a:
+                    # a + s*x = g^ls (1 + g^(log a - ls)); a negative index wraps
+                    z = zech[log[a] - ls]
+                    s = 0 if z is None else exp[ls + z]
+                else:
+                    s = exp[ls]
+            else:
+                s = a
+        return s
+
+    return scale, axpy, dot, horner
 
 
 def _echelon(
@@ -802,7 +868,7 @@ def _echelon(
     ``ncols`` columns.  With ``full`` every pivot column is also cleared
     above its pivot (Gauss-Jordan), giving the reduced echelon form.
     """
-    scale, axpy, _ = _vector_ops(field)
+    scale, axpy, _, _ = _vector_ops(field)
     nrows = len(rows)
     rank = 0
     for col in range(ncols):
@@ -863,7 +929,7 @@ def charpoly(M: MatrixFF) -> PolyFF:
         raise ValueError("charpoly needs a square matrix")
     f = M.field
     n = M.rows
-    _, axpy, dot = _vector_ops(f)
+    _, axpy, dot, _ = _vector_ops(f)
     mul = f.mul
     H = M.to_lists()
     for m in range(1, n - 1):
@@ -916,55 +982,119 @@ def is_unipotent(M: MatrixFF) -> bool:
     return (M - MatrixFF.identity(M.field, n)).matpow(n).is_zero()
 
 
-def _synthetic_div(coeffs: list[int], z: int, f: PrimeField) -> tuple[list[int], int]:
-    # divide by (T - z); coeffs lowest degree first, length >= 2
-    n = len(coeffs) - 1
-    q = [0] * n
-    acc = coeffs[n]
-    for i in range(n - 1, -1, -1):
-        q[i] = acc
-        acc = f.add(coeffs[i], f.mul(z, acc))
-    return q, acc
+def _over_budget(limit: int) -> ScanBudgetExceeded:
+    return ScanBudgetExceeded(
+        f"splitting field of the characteristic polynomial needs more than "
+        f"{limit} elements"
+    )
+
+
+def _peel_roots(
+    poly: list[int], candidates: Iterable[int], f: PrimeField
+) -> tuple[list[int], list[int]]:
+    """The roots of the monic ``poly`` among ``candidates``, with multiplicity,
+    and the quotient left once they are divided out.  Each candidate costs
+    one Horner evaluation; synthetic division runs only at a root."""
+    horner = _vector_ops(f)[3]
+    add, mul = f.add, f.mul
+    roots: list[int] = []
+    for z in candidates:
+        # the quotient stays monic, and a constant 1 has no root
+        while horner(poly, z) == 0:
+            # synthetic division by T - z: q_(n-1) = c_n, q_(i-1) = c_i + z q_i
+            poly = poly[1:]
+            for i in range(len(poly) - 2, -1, -1):
+                poly[i] = add(poly[i], mul(z, poly[i + 1]))
+            roots.append(z)
+        if len(poly) == 1:
+            break
+    return roots, poly
+
+
+def _factor_degrees(f: list[int], K: PrimeField, limit: int) -> list[int]:
+    """Degrees of the irreducible factors of a monic f over K with no root in K.
+
+    Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 14): for d = 2, 3, ..., gcd(T^(q^d) - T, f) is the product
+    of the distinct degree-d factors, which are divided out with their
+    repeated copies.  Once deg f < 2d every factor left has degree >= d, so f
+    is irreducible.  Raises ScanBudgetExceeded as soon as a factor of degree
+    d is certain and q^d > limit.
+    """
+    q, p = K.order, K.p
+    ext = K if K.m > 1 else None  # the integer loops serve F_p
+    degrees: list[int] = []
+    frob, reached = [0, 1], 0  # frob = T^(q^reached) mod f
+    d = 2
+    while len(f) - 1 >= 2 * d:
+        if q**d > limit:
+            raise _over_budget(limit)
+        for _ in range(d - reached):
+            # x^q = sum x_i T^(qi) for x in K[T], as x_i^q = x_i: a remainder,
+            # and no product (q <= 1024 here, since q^2 <= MAX_FIELD_ORDER)
+            x, frob = frob, [0] * (q * (len(frob) - 1) + 1)
+            frob[::q] = x
+            frob = _prem(frob, f, p, ext)
+        reached = d
+        h = frob + [0] * (2 - len(frob))
+        h[1] = K.sub(h[1], 1)
+        g = _pgcd(f, _ptrim(h), p, ext)
+        if len(g) > 1:
+            degrees.append(d)
+            if len(f) - 1 < 2 * d + 2:
+                # f = g1 * r, g1 of degree d and deg r in {d, d + 1}: r is
+                # irreducible, since each factor of r has degree >= d
+                degrees.append(len(f) - 1 - d)
+                return degrees
+            f = _pdiv(f, g, p, ext)
+            while len(g) > 1:
+                g = _pgcd(f, g, p, ext)
+                f = _pdiv(f, g, p, ext)
+            frob = _prem(frob, f, p, ext)
+        d += 1
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
 
 
 def eigenvalues_in_splitting_field(
     M: MatrixFF, budget: int = MAX_FIELD_ORDER
 ) -> tuple[PrimeField, tuple[int, ...]]:
-    """All n eigenvalues of M, located in a common extension field.
+    """All n eigenvalues of M, located in its splitting field L.
 
-    Scans extensions F_{p^{m*d}} for d = 1, 2, ... in order, peeling
-    roots of the characteristic polynomial off by synthetic division
-    until all n are found; the scan is exhaustive and deterministic.
-    Raises ScanBudgetExceeded once the candidate extension would have
-    more than ``budget`` elements, or more than MAX_FIELD_ORDER.
+    The roots in K = M.field come from a scan of K.  Distinct-degree
+    factorization of the rest gives the degrees e of its irreducible
+    factors, so L = F_{q^D} with D their lcm is the only field built; each
+    root of a degree-e factor is found by a scan of L's subfield of q^e
+    elements.  The result is deterministic: L is the canonical field of
+    its order, K embeds by ``embed_field``, and the roots come sorted by
+    encoding.  Raises ScanBudgetExceeded, before L is built, when L would
+    have more than ``budget`` elements or more than MAX_FIELD_ORDER.
     """
     if M.rows != M.cols:
         raise ValueError("eigenvalues of a non-square matrix")
     K = M.field
-    n = M.rows
     chi = charpoly(M)
-    if n == 0:
+    if M.rows == 0:
         return K, ()
     limit = min(budget, MAX_FIELD_ORDER)
-    d = 1
-    while K.order**d <= limit:
-        L = K if d == 1 else mk_field(K.p, K.m * d)
-        emb = embed_field(K, L)
-        poly = [emb(c) for c in chi.coeffs]
-        roots: list[int] = []
-        for z in L.elements():
-            while len(poly) > 1:
-                q, rem = _synthetic_div(poly, z, L)
-                if rem != 0:
-                    break
-                roots.append(z)
-                poly = q
-            if len(poly) == 1:
-                break
-        if len(roots) == n:
-            return L, tuple(sorted(roots))
-        d += 1
-    raise ScanBudgetExceeded(
-        f"splitting field of the characteristic polynomial needs more than "
-        f"{limit} elements"
-    )
+    if K.order > limit:
+        raise _over_budget(limit)
+    roots, rest = _peel_roots(list(chi.coeffs), K.elements(), K)
+    if len(rest) == 1:
+        return K, tuple(sorted(roots))
+    degrees = _factor_degrees(rest, K, limit)
+    D = math.lcm(*degrees)
+    # q >= 2, so D >= bit_length(limit) is over the budget without forming q^D
+    if D >= limit.bit_length() or K.order**D > limit:
+        raise _over_budget(limit)
+    L = mk_field(K.p, K.m * D)
+    emb = embed_field(K, L)
+    roots = [emb(z) for z in roots]
+    rest = [emb(c) for c in rest]
+    for e in sorted(set(degrees)):
+        found, rest = _peel_roots(rest, L.subfield(K.order**e), L)
+        roots += found
+    if len(rest) != 1:
+        raise InternalCheckError("a factor's roots are missing from its subfield")
+    return L, tuple(sorted(roots))

@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 import itertools
 import random
@@ -860,8 +861,17 @@ def test_eigenvalues_over_extension_base_field():
     assert all(lifted.evaluate(z) == 0 for z in roots)
 
 
-@pytest.mark.parametrize("p, m, big_m", [(2, 2, 4), (3, 2, 4), (2, 3, 6)])
-def test_embed_field_sends_the_generator_to_the_smallest_root(p, m, big_m):
+@pytest.fixture
+def fresh_field_cache(monkeypatch):
+    """ff.mk_field behind an empty cache of its own, so cache_info() counts
+    the fields one call builds."""
+    cached = functools.lru_cache(maxsize=None)(ff.mk_field.__wrapped__)
+    monkeypatch.setattr(ff, "mk_field", cached)
+    return cached
+
+
+@pytest.mark.parametrize("p, m, big_m", [(2, 2, 4), (3, 2, 4), (2, 3, 6), (2, 2, 12)])
+def test_embed_field_sends_the_generator_to_the_smallest_root(fresh_field_cache, p, m, big_m):
     sub, ext = mk_field(p, m), mk_field(p, big_m)
 
     def modulus_at(z):
@@ -873,6 +883,7 @@ def test_embed_field_sends_the_generator_to_the_smallest_root(p, m, big_m):
 
     roots = [z for z in ext.elements() if modulus_at(z) == 0]
     emb = embed_field(sub, ext)
+    assert fresh_field_cache.cache_info().misses == 0  # the root search builds no field
     assert emb(p) == min(roots)  # the encoding p is the generator T
     for a, b in itertools.product(sub.elements(), repeat=2):
         assert emb(sub.mul(a, b)) == ext.mul(emb(a), emb(b))
@@ -897,6 +908,266 @@ def test_scan_stops_at_the_field_order_cap():
     M = MatrixFF.from_rows(mk_field(p), [[0, c], [1, 0]])
     with pytest.raises(ScanBudgetExceeded, match=str(MAX_FIELD_ORDER)):
         eigenvalues_in_splitting_field(M, budget=2**40)
+
+
+def _field_horner(f, coeffs, x):
+    """The polynomial at x by Horner's rule through the field's own add and mul."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = f.add(f.mul(acc, x), c)
+    return acc
+
+
+def _full_scan_embedding(sub, ext):
+    """F_{p^m} -> F_{p^M}, the generator sent to the smallest root in all of ext."""
+    root = min(z for z in ext.elements() if _field_horner(ext, sub.modulus, z) == 0)
+    powers = [ext.pow(root, i) for i in range(sub.m)]
+
+    def emb(a):
+        out = 0
+        for c, w in zip(sub.coeffs(a), powers):
+            out = ext.add(out, ext.mul(c, w))
+        return out
+
+    return emb
+
+
+def _divide_by_linear(f, poly, z):
+    """Quotient and remainder of poly by T - z, by synthetic division."""
+    quot, acc = [0] * (len(poly) - 1), poly[-1]
+    for i in range(len(poly) - 2, -1, -1):
+        quot[i] = acc
+        acc = f.add(poly[i], f.mul(z, acc))
+    return quot, acc
+
+
+def _exhaustive_eigenvalues(M, budget=MAX_FIELD_ORDER):
+    """The d-by-d search: build F_{q^d} for d = 1, 2, ... and scan it whole,
+    peeling roots by synthetic division, until all n roots are found."""
+    K, n = M.field, M.rows
+    chi = charpoly(M)
+    if n == 0:
+        return K, ()
+    limit = min(budget, MAX_FIELD_ORDER)
+    d = 1
+    while K.order**d <= limit:
+        L = K if d == 1 else mk_field(K.p, K.m * d)
+        emb = _full_scan_embedding(K, L) if L != K else (lambda a: a)
+        poly = [emb(c) for c in chi.coeffs]
+        roots = []
+        for z in L.elements():
+            while len(poly) > 1:
+                quot, rem = _divide_by_linear(L, poly, z)
+                if rem:
+                    break
+                roots.append(z)
+                poly = quot
+            if len(poly) == 1:
+                break
+        if len(roots) == n:
+            return L, tuple(sorted(roots))
+        d += 1
+    raise ScanBudgetExceeded(f"more than {limit} elements")
+
+
+def _companion(field, coeffs):
+    """Companion matrix of the monic polynomial with these coefficients (lowest first)."""
+    n = len(coeffs) - 1
+    rows = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = 1
+    for i in range(n):
+        rows[i][n - 1] = field.neg(coeffs[i])
+    return MatrixFF.from_rows(field, rows)
+
+
+def _poly_mul(f, a, b):
+    return list((PolyFF(f, tuple(a)) * PolyFF(f, tuple(b))).coeffs)
+
+
+def _splitting_matrices(field):
+    """Seeded block-diagonal matrices, conjugated by a random invertible P.
+
+    The blocks are companions of random monic polynomials, of squares of
+    random polynomials, of f(T)^p (zero derivative) and Jordan blocks
+    a*I + N; each matrix has 2 to 8 rows.
+    """
+    rng = random.Random(f"splitting matrices {field!r}")
+    q, p = field.order, field.p
+
+    def monic(k):
+        return [rng.randrange(q) for _ in range(k)] + [1]
+
+    def block():
+        kind = rng.choice([0, 0, 0, 1, 2, 3])
+        if kind == 0:
+            return _companion(field, monic(rng.randint(2, 5)))
+        if kind == 1:
+            g = monic(rng.randint(1, 2))
+            return _companion(field, _poly_mul(field, g, g))
+        if kind == 2:
+            g = monic(rng.randint(1, 2))
+            gp = [1]
+            for _ in range(p):
+                gp = _poly_mul(field, gp, g)
+            if len(gp) > 8:
+                return _companion(field, monic(2))
+            return _companion(field, gp)
+        a, k = rng.randrange(q), rng.randint(1, 3)
+        scalar = MatrixFF(field, k, k, [a if i == j else 0 for i in range(k) for j in range(k)])
+        return scalar + nilpotent_block(field, k)
+
+    out = []
+    while len(out) < 16:
+        blocks, n = [], 0
+        while n < 2 or (n < 8 and rng.random() < 0.6):
+            b = block()
+            if n + b.rows > 8:
+                break
+            blocks.append(b)
+            n += b.rows
+        if n < 2:
+            continue
+        B = block_diag(blocks)
+        while True:
+            P = MatrixFF(field, n, n, [rng.randrange(q) for _ in range(n * n)])
+            if mat_rank(P) == n:
+                break
+        out.append(P * B * mat_inverse(P))
+    return out
+
+
+SPLITTING_FIELDS = [F2, F3, F5, mk_field(2, 2), mk_field(3, 2)]
+
+
+@pytest.mark.parametrize("field", SPLITTING_FIELDS, ids=repr)
+def test_splitting_field_matches_the_exhaustive_scan(field):
+    # orders up to 2^12 keep the oracle's scans small; past a budget both sides raise
+    outcomes = set()
+    for M in _splitting_matrices(field):
+        for budget in (2**12, field.order**2):
+            try:
+                want = _exhaustive_eigenvalues(M, budget)
+            except ScanBudgetExceeded:
+                outcomes.add("over")
+                with pytest.raises(ScanBudgetExceeded, match=f"more than {budget} elements"):
+                    eigenvalues_in_splitting_field(M, budget)
+                continue
+            outcomes.add(want[0].m // field.m)
+            assert eigenvalues_in_splitting_field(M, budget) == want
+    assert {1, 2, "over"} <= outcomes
+
+
+def _random_products(field, rng):
+    """Seeded products of random monic polynomials over a prime field, with
+    squares and p-th powers among the factors, of degree 6 to 12."""
+    p = field.p
+    for _ in range(40):
+        poly = [1]
+        while len(poly) < 7:
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1]
+            power = rng.choice([1, 1, 1, 2, p])
+            for _ in range(power):
+                if len(poly) + len(g) - 1 > 13:
+                    break
+                poly = _poly_mul(field, poly, g)
+        yield poly
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_factor_degrees_match_sympy_factor_list(p):
+    sympy = pytest.importorskip("sympy")
+    field = mk_field(p)
+    rng = random.Random(f"factor degrees {p}")
+    T = sympy.Symbol("T")
+    rootless = 0
+    for poly in _random_products(field, rng):
+        _, factors = sympy.Poly(list(reversed(poly)), T, modulus=p).factor_list()
+        want = {g.degree() for g, _ in factors} - {1}
+        # divide out the roots in F_p; what is left has no root in F_p
+        rest = list(poly)
+        for z in range(p):
+            quot, rem = _divide_by_linear(field, rest, z)
+            while len(rest) > 1 and not rem:
+                rest = quot
+                quot, rem = _divide_by_linear(field, rest, z)
+        if len(rest) > 1:
+            rootless += 1
+        got = ff._factor_degrees(rest, field, p ** len(rest)) if len(rest) > 1 else []
+        assert set(got) == want, (poly, rest)
+    assert rootless >= 20
+
+
+@pytest.mark.parametrize("field", [mk_field(2, 2), mk_field(3, 2)], ids=repr)
+def test_repeated_quadratic_factors_are_stripped_over_an_extension_field(field):
+    # a rootless quadratic is irreducible; from degree 6 on, the step d = 2
+    # divides its factors out one copy at a time
+    g1, g2, g3 = [
+        q for q in ([c0, c1, 1] for c1 in field.elements() for c0 in field.elements())
+        if all(_field_horner(field, q, z) for z in field.elements())
+    ][:3]
+    for factors in ([g1, g2, g3], [g1, g1, g2], [g1, g1, g1], [g1, g2, g2, g3]):
+        poly = [1]
+        for g in factors:
+            poly = _poly_mul(field, poly, g)
+        assert set(ff._factor_degrees(poly, field, field.order**8)) == {2}
+        M = _companion(field, poly)
+        assert eigenvalues_in_splitting_field(M) == _exhaustive_eigenvalues(M)
+
+
+# T^5 + T^2 + 1, T^4 + T + 1 and T^3 + T + 1, irreducible over F_2
+QUINTIC, QUARTIC, CUBIC = (1, 0, 1, 0, 0, 1), (1, 1, 0, 0, 1), (1, 1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "factors, budget, ddf_steps", [((QUINTIC, QUARTIC), 2**19, 3), ((QUARTIC,), 2, 0)]
+)
+def test_an_over_budget_splitting_field_is_refused_before_any_field_is_built(
+    monkeypatch, fresh_field_cache, factors, budget, ddf_steps
+):
+    # the 9 x 9 case splits in F_{2^20}, after the steps d = 2, 3, 4; the
+    # quartic needs F_{2^4}, and its step d = 2 would already pass the budget
+    M = block_diag([_companion(F2, f) for f in factors])
+    steps = []
+    real_pgcd = ff._pgcd
+    monkeypatch.setattr(ff, "_pgcd", lambda *args: steps.append(1) or real_pgcd(*args))
+    with pytest.raises(ScanBudgetExceeded, match=f"more than {budget} elements"):
+        eigenvalues_in_splitting_field(M, budget)
+    assert fresh_field_cache.cache_info().misses == 0
+    assert len(steps) == ddf_steps
+
+
+def test_only_the_splitting_field_is_built(fresh_field_cache):
+    M = block_diag([_companion(F2, QUARTIC), _companion(F2, CUBIC)])
+    field, roots = eigenvalues_in_splitting_field(M)
+    assert fresh_field_cache.cache_info().misses == 1
+    assert field == mk_field(2, 12) and len(roots) == 7
+    assert (field, roots) == _exhaustive_eigenvalues(M)
+
+
+@pytest.mark.parametrize("p, m", [(2, 4), (2, 6), (3, 2), (3, 4), (5, 2)])
+def test_subfield_lists_each_element_of_the_subfield_once(p, m):
+    f = mk_field(p, m)
+    for e in range(1, m + 1):
+        if m % e:
+            continue
+        order = p**e
+        want = {z for z in f.elements() if f.pow(z, order) == z}
+        got = f.subfield(order)
+        assert len(got) == order and set(got) == want
+
+
+@pytest.mark.parametrize("field", [F2, F5, F101, mk_field(2, 4), mk_field(3, 2)], ids=repr)
+def test_vector_horner_matches_field_horner(field):
+    horner = ff._vector_ops(field)[3]
+    rng = random.Random(f"horner {field!r}")
+    polys = [[], [0], [1], [0, 0, 1]]
+    polys += [[rng.choice([0, rng.randrange(field.order)]) for _ in range(rng.randint(1, 7))]
+              for _ in range(30)]
+    for c in polys:
+        for x in range(min(field.order, 16)):
+            assert horner(c, x) == _field_horner(field, c, x), (c, x)
+            assert PolyFF(field, tuple(c)).evaluate(x) == _field_horner(field, c, x)
 
 
 # ---------------------------------------------------------------------------

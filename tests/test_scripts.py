@@ -27,3 +27,17 @@ def test_script_runs_on_a_small_grid(script, args, header):
     lines = proc.stdout.splitlines()
     assert lines[0].split()[: len(header)] == header
     assert len(lines) > 2
+
+
+def test_splitting_probe_runs_its_cheapest_case():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "splitting_probe.py"), "--case", "4+3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split() == ["case", "field", "roots", "digest", "wall_s", "maxrss_MB", "exit"]
+    case, field, roots, _, wall, rss, code = row.split()
+    assert (case, field, roots, code) == ("4+3", "F_2^12", "7", "0")
+    assert float(wall) > 0 and float(rss) > 0
