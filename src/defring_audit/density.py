@@ -17,7 +17,8 @@ Hence density = 1 - N_bad / (|Gamma| * 2^(k+1)), where N_bad is the total
 size of the Gamma-classes holding such an x.  e_H(x) = [<x> : <x> & H] is
 odd exactly when H holds the 2-part of x, which generates the same cyclic
 subgroup as x^M for M the odd part of |Gamma|.  So N_bad counts the x
-whose power x^M is conjugate into H, and one power map gives it.
+whose power x^M is conjugate into H, and one power map gives it.  The
+Gamma-classes are the orbits of the conjugations by a generating set.
 
 The subgroup lattice is searched by conjugacy classes (the cyclic
 extension method): one subgroup per class is joined with the cyclic
@@ -56,11 +57,12 @@ class FiniteGroup:
     Elements are 0..N-1; ``table[a][b]`` is the index of a*b.  The
     identity and inverse table are located on construction; associativity
     is checked exactly for N <= 48 (by Light's test) and spot-checked
-    (deterministically) for larger tables.  The conjugacy classes are found
-    on first use and kept.
+    (deterministically) for larger tables.  The conjugations x -> u x u^-1
+    by a generating set, and the conjugacy classes as their orbits, are
+    built on first use and kept.
     """
 
-    __slots__ = ("order", "table", "identity", "inverse", "name", "_classes")
+    __slots__ = ("order", "table", "identity", "inverse", "name", "_classes", "_conjugations")
 
     def __init__(self, table, name: str = ""):
         table = tuple(tuple(row) for row in table)
@@ -77,6 +79,7 @@ class FiniteGroup:
         self.table = table
         self.name = name
         self._classes = None
+        self._conjugations = None
 
         points = tuple(range(n))
         identity = None
@@ -139,9 +142,22 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
+    def conjugations(self) -> list[tuple[int, ...]]:
+        """The permutations x -> u x u^-1, one for each u other than the
+        identity among ``_greedy_generators``, built on the first call."""
+        if self._conjugations is None:
+            t, inverse = self.table, self.inverse
+            self._conjugations = [
+                tuple(t[t[u][x]][inverse[u]] for x in self.elements())
+                for u in _greedy_generators(t)
+                if u != self.identity
+            ]
+        return self._conjugations
+
     def conjugacy_classes(self) -> tuple[frozenset[int], ...]:
-        """The conjugacy classes, swept by ``_class_orbits`` and checked to
-        partition the group on the first call only."""
+        """The conjugacy classes in the order of their least elements, found
+        by ``_class_orbits`` and checked to partition the group on the first
+        call only."""
         if self._classes is None:
             classes = self._class_orbits()
             if sorted(itertools.chain.from_iterable(classes)) != list(self.elements()):
@@ -150,17 +166,23 @@ class FiniteGroup:
         return self._classes
 
     def _class_orbits(self) -> tuple[frozenset[int], ...]:
-        """Classes by full orbit enumeration under conjugation."""
-        seen = [False] * self.order
+        """The orbits under ``conjugations`` (Holt, Eick & O'Brien, *Handbook
+        of Computational Group Theory*, 4.1): the generators reach every u,
+        so the orbit of g is its class, in O(|Gamma| * |generators|)."""
+        conjugations = self.conjugations()
+        seen = bytearray(self.order)
         classes = []
         for g in self.elements():
             if seen[g]:
                 continue
-            orbit = set()
-            for u in self.elements():
-                orbit.add(self.mul(self.mul(u, g), self.inverse[u]))
+            seen[g] = 1
+            orbit = [g]
             for x in orbit:
-                seen[x] = True
+                for conj in conjugations:
+                    y = conj[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        orbit.append(y)
             classes.append(frozenset(orbit))
         return tuple(classes)
 
@@ -417,12 +439,7 @@ def _subgroup_class_lists(group: FiniteGroup) -> list[list[list[int]]]:
     u K u^-1 = <H, u c u^-1> is a join the search makes, and K lies in
     its class.
     """
-    t = group.table
-    inverse = group.inverse
-    conjugators = [
-        tuple(t[t[u][x]][inverse[u]] for x in group.elements())
-        for u in _greedy_generators(t)
-    ]
+    conjugations = group.conjugations()
     cyclic = _cyclic_generators(group)
     start = 1 << group.identity
     found = {start}
@@ -445,7 +462,7 @@ def _subgroup_class_lists(group: FiniteGroup) -> list[list[list[int]]]:
             frontier.append((k, gens + (g,), k_elems))
             orbit = [k_elems]
             for member in orbit:
-                for conj in conjugators:
+                for conj in conjugations:
                     image = list(map(conj.__getitem__, member))
                     mask = sum(map((1).__lshift__, image))  # distinct bits: sum is or
                     if mask not in found:

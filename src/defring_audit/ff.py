@@ -11,21 +11,21 @@ The canonical model of F_{p^m} is fixed once and for all by
 irreducible modulus (coefficients compared constant term first).  This
 makes every computation reproducible across runs and platforms.
 
-For m >= 2 a field carries log/antilog tables of a primitive element and
-a Zech-logarithm table, so add, sub, neg, mul, inv and pow are O(1)
-lookups; the tables change no encoding and no result.  Their size caps
-extension fields at MAX_FIELD_ORDER = 2^20 elements, which is also the
-default budget of the splitting-field search.  Prime fields F_p need no
-tables; p is capped only by the exact primality test, at MAX_PRIMALITY_N.
+A field picks its arithmetic once, when built: F_p computes on residues
+mod p, and for m >= 2 every operation walks log/antilog tables of a
+primitive element and a Zech-logarithm table, which change no encoding
+and no result.  Their size caps extension fields at MAX_FIELD_ORDER =
+2^20 elements, which is also the default budget of the splitting-field
+search.  Prime fields F_p need no tables; p is capped only by the exact
+primality test, at MAX_PRIMALITY_N.
 
 Rank, kernel dimensions, eigenspaces and inverses share one elimination
 kernel, ``_echelon``, and the characteristic polynomial comes from a
-Hessenberg reduction in O(n^3).  Both work a row at a time through
-``_vector_ops``: over F_p a row operation is one comprehension reduced
-mod p, over F_{p^m} a walk of the field's tables.  Over F_{p^m} the
-matrix product takes each entry from the same ``dot``; over F_p an entry
-is one ``sum(map(...))`` reduced mod p.  ``PrimeField`` and
-``_vector_ops`` are the only readers of the tables.
+Hessenberg reduction in O(n^3).  Both work a row at a time through the
+field's ``scale``, ``axpy`` and ``dot``, and the matrix product takes
+each entry from ``dot``, so no caller asks which kind of field it holds.
+``PrimeField`` and its builder ``_table_ops`` are the only readers of
+the tables.
 
 Eigenvalues live in the splitting field L = F_{q^D} of the characteristic
 polynomial over K = F_q.  The roots in K come from a scan of K; the rest
@@ -183,8 +183,8 @@ def _power(x, e: int, mul: Callable, one):
 # Polynomial arithmetic over F_p (coefficient lists of encoded elements, lowest
 # degree first), in plain integer loops mod p: the modulus search and the table
 # builder use it before any F_{p^m} exists.  Remainder, exact division and gcd
-# also work over an extension field K of F_p when K is given, calling K; the
-# splitting-field search needs no product over K.
+# also work over a field K of characteristic p when K is given, calling K's
+# operations; the splitting-field search needs no product over K.
 # ---------------------------------------------------------------------------
 
 
@@ -369,17 +369,164 @@ def _log_tables(p: int, m: int, modulus: Sequence[int]) -> tuple[list, list, lis
     return exp + exp, log, zech
 
 
+def _residue_ops(p: int) -> tuple[Callable, ...]:
+    """The operations of F_p on residues mod p, in ``PrimeField``'s order:
+    each is one integer expression, comprehension or loop reduced mod p."""
+    product = operator.mul
+
+    def add(a: int, b: int) -> int:
+        return (a + b) % p
+
+    def neg(a: int) -> int:
+        return -a % p
+
+    def sub(a: int, b: int) -> int:
+        return (a - b) % p
+
+    def mul(a: int, b: int) -> int:
+        return a * b % p
+
+    def inv(a: int) -> int:
+        if a % p == 0:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return pow(a, p - 2, p)
+
+    def power(a: int, e: int) -> int:
+        return pow(inv(a), -e, p) if e < 0 else pow(a, e, p)
+
+    def scale(c: int, y: list[int]) -> list[int]:
+        return [c * b % p for b in y]
+
+    def axpy(x: list[int], c: int, y: list[int]) -> list[int]:
+        return [(a - c * b) % p for a, b in zip(x, y)]
+
+    def dot(x: Sequence[int], y: Sequence[int]) -> int:
+        return sum(map(product, x, y)) % p
+
+    def horner(c: Sequence[int], x: int) -> int:
+        acc = 0
+        for a in reversed(c):
+            acc = (acc * x + a) % p
+        return acc
+
+    return add, neg, sub, mul, inv, power, scale, axpy, dot, horner
+
+
+def _table_ops(f: PrimeField) -> tuple[Callable, ...]:
+    """The operations of F_{p^m}, m >= 2, in ``PrimeField``'s order, as
+    walks of ``f``'s tables instead of calls to the field per entry."""
+    exp, log, zech = f._exp, f._log, f._zech
+    q = f.order
+    n = q - 1
+    log_minus_one = 0 if f.p == 2 else n >> 1  # -1 = g^((q-1)/2) for odd q
+
+    def add(a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
+        z = zech[log[b] - la]
+        return 0 if z is None else exp[la + z]
+
+    def neg(a: int) -> int:
+        return exp[log[a] + log_minus_one] if a else 0
+
+    def sub(a: int, b: int) -> int:
+        return add(a, neg(b))
+
+    def mul(a: int, b: int) -> int:
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def inv(a: int) -> int:
+        if a % q == 0:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        # exp has period q - 1 and length 2(q - 1): exp[-i] = g^(-i)
+        return exp[-log[a]]
+
+    def power(a: int, e: int) -> int:
+        if e < 0:
+            return power(inv(a), -e)
+        if a == 0:
+            return 0 if e else 1
+        return exp[log[a] * e % n]
+
+    def scale(c: int, y: list[int]) -> list[int]:
+        lc = log[c]
+        return [exp[lc + log[b]] if b else 0 for b in y]
+
+    def axpy(x: list[int], c: int, y: list[int]) -> list[int]:
+        if not c:
+            return list(x)
+        lc = (log[c] + log_minus_one) % n  # log(-c)
+        out = []
+        for a, b in zip(x, y):
+            if b:
+                b = exp[lc + log[b]]
+                if a:
+                    la = log[a]
+                    z = zech[log[b] - la]
+                    a = 0 if z is None else exp[la + z]
+                else:
+                    a = b
+            out.append(a)
+        return out
+
+    def dot(x: Sequence[int], y: Sequence[int]) -> int:
+        s = 0
+        for a, b in zip(x, y):
+            if a and b:
+                v = exp[log[a] + log[b]]
+                if s:
+                    ls = log[s]
+                    z = zech[log[v] - ls]
+                    s = 0 if z is None else exp[ls + z]
+                else:
+                    s = v
+        return s
+
+    def horner(c: Sequence[int], x: int) -> int:
+        if not x:
+            return c[0] if c else 0
+        lx = log[x]
+        s = 0
+        for a in reversed(c):
+            if s:
+                ls = log[s] + lx  # log(s*x), reduced below q - 1
+                if ls >= n:
+                    ls -= n
+                if a:
+                    # a + s*x = g^ls (1 + g^(log a - ls)); a negative index wraps
+                    z = zech[log[a] - ls]
+                    s = 0 if z is None else exp[ls + z]
+                else:
+                    s = exp[ls]
+            else:
+                s = a
+        return s
+
+    return add, neg, sub, mul, inv, power, scale, axpy, dot, horner
+
+
 class PrimeField:
     """F_{p^m} with a fixed monic irreducible modulus.
 
-    ``modulus`` is a coefficient tuple of length m+1, lowest degree first.
-    For m = 1 the modulus is T by convention and arithmetic is on
-    residues mod p.  For m >= 2 every operation is a few lookups in the
-    tables of :func:`_log_tables`; results are encoded elements and do not
-    depend on the primitive element the tables use.
+    ``modulus`` is a coefficient tuple of length m+1, lowest degree first;
+    for m = 1 it is T by convention.  The arithmetic is chosen here, once:
+    ``_residue_ops`` for F_p, ``_table_ops`` on the tables of
+    :func:`_log_tables` for m >= 2.  Either gives the scalar ``add``,
+    ``neg``, ``sub``, ``mul``, ``inv`` and ``pow(a, e)`` on encoded
+    elements; ``scale(c, y)`` = c*y, ``axpy(x, c, y)`` = x - c*y and
+    ``dot(x, y)`` = the sum of the x_j y_j on lists (zip stops at the
+    shorter one); and ``horner(c, x)``, the polynomial with coefficients c
+    (lowest degree first) at x.
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "_exp", "_log", "_zech")
+    __slots__ = (
+        "p", "m", "order", "modulus", "_exp", "_log", "_zech",
+        "add", "neg", "sub", "mul", "inv", "pow", "scale", "axpy", "dot", "horner",
+    )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         if m > 1:
@@ -390,10 +537,15 @@ class PrimeField:
         self.modulus = tuple(int(c) % p for c in modulus)
         if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
-        if m > 1:
+        if m == 1:
+            ops = _residue_ops(p)
+        else:
             if not _is_irreducible(self.modulus, p):
                 raise ValueError(f"modulus {self.modulus} is not irreducible over F_{p}")
             self._exp, self._log, self._zech = _log_tables(p, m, self.modulus)
+            ops = _table_ops(self)
+        (self.add, self.neg, self.sub, self.mul, self.inv, self.pow,
+         self.scale, self.axpy, self.dot, self.horner) = ops
 
     # -- encoding ------------------------------------------------------
 
@@ -403,57 +555,6 @@ class PrimeField:
 
     def encode(self, coeffs: Iterable[int]) -> int:
         return _encode(coeffs, self.p)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        if not a:
-            return b
-        if not b:
-            return a
-        log = self._log
-        la = log[a]
-        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
-        z = self._zech[log[b] - la]
-        return 0 if z is None else self._exp[la + z]
-
-    def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        if not a or self.p == 2:
-            return a
-        # -1 = g^((q-1)/2) for odd q
-        return self._exp[self._log[a] + (self.order >> 1)]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        log = self._log
-        return self._exp[log[a] + log[b]]
-
-    def inv(self, a: int) -> int:
-        if a % self.order == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.m == 1:
-            return self.pow(a, self.order - 2)
-        # exp has period q - 1 and length 2(q - 1): exp[-i] = g^(-i)
-        return self._exp[-self._log[a]]
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self.m == 1:
-            return pow(a, e, self.p)
-        if a == 0:
-            return 0 if e else 1
-        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def elements(self) -> range:
         return range(self.order)
@@ -477,6 +578,10 @@ class PrimeField:
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.modulus))
+
+    def __reduce__(self):
+        # the operations are closures, which do not pickle: rebuild them
+        return PrimeField, (self.p, self.m, self.modulus)
 
     def __repr__(self) -> str:
         if self.m == 1:
@@ -523,22 +628,14 @@ def embed_field(sub: PrimeField, ext: PrimeField) -> Callable[[int], int]:
         raise ValueError("target is not an extension of the source field")
     if sub.m == 1:
         return lambda a: a
-    horner = _vector_ops(ext)[3]
+    horner = ext.horner
     root = min((z for z in ext.subfield(sub.order) if horner(sub.modulus, z) == 0), default=None)
     if root is None:
         raise InternalCheckError("subfield modulus has no root in extension")
     powers = [1]
     for _ in range(sub.m - 1):
         powers.append(ext.mul(powers[-1], root))
-
-    def emb(a: int) -> int:
-        out = 0
-        for c, w in zip(sub.coeffs(a), powers):
-            if c:
-                out = ext.add(out, ext.mul(c, w))
-        return out
-
-    return emb
+    return lambda a: ext.dot(sub.coeffs(a), powers)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +658,7 @@ class PolyFF(Record):
         return not self.coeffs
 
     def evaluate(self, x: int) -> int:
-        return _vector_ops(self.field)[3](self.coeffs, x)
+        return self.field.horner(self.coeffs, x)
 
     def __mul__(self, other: "PolyFF") -> "PolyFF":
         f = self._common_field(other)
@@ -663,22 +760,14 @@ class MatrixFF:
 
     def __add__(self, other: "MatrixFF") -> "MatrixFF":
         self._check_same_shape(other)
-        f, pairs = self.field, zip(self.entries, other.entries)
-        if f.m == 1:
-            p = f.p
-            out = [(a + b) % p for a, b in pairs]
-        else:
-            out = [f.add(a, b) for a, b in pairs]
+        f = self.field
+        out = f.axpy(self.entries, f.neg(1), other.entries)  # x - (-1)y
         return MatrixFF(f, self.rows, self.cols, out)
 
     def __sub__(self, other: "MatrixFF") -> "MatrixFF":
         self._check_same_shape(other)
-        f, pairs = self.field, zip(self.entries, other.entries)
-        if f.m == 1:
-            p = f.p
-            out = [(a - b) % p for a, b in pairs]
-        else:
-            out = [f.sub(a, b) for a, b in pairs]
+        f = self.field
+        out = f.axpy(self.entries, 1, other.entries)
         return MatrixFF(f, self.rows, self.cols, out)
 
     def __neg__(self) -> "MatrixFF":
@@ -697,13 +786,8 @@ class MatrixFF:
         e1, e2 = self.entries, other.entries
         rows = [e1[i * k : (i + 1) * k] for i in range(n)]
         cols = [e2[j::m] for j in range(m)]
-        if f.m == 1:
-            p, mul = f.p, operator.mul
-            out = [sum(map(mul, r, c)) % p for r in rows for c in cols]
-        else:
-            dot = _vector_ops(f)[2]
-            out = [dot(r, c) for r in rows for c in cols]
-        return MatrixFF(f, n, m, out)
+        dot = f.dot
+        return MatrixFF(f, n, m, [dot(r, c) for r in rows for c in cols])
 
     def transpose(self) -> "MatrixFF":
         return MatrixFF(
@@ -765,97 +849,6 @@ def block_diag(blocks: Sequence[MatrixFF], field: PrimeField | None = None) -> M
     return MatrixFF(field, n, n, entries)
 
 
-def _vector_ops(f: PrimeField):
-    """``(scale, axpy, dot, horner)`` on lists of encoded elements of ``f``.
-
-    ``scale(c, y)`` is c*y, ``axpy(x, c, y)`` is x - c*y and ``dot(x, y)``
-    is the sum of the x_j y_j; zip stops at the shorter list.
-    ``horner(c, x)`` is the polynomial with coefficients c (lowest degree
-    first) at x.  Over F_p each is one comprehension, ``sum(map(...))`` or
-    integer loop reduced mod p.  Over F_{p^m} each walks the log/exp/Zech
-    tables instead of calling the field per entry.
-    """
-    if f.m == 1:
-        p, mul = f.p, operator.mul
-
-        def scale(c: int, y: list[int]) -> list[int]:
-            return [c * b % p for b in y]
-
-        def axpy(x: list[int], c: int, y: list[int]) -> list[int]:
-            return [(a - c * b) % p for a, b in zip(x, y)]
-
-        def dot(x: list[int], y: list[int]) -> int:
-            return sum(map(mul, x, y)) % p
-
-        def horner(c: Sequence[int], x: int) -> int:
-            acc = 0
-            for a in reversed(c):
-                acc = (acc * x + a) % p
-            return acc
-
-        return scale, axpy, dot, horner
-
-    exp, log, zech = f._exp, f._log, f._zech
-    n = f.order - 1
-    log_minus_one = 0 if f.p == 2 else n >> 1
-
-    def scale(c: int, y: list[int]) -> list[int]:
-        lc = log[c]
-        return [exp[lc + log[b]] if b else 0 for b in y]
-
-    def axpy(x: list[int], c: int, y: list[int]) -> list[int]:
-        if not c:
-            return list(x)
-        lc = (log[c] + log_minus_one) % n  # log(-c)
-        out = []
-        for a, b in zip(x, y):
-            if b:
-                b = exp[lc + log[b]]
-                if a:
-                    la = log[a]
-                    z = zech[log[b] - la]
-                    a = 0 if z is None else exp[la + z]
-                else:
-                    a = b
-            out.append(a)
-        return out
-
-    def dot(x: list[int], y: list[int]) -> int:
-        s = 0
-        for a, b in zip(x, y):
-            if a and b:
-                v = exp[log[a] + log[b]]
-                if s:
-                    ls = log[s]
-                    z = zech[log[v] - ls]
-                    s = 0 if z is None else exp[ls + z]
-                else:
-                    s = v
-        return s
-
-    def horner(c: Sequence[int], x: int) -> int:
-        if not x:
-            return c[0] if c else 0
-        lx = log[x]
-        s = 0
-        for a in reversed(c):
-            if s:
-                ls = log[s] + lx  # log(s*x), reduced below q - 1
-                if ls >= n:
-                    ls -= n
-                if a:
-                    # a + s*x = g^ls (1 + g^(log a - ls)); a negative index wraps
-                    z = zech[log[a] - ls]
-                    s = 0 if z is None else exp[ls + z]
-                else:
-                    s = exp[ls]
-            else:
-                s = a
-        return s
-
-    return scale, axpy, dot, horner
-
-
 def _echelon(
     field: PrimeField, rows: list[list[int]], ncols: int, full: bool = False
 ) -> list[list[int]]:
@@ -868,7 +861,7 @@ def _echelon(
     ``ncols`` columns.  With ``full`` every pivot column is also cleared
     above its pivot (Gauss-Jordan), giving the reduced echelon form.
     """
-    scale, axpy, _, _ = _vector_ops(field)
+    scale, axpy = field.scale, field.axpy
     nrows = len(rows)
     rank = 0
     for col in range(ncols):
@@ -929,8 +922,7 @@ def charpoly(M: MatrixFF) -> PolyFF:
         raise ValueError("charpoly needs a square matrix")
     f = M.field
     n = M.rows
-    _, axpy, dot, _ = _vector_ops(f)
-    mul = f.mul
+    axpy, dot, mul = f.axpy, f.dot, f.mul
     H = M.to_lists()
     for m in range(1, n - 1):
         for r in range(m, n):
@@ -995,8 +987,7 @@ def _peel_roots(
     """The roots of the monic ``poly`` among ``candidates``, with multiplicity,
     and the quotient left once they are divided out.  Each candidate costs
     one Horner evaluation; synthetic division runs only at a root."""
-    horner = _vector_ops(f)[3]
-    add, mul = f.add, f.mul
+    horner, add, mul = f.horner, f.add, f.mul
     roots: list[int] = []
     for z in candidates:
         # the quotient stays monic, and a constant 1 has no root
@@ -1022,7 +1013,6 @@ def _factor_degrees(f: list[int], K: PrimeField, limit: int) -> list[int]:
     d is certain and q^d > limit.
     """
     q, p = K.order, K.p
-    ext = K if K.m > 1 else None  # the integer loops serve F_p
     degrees: list[int] = []
     frob, reached = [0, 1], 0  # frob = T^(q^reached) mod f
     d = 2
@@ -1034,11 +1024,11 @@ def _factor_degrees(f: list[int], K: PrimeField, limit: int) -> list[int]:
             # and no product (q <= 1024 here, since q^2 <= MAX_FIELD_ORDER)
             x, frob = frob, [0] * (q * (len(frob) - 1) + 1)
             frob[::q] = x
-            frob = _prem(frob, f, p, ext)
+            frob = _prem(frob, f, p, K)
         reached = d
         h = frob + [0] * (2 - len(frob))
         h[1] = K.sub(h[1], 1)
-        g = _pgcd(f, _ptrim(h), p, ext)
+        g = _pgcd(f, _ptrim(h), p, K)
         if len(g) > 1:
             degrees.append(d)
             if len(f) - 1 < 2 * d + 2:
@@ -1046,11 +1036,11 @@ def _factor_degrees(f: list[int], K: PrimeField, limit: int) -> list[int]:
                 # irreducible, since each factor of r has degree >= d
                 degrees.append(len(f) - 1 - d)
                 return degrees
-            f = _pdiv(f, g, p, ext)
+            f = _pdiv(f, g, p, K)
             while len(g) > 1:
-                g = _pgcd(f, g, p, ext)
-                f = _pdiv(f, g, p, ext)
-            frob = _prem(frob, f, p, ext)
+                g = _pgcd(f, g, p, K)
+                f = _pdiv(f, g, p, K)
+            frob = _prem(frob, f, p, K)
         d += 1
     if len(f) > 1:
         degrees.append(len(f) - 1)

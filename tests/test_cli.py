@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defring_audit import acceptance
 from defring_audit import cohomology as coh
@@ -998,3 +1001,62 @@ def test_the_verify_cap_is_the_lemma_cap(capsys):
     assert capsys.readouterr().err == (
         "error: --max-n must satisfy 1 <= max-n <= MAX_VERIFY_N = 12, got 13\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# scenario mutator: every mutation of a valid scenario ends in a report or a
+# ScenarioError, never in another exception
+# ---------------------------------------------------------------------------
+
+_MUTATION_SEEDS = [scenario for _argv, scenario in _SUBCOMMAND_CASES.values()] + [
+    _LEDGER,
+    {"mode": "ledger", "lie": _DIMS, "deg_F": 1, "places": _PLACES},
+    {"mode": "taylor", "op": "coprime", "ell": 5, "q": 2, "n": 2},
+    {"mode": "density", "gamma": {"type": "product", "factors": ["S3", "Z2"]}, "k": 2},
+]
+_ODD_VALUES = [None, True, False, 2.5, "", "x", "3,1", -1, 0, 10**30, -(10**30), 2**64,
+               [], {}, [[1]], [[[0]]], {"p": 2}, "Z2", {"type": "cyclic"}]
+
+
+def _paths(obj, prefix=()):
+    """The path of every value nested in ``obj``, ``obj`` itself first."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(scenario, data) -> None:
+    """Apply one drawn mutation to a value nested in ``scenario``, in place."""
+    path = data.draw(st.sampled_from(list(_paths(scenario))[1:]))
+    parent = scenario
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    kind = data.draw(st.sampled_from(["odd", "drop", "wrap", "nest", "swap"]))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "odd":
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(_ODD_VALUES)))
+    elif kind == "wrap":
+        parent[key] = [value]
+    elif kind == "nest":
+        parent[key] = [[value, copy.deepcopy(value)]]
+    elif isinstance(value, int) and not isinstance(value, bool):
+        parent[key] = data.draw(st.sampled_from([str(value), float(value), -value, value * 10**25]))
+    else:
+        parent[key] = data.draw(st.sampled_from([len(str(value)), str(value), json.dumps(value)]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_mutated_scenarios_end_in_a_report_or_a_scenario_error(data):
+    scenario = copy.deepcopy(data.draw(st.sampled_from(_MUTATION_SEEDS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        if len(list(_paths(scenario))) > 1:
+            _mutate(scenario, data)
+    try:
+        report = run_scenario_obj(scenario)
+    except ScenarioError:
+        return
+    assert isinstance(report["ok"], bool) and report["mode"] == scenario["mode"]

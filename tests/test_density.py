@@ -95,6 +95,22 @@ def _join_search_oracle(group):
     return sorted(subgroups, key=lambda h: (len(h), sorted(h)))
 
 
+def _class_sweep_oracle(group):
+    """The conjugacy classes by conjugating each new element with every u."""
+    seen = [False] * group.order
+    classes = []
+    for g in group.elements():
+        if seen[g]:
+            continue
+        orbit = set()
+        for u in group.elements():
+            orbit.add(group.mul(group.mul(u, g), group.inv(u)))
+        for x in orbit:
+            seen[x] = True
+        classes.append(frozenset(orbit))
+    return tuple(classes)
+
+
 def _conjugates_oracle(group, h):
     """The class of h, by conjugating it with every element of the group."""
     return {frozenset(group.mul(group.mul(u, x), group.inv(u)) for x in h)
@@ -573,6 +589,17 @@ def test_subgroup_classes_are_the_conjugacy_classes(name):
     assert seen == set(lattice)
     reps = [rep for rep, _size in classes]
     assert reps == sorted(reps, key=lambda h: (len(h), sorted(h)))
+
+
+# built in the test, so collection does not pay for their tables
+LARGE_CLASS_ZOO = {"Z720": lambda: cyclic_group(720), "E1024": lambda: elementary_abelian_2(10)}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_ORACLE_ZOO) + sorted(LARGE_CLASS_ZOO))
+def test_class_orbits_match_the_sweep_oracle(name):
+    built = LATTICE_ORACLE_ZOO.get(name) or LARGE_CLASS_ZOO[name]()
+    group = FiniteGroup(built.table)  # fresh, so its classes are found here
+    assert group.conjugacy_classes() == _class_sweep_oracle(group)
 
 
 N_BAD_ZOO = dict(LATTICE_ORACLE_ZOO, Z8=cyclic_group(8), Z12=cyclic_group(12), Z30=cyclic_group(30))

@@ -1,14 +1,16 @@
 import ast
+import copy
 import functools
 import inspect
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defring_audit import ff
+from defring_audit import acceptance, ff
 from defring_audit.acceptance import cofactor_charpoly
 from defring_audit.cohomology import eigenspace_dim
 from defring_audit.ff import (
@@ -584,7 +586,7 @@ def test_cofactor_oracle_calls_no_field_arithmetic(monkeypatch, p, m):
     def refused(*args):
         raise AssertionError("the cofactor oracle called field arithmetic")
 
-    for name in ("add", "sub", "mul", "neg", "inv", "pow"):
+    for name in ("add", "neg", "sub", "mul", "inv", "pow", "scale", "axpy", "dot", "horner"):
         monkeypatch.setattr(PrimeField, name, refused)
     with pytest.raises(AssertionError):
         field.add(1, 1)
@@ -1159,7 +1161,7 @@ def test_subfield_lists_each_element_of_the_subfield_once(p, m):
 
 @pytest.mark.parametrize("field", [F2, F5, F101, mk_field(2, 4), mk_field(3, 2)], ids=repr)
 def test_vector_horner_matches_field_horner(field):
-    horner = ff._vector_ops(field)[3]
+    horner = field.horner
     rng = random.Random(f"horner {field!r}")
     polys = [[], [0], [1], [0, 0, 1]]
     polys += [[rng.choice([0, rng.randrange(field.order)]) for _ in range(rng.randint(1, 7))]
@@ -1276,11 +1278,64 @@ def test_ppowmod_matches_repeated_products(p, mod):
 
 
 def test_only_the_field_and_the_vector_ops_read_the_tables():
-    # every table walk lives in PrimeField's methods or in _vector_ops
+    # every table walk lives in PrimeField or in the builder of its operations
     tree = ast.parse(inspect.getsource(ff))
     readers = set()
     for node in tree.body:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Attribute) and sub.attr in ("_exp", "_log", "_zech"):
                 readers.add(getattr(node, "name", "<module level>"))
-    assert readers == {"PrimeField", "_vector_ops"}
+    assert readers == {"PrimeField", "_table_ops"}
+
+
+def test_the_operations_are_built_once_per_field(monkeypatch):
+    # c02 and c11 build F_2, F_5, F_101 and F_3 afresh, then F_{2^4} below;
+    # every product, row operation and charpoly reuses its field's operations
+    fresh = functools.lru_cache(maxsize=None)(ff.mk_field.__wrapped__)
+    monkeypatch.setattr(acceptance, "mk_field", fresh)
+    built, fields = [], []
+    real_init = PrimeField.__init__
+
+    def counted_init(field, *args):
+        fields.append(args)
+        real_init(field, *args)
+
+    def counted(builder):
+        def build(arg):
+            built.append(builder.__name__)
+            return builder(arg)
+
+        return build
+
+    monkeypatch.setattr(PrimeField, "__init__", counted_init)
+    monkeypatch.setattr(ff, "_residue_ops", counted(ff._residue_ops))
+    monkeypatch.setattr(ff, "_table_ops", counted(ff._table_ops))
+    assert acceptance.c02_kernel_formula()[0]
+    assert acceptance.c11_charpoly_oracle()[0]
+    K = fresh(2, 4)
+    M = MatrixFF(K, 3, 3, range(9))
+    assert charpoly(M * M + M) == cofactor_charpoly(M * M + M)
+    assert len(fields) == 5
+    assert sorted(built) == ["_residue_ops"] * 4 + ["_table_ops"]
+
+
+@pytest.mark.parametrize(
+    "field", [mk_field(5), mk_field(2, 4), PrimeField(2, 2, (1, 1, 1))], ids=repr
+)
+@pytest.mark.parametrize("round_trip", ["pickle", "deepcopy"])
+def test_fields_matrices_and_polynomials_survive_pickle_and_deepcopy(field, round_trip):
+    def again(obj):
+        if round_trip == "pickle":
+            return pickle.loads(pickle.dumps(obj))
+        return copy.deepcopy(obj)
+
+    rng = random.Random(f"round trip {field!r}")
+    M = MatrixFF(field, 3, 3, [rng.randrange(field.order) for _ in range(9)])
+    P = PolyFF(field, tuple(rng.randrange(field.order) for _ in range(4)))
+    field2, M2, P2 = again(field), again(M), again(P)
+    assert (field2, M2, P2) == (field, M, P)
+    pairs = list(itertools.product(field.elements(), repeat=2))
+    assert [field2.mul(a, b) for a, b in pairs] == [field.mul(a, b) for a, b in pairs]
+    assert [field2.add(a, b) for a, b in pairs] == [field.add(a, b) for a, b in pairs]
+    assert M2 * M2 == M * M and charpoly(M2) == charpoly(M)
+    assert P2 * P2 == P * P and P2.evaluate(1) == P.evaluate(1)
