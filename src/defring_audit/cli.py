@@ -60,8 +60,8 @@ LIMITS = {
     # peak RSS in a fresh process (2-core Xeon, Python 3.11).
     "MAX_PLACES": 10_000,
     # the size of a partition given to the partition mode.  Slowest at the
-    # limit: theta on the one-part partition "80", 0.9-1.2 s in a fresh
-    # process over F_5 or F_9 (2-core Xeon, Python 3.11).
+    # limit: theta on the one-part partition "80", ~0.1 s and 17 MB peak
+    # RSS in a fresh process over F_5 or F_9 (2-core Xeon, Python 3.11).
     "MAX_PARTITION_N": 80,
     # every integer a ledger or gn-audit payload supplies (n or gn, the Lie
     # dimensions, deg_F, s_count, local degrees, delta, the h0 values), so a
@@ -71,9 +71,9 @@ LIMITS = {
     # Python 3.11).
     "MAX_LEDGER_INT": 10**6,
     # verify-all --max-n, the cap of verify_conjugation_lemma; the run
-    # grows ~1.4x per step of n.  Slowest at the limit: ~1.0 s in a fresh
-    # process, against ~0.8 s at the default 10 and 7.9 s at 18 (2-core
-    # Xeon, Python 3.11).
+    # grows ~1.3x per step of n past 12.  Slowest at the limit: ~0.26 s and
+    # 17 MB peak RSS in a fresh process, against ~0.22 s at the default 10
+    # and ~1.2 s at 18 (2-core Xeon, Python 3.11).
     "MAX_VERIFY_N": parts.MAX_VERIFY_N,
 }
 

@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .ff import (
-    MatrixFF,
-    PrimeField,
-    Record,
-    _echelon,
-    block_diag,
-    mk_field,
-    nilpotent_block,
-)
+from .ff import MatrixFF, PrimeField, Record, _echelon, mk_field
 
 # Largest n whose partitions verify_conjugation_lemma checks; also the cap
 # of verify-all --max-n.
@@ -96,8 +88,16 @@ def conjugate(lam: Partition) -> Partition:
 
 def nabla_matrix(lam: Partition, field: PrimeField) -> MatrixFF:
     """I + diag(B_{l_1}, ..., B_{l_k}): the unipotent matrix of the type."""
-    blocks = [nilpotent_block(field, part) for part in lam.parts]
-    return MatrixFF.identity(field, lam.n) + block_diag(blocks, field)
+    n = lam.n
+    entries = [0] * (n * n)
+    entries[:: n + 1] = [1] * n
+    off = 0
+    for part in lam.parts:
+        # superdiagonal ones inside the block on rows off .. off + part - 1
+        for i in range(off, off + part - 1):
+            entries[i * n + i + 1] = 1
+        off += part
+    return MatrixFF(field, n, n, entries)
 
 
 def kernel_sequence(M: MatrixFF) -> Partition:
@@ -106,16 +106,23 @@ def kernel_sequence(M: MatrixFF) -> Partition:
     r is minimal with ker(M-I)^r the full space; requires M unipotent.
     The kernels of the powers grow until they stop for good, so M is
     unipotent iff they reach dimension n before a step adds nothing.
-    No power is formed: with A = M - I, the row space of A^i is the row
-    space of A^(i-1) times A, so each step multiplies an echelon basis R
-    of the current row space by A (one rank x n product) and re-echelons.
+    No power and no matrix product is formed: with A = M - I, the row
+    space of A^i is the row space of A^(i-1) times A.  Each step maps
+    every row r of an echelon basis of the current row space to
+    r A = -sum_j r_j N_j, for the rows N_j of N = I - M (one ``axpy`` per
+    nonzero r_j), and re-echelons.  N = -A has A's row space, so the
+    first basis is N's echelon form.
     """
     if M.rows != M.cols or M.rows == 0:
         raise ValueError("kernel sequence needs a nonempty square matrix")
     n = M.rows
     f = M.field
-    A = M - MatrixFF.identity(f, n)
-    basis = _echelon(f, A.to_lists(), n)
+    axpy = f.axpy
+    identity = [0] * (n * n)
+    identity[:: n + 1] = [1] * n
+    flat = axpy(identity, 1, M.entries)  # I - M
+    N = [flat[i * n : (i + 1) * n] for i in range(n)]
+    basis = _echelon(f, list(N), n)  # _echelon replaces rows, never edits one
     seq = []
     prev = 0  # dim ker (M-I)^0 = dim ker I = 0
     while True:
@@ -126,8 +133,14 @@ def kernel_sequence(M: MatrixFF) -> Partition:
         if cur == n:
             return Partition(tuple(seq))
         prev = cur
-        R = MatrixFF(f, len(basis), n, [x for row in basis for x in row])
-        basis = _echelon(f, (R * A).to_lists(), n)
+        images = []
+        for r in basis:
+            acc = [0] * n
+            for j, c in enumerate(r):
+                if c:
+                    acc = axpy(acc, c, N[j])
+            images.append(acc)
+        basis = _echelon(f, images, n)
 
 
 def theta(lam: Partition, field: PrimeField | None = None) -> Partition:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defring_audit.cli import LIMITS
 from defring_audit.ff import (
     MatrixFF,
+    block_diag,
     is_unipotent,
     kernel_dim,
     mat_inverse,
@@ -156,6 +158,19 @@ def test_nabla_matrix_is_unipotent(lam):
     assert is_unipotent(nabla_matrix(lam, F5))
 
 
+def _nabla_matrix_oracle(lam, field):
+    """The former ``nabla_matrix``: I plus the block sum of Jordan blocks."""
+    blocks = [nilpotent_block(field, part) for part in lam.parts]
+    return MatrixFF.identity(field, lam.n) + block_diag(blocks, field)
+
+
+@pytest.mark.parametrize("field", [F2, F5, mk_field(3, 2), mk_field(2, 4)], ids=repr)
+def test_nabla_matrix_matches_the_composed_model(field):
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            assert nabla_matrix(lam, field) == _nabla_matrix_oracle(lam, field)
+
+
 # ---------------------------------------------------------------------------
 # kernel sequences
 # ---------------------------------------------------------------------------
@@ -233,24 +248,30 @@ def test_kernel_sequence_matches_oracle_on_seeded_conjugates(field):
                 assert kernel_sequence(M) == want
 
 
-def test_kernel_sequence_forms_one_product_per_extra_step(monkeypatch):
-    products = []
-    real_mul = MatrixFF.__mul__
+def test_kernel_sequence_echelons_once_per_step_and_forms_no_product(monkeypatch):
+    import defring_audit.partitions as partitions_module
 
-    def counting_mul(self, other):
-        products.append((self.rows, other.cols))
-        return real_mul(self, other)
+    echelons = []
+    real_echelon = partitions_module._echelon
 
-    monkeypatch.setattr(MatrixFF, "__mul__", counting_mul)
+    def counting_echelon(field, rows, ncols, full=False):
+        echelons.append(len(rows))
+        return real_echelon(field, rows, ncols, full)
+
+    def refused_mul(self, other):
+        raise AssertionError("kernel_sequence formed a matrix product")
+
+    monkeypatch.setattr(partitions_module, "_echelon", counting_echelon)
+    monkeypatch.setattr(MatrixFF, "__mul__", refused_mul)
     for lam in (Partition((4,)), Partition((2, 2)), Partition((1, 1, 1, 1))):
-        products.clear()
+        echelons.clear()
         seq = kernel_sequence(nabla_matrix(lam, F5))
-        assert len(products) == len(seq.parts) - 1
-    products.clear()
+        assert len(echelons) == len(seq.parts)
+    echelons.clear()
     with pytest.raises(ValueError, match="not unipotent"):
         kernel_sequence(MatrixFF.from_rows(F5, [[1, 1, 0], [0, 1, 0], [0, 0, 2]]))
-    # kernels of dimension 1, 2, 2: the third power shows the stall
-    assert len(products) == 2
+    # kernels of dimension 1, 2, 2: the third step shows the stall
+    assert len(echelons) == 3
 
 
 @settings(max_examples=60)
@@ -281,6 +302,15 @@ def test_theta_examples():
 @settings(max_examples=60)
 @given(partition_strategy(max_n=10), st.sampled_from([F2, F5, F101]))
 def test_theta_is_field_independent_and_conjugation(lam, field):
+    assert theta(lam, field) == conjugate(lam)
+
+
+@pytest.mark.parametrize("field", [F5, mk_field(3, 2)], ids=repr)
+@pytest.mark.parametrize("text", ["80", "40,40", "20,15,15,10,7,7,3,2,1"])
+def test_theta_is_conjugation_at_the_partition_limit(text, field):
+    # "80" takes the most kernel steps of any partition the CLI accepts
+    lam = Partition.parse(text)
+    assert lam.n == LIMITS["MAX_PARTITION_N"]
     assert theta(lam, field) == conjugate(lam)
 
 
