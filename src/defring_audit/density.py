@@ -27,9 +27,10 @@ as its orbit under conjugation.  ``subgroup_classes`` gives one
 representative per class with the class size, and ``all_subgroups`` the
 sorted union of the classes.
 
-Gamma's table is built a row at a time: row y*s of S_n is row s read
-through row y, so the rows of the adjacent transpositions fill the rest,
-and a row of a direct product is formed from one row of each factor.
+Every table is filled by one walk: row y*s is row s read through row y,
+so each constructor gives only its generators' rows (the successor in
+Z/n, the bit flips of (Z/2)^k, the adjacent transpositions of S_n, and
+(g, 1) and (1, h) in a product) and the walk builds the rest from them.
 Associativity of a table of order <= 48 is checked exactly by Light's
 test, which compares rows only for b in a generating set.
 """
@@ -223,6 +224,24 @@ def _greedy_generators(table) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _closed_table(n: int, identity: int, generator_rows: dict) -> list[tuple[int, ...]]:
+    """The table of order n generated by ``generator_rows`` (s -> row s).
+    Row y*s is row s read through row y, as (y*s)*b = y*(s*b), so a walk from
+    the identity fills each row once, by one ``itemgetter`` call on a built row."""
+    rows = [None] * n
+    rows[identity] = tuple(range(n))
+    steps = [(s, operator.itemgetter(*row)) for s, row in generator_rows.items()]
+    walk = [identity]
+    for y in walk:
+        row = rows[y]
+        for s, read in steps:
+            z = row[s]  # y*s
+            if rows[z] is None:
+                rows[z] = read(row)
+                walk.append(z)
+    return rows
+
+
 def trivial_group() -> FiniteGroup:
     return FiniteGroup(((0,),), name="trivial")
 
@@ -230,8 +249,8 @@ def trivial_group() -> FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1 or n > MAX_GROUP_ORDER:
         raise ValueError("cyclic order out of range")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, name=f"C{n}")
+    successor = {1 % n: tuple(range(1, n)) + (0,)}
+    return FiniteGroup(_closed_table(n, 0, successor), name=f"C{n}")
 
 
 def elementary_abelian_2(k: int) -> FiniteGroup:
@@ -240,58 +259,43 @@ def elementary_abelian_2(k: int) -> FiniteGroup:
     if k < 0 or k >= MAX_GROUP_ORDER.bit_length():
         raise ValueError("elementary abelian rank out of range")
     n = 2**k
-    table = [[a ^ b for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, name=f"(Z/2)^{k}")
+    flips = {1 << i: tuple(b ^ 1 << i for b in range(n)) for i in range(k)}
+    return FiniteGroup(_closed_table(n, 0, flips), name=f"(Z/2)^{k}")
 
 
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> FiniteGroup:
-    """S_n on the permutations of range(n) in lexicographic order.
-
-    Row y*s of the table is row s read through row y, since
-    (y*s)*b = y*(s*b).  So only the rows of the adjacent transpositions s
-    are computed entry by entry; a walk from the identity fills every
-    other row once, as one ``itemgetter`` call on a row already built.
-    Memoised like ``mk_field``: the table is immutable and a batch builds
-    the same S_n for many scenarios.
-    """
+    """S_n on the permutations of range(n) in lexicographic order, walked by
+    ``_closed_table`` from the rows of the adjacent transpositions.  Memoised
+    like ``mk_field``: the table is immutable and a batch builds the same S_n
+    for many scenarios."""
     if n < 1 or n > 6:
         raise ValueError("symmetric groups are supported for 1 <= n <= 6")
     perms = [bytes(p) for p in itertools.permutations(range(n))]
     index = {p: i for i, p in enumerate(perms)}
-    # (a*b)(x) = a(b(x)) is b.translate(a), with a padded to a 256-byte table
-    pads = [p.ljust(256, b"\0") for p in perms]
-    swaps = [index[bytes(range(i)) + bytes((i + 1, i)) + bytes(range(i + 2, n))]
-             for i in range(n - 1)]
-    swap_rows = [
-        (perms[s], operator.itemgetter(
-            *map(index.__getitem__, map(bytes.translate, perms, itertools.repeat(pads[s])))
-        ))
-        for s in swaps
-    ]
-    rows = [None] * len(perms)
-    rows[0] = tuple(range(len(perms)))
-    walk = [0]
-    for y in walk:
-        for s, s_row in swap_rows:
-            z = index[s.translate(pads[y])]  # y*s
-            if rows[z] is None:
-                rows[z] = s_row(rows[y])
-                walk.append(z)
-    return FiniteGroup(rows, name=f"S{n}")
+    swaps = {}
+    for i in range(n - 1):
+        s = bytes(range(i)) + bytes((i + 1, i)) + bytes(range(i + 2, n))
+        # (s*b)(x) = s(b(x)) is b.translate(s), with s padded to a 256-byte table
+        images = map(bytes.translate, perms, itertools.repeat(s.ljust(256, b"\0")))
+        swaps[index[s]] = tuple(map(index.__getitem__, images))
+    return FiniteGroup(_closed_table(len(perms), 0, swaps), name=f"S{n}")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
+    """A x B, with (x, y) at index x * |B| + y, walked by ``_closed_table``
+    from (1, 1) with the rows of (g, 1) and (1, h) for g and h among the
+    factors' ``_greedy_generators``."""
     n = a.order * b.order
     if n > MAX_GROUP_ORDER:
         raise ValueError(f"product order {n} exceeds the budget {MAX_GROUP_ORDER}")
     nb = b.order
-    # (x1, y1)(x2, y2) = (x1 x2, y1 y2), with (x, y) at index x * nb + y
-    table = [
-        [x * nb + y for x in arow for y in brow] for arow in a.table for brow in b.table
-    ]
-    name = f"{a.name or '?'}x{b.name or '?'}"
-    return FiniteGroup(table, name=name)
+    gens = {g * nb + b.identity: tuple(x * nb + y for x in a.table[g] for y in range(nb))
+            for g in _greedy_generators(a.table)}
+    gens.update({a.identity * nb + h: tuple(x * nb + y for x in a.elements() for y in b.table[h])
+                 for h in _greedy_generators(b.table)})
+    table = _closed_table(n, a.identity * nb + b.identity, gens)
+    return FiniteGroup(table, name=f"{a.name or '?'}x{b.name or '?'}")
 
 
 def build_group(spec) -> FiniteGroup:

@@ -375,6 +375,39 @@ def test_reader_closing_the_pipe_early_ends_quietly_with_the_verdict(tmp_path):
     assert err == b""
 
 
+# Runs argv and prints its exit code and ru_maxrss (KiB on Linux) from wait4,
+# then its stdout.  A child's ru_maxrss counts the resident set of the process
+# that spawned it, so the child is spawned from this small interpreter rather
+# than from the test process.
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+sys.stdout.write(out.decode())
+"""
+
+
+def test_a_group_at_the_order_budget_stays_within_400_mb(tmp_path):
+    # |Z2 x Z2520| = MAX_GROUP_ORDER: its table holds 5040^2 entries
+    gamma = {"type": "product", "factors": ["Z2", "Z2520"]}
+    path = _write(tmp_path, {"mode": "density", "gamma": gamma, "k": 1})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER,
+         sys.executable, "-m", "defring_audit.cli", "run", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    status, out = proc.stdout.split("\n", 1)
+    code, peak_kib = map(int, status.split())
+    assert code == EXIT_OK
+    assert json.loads(out)["verdicts"]["density"] == "63/64"
+    assert peak_kib / 1024 <= 400
+
+
 _PLACES = [{"kind": "ell", "condition": "sm", "local_degree": 1}, {"kind": "arch"}]
 _LEDGER = {"mode": "ledger", "lie": {"gn": 1}, "deg_F": 1, "places": _PLACES}
 _DIMS = {"dim_g": 4, "dim_g_der": 3, "dim_g_ab": 1, "dim_b_der": 1}

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -143,6 +144,54 @@ def _symmetric_table_translate_oracle(n):
         tuple(map(index, map(bytes.translate, perms, itertools.repeat(a.ljust(256, b"\0")))))
         for a in perms
     )
+
+
+def _symmetric_walk_oracle(n):
+    """The S_n table by a walk of its own: y*s is found by one ``bytes.translate``
+    and a lookup, and row y*s is row s read through row y."""
+    perms = [bytes(p) for p in itertools.permutations(range(n))]
+    index = {p: i for i, p in enumerate(perms)}
+    pads = [p.ljust(256, b"\0") for p in perms]
+    swaps = [index[bytes(range(i)) + bytes((i + 1, i)) + bytes(range(i + 2, n))]
+             for i in range(n - 1)]
+    swap_rows = [
+        (perms[s], operator.itemgetter(
+            *map(index.__getitem__, map(bytes.translate, perms, itertools.repeat(pads[s])))
+        ))
+        for s in swaps
+    ]
+    rows = [None] * len(perms)
+    rows[0] = tuple(range(len(perms)))
+    walk = [0]
+    for y in walk:
+        for s, s_row in swap_rows:
+            z = index[s.translate(pads[y])]  # y*s
+            if rows[z] is None:
+                rows[z] = s_row(rows[y])
+                walk.append(z)
+    return tuple(rows)
+
+
+def _cyclic_oracle(n):
+    """Z/n entry by entry: its table, identity and inverses."""
+    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    return table, 0, tuple(-a % n for a in range(n))
+
+
+def _elementary_abelian_2_oracle(k):
+    """(Z/2)^k entry by entry: its table, identity and inverses."""
+    n = 2**k
+    return tuple(tuple(a ^ b for b in range(n)) for a in range(n)), 0, tuple(range(n))
+
+
+def _direct_product_comprehension_oracle(a, b):
+    """A x B from one row of each factor: its table, identity and inverses."""
+    nb = b.order
+    table = tuple(
+        tuple(x * nb + y for x in arow for y in brow) for arow in a.table for brow in b.table
+    )
+    inverse = tuple(x * nb + y for x in a.inverse for y in b.inverse)
+    return table, a.identity * nb + b.identity, inverse
 
 
 def _direct_product_oracle(a, b):
@@ -688,6 +737,9 @@ def test_closure_and_subgroup_test_match_oracles():
 def test_symmetric_table_matches_comprehension(n):
     group = symmetric_group(n)
     assert group.table == _symmetric_table_oracle(n)
+    perms = list(itertools.permutations(range(n)))
+    inverse = tuple(perms.index(tuple(sorted(range(n), key=p.__getitem__))) for p in perms)
+    assert (group.identity, group.inverse) == (0, inverse)
     assert symmetric_group(n) is group  # memoised
 
 
@@ -699,20 +751,49 @@ def test_cycle_index_is_lexicographic_rank(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_symmetric_table_matches_translate_oracle(n):
-    assert symmetric_group(n).table == _symmetric_table_translate_oracle(n)
+    table = symmetric_group(n).table
+    assert table == _symmetric_table_translate_oracle(n) == _symmetric_walk_oracle(n)
 
 
-PRODUCT_FACTORS = dict(ORACLE_ZOO, S4=symmetric_group(4))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 12, 48])
+def test_cyclic_group_matches_the_comprehension_oracle(n):
+    group = cyclic_group(n)
+    assert (group.table, group.identity, group.inverse) == _cyclic_oracle(n)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_elementary_abelian_2_matches_the_comprehension_oracle(k):
+    group = elementary_abelian_2(k)
+    assert (group.table, group.identity, group.inverse) == _elementary_abelian_2_oracle(k)
+
+
+# Z/3 with its elements relabelled 0 -> 2, 1 -> 0, 2 -> 1: the identity is 2
+_RELABEL = (2, 0, 1)
+Z3_RELABELLED = FiniteGroup(
+    [[_RELABEL[(a + b) % 3] for b in sorted(range(3), key=_RELABEL.__getitem__)]
+     for a in sorted(range(3), key=_RELABEL.__getitem__)],
+    name="Z3'",
+)
+PRODUCT_FACTORS = dict(
+    ORACLE_ZOO, S4=symmetric_group(4), S1=symmetric_group(1), Z1=cyclic_group(1),
+    E0=elementary_abelian_2(0), S3xZ4=direct_product(symmetric_group(3), cyclic_group(4)),
+    Z3relabelled=Z3_RELABELLED,
+)
 
 
 @pytest.mark.parametrize(
     "left, right",
     [("Z2", "S4"), ("Z3", "S3"), ("S3", "S3"), ("S4", "Z2"), ("V4", "Z6"), ("S3", "Z2xS3"),
-     ("Z4", "trivial"), ("trivial", "V4"), ("Z2xS3", "S4")],
+     ("Z4", "trivial"), ("trivial", "V4"), ("Z2xS3", "S4"), ("S3xZ4", "Z2"), ("S1", "Z1"),
+     ("E0", "S3"), ("Z3relabelled", "S3"), ("Z4", "Z3relabelled"),
+     ("Z3relabelled", "Z3relabelled")],
 )
 def test_direct_product_matches_method_oracle(left, right):
     a, b = PRODUCT_FACTORS[left], PRODUCT_FACTORS[right]
-    assert direct_product(a, b).table == _direct_product_oracle(a, b)
+    product = direct_product(a, b)
+    assert product.table == _direct_product_oracle(a, b)
+    expected = _direct_product_comprehension_oracle(a, b)
+    assert (product.table, product.identity, product.inverse) == expected
 
 
 LIGHT_ZOO = dict(
