@@ -17,31 +17,27 @@ Hence density = 1 - N_bad / (|Gamma| * 2^(k+1)), where N_bad is the total
 size of the Gamma-classes holding such an x.  e_H(x) = [<x> : <x> & H] is
 odd exactly when H holds the 2-part of x, which generates the same cyclic
 subgroup as x^M for M the odd part of |Gamma|.  So N_bad counts the x
-whose power x^M is conjugate into H, and one power map gives it.  The
-Gamma-classes are the orbits of the conjugations by a generating set.
+whose power x^M is conjugate into H, and the class structure gives it
+with no table: a key per class (a cycle type in S_n, the element itself
+in an abelian group, the pair of keys in a product), the class sizes,
+and the map x -> x^M on keys.
 
 The subgroup lattice is searched by conjugacy classes (the cyclic
-extension method): one subgroup per class is joined with the cyclic
+extension method) over the group's table, which is built for it on
+first access: one subgroup per class is joined with the cyclic
 subgroups outside it, and each new subgroup's class is recorded at once
 as its orbit under conjugation.  ``subgroup_classes`` gives one
 representative per class with the class size, and ``all_subgroups`` the
 sorted union of the classes.
-
-Every table is filled by one walk: row y*s is row s read through row y,
-so each constructor gives only its generators' rows (the successor in
-Z/n, the bit flips of (Z/2)^k, the adjacent transpositions of S_n, and
-(g, 1) and (1, h) in a product) and the walk builds the rest from them.
-Associativity of a table of order <= 48 is checked exactly by Light's
-test, which compares rows only for b in a generating set.
 """
-
 from __future__ import annotations
 
 import itertools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, NamedTuple
 
 from .ff import InternalCheckError, Record, _power
@@ -53,142 +49,180 @@ _SPOT_CHECK_TRIPLES = 300
 
 
 class FiniteGroup:
-    """A finite group given by an explicit multiplication table.
+    """A finite group on the element indices 0..N-1, given by its structure.
 
-    Elements are 0..N-1; ``table[a][b]`` is the index of a*b.  The
-    identity and inverse table are located on construction; associativity
-    is checked exactly for N <= 48 (by Light's test) and spot-checked
-    (deterministically) for larger tables.  The conjugations x -> u x u^-1
-    by a generating set, and the conjugacy classes as their orbits, are
-    built on first use and kept.
+    Density reads only ``mul``, ``inv``, a class key per element
+    (``class_key``), the keys' power map ``power_key(key, m)`` (the key of
+    x^m) and ``class_sizes``.  The table is built on first access, by one
+    walk from the identity over the ``generators``, and checked then as a
+    given table is; only the subgroup lattice reads it.
+    ``FiniteGroup(table)`` takes a table and checks it at once; its classes
+    are the orbits of ``conjugations``, each keyed by its least element.
     """
 
-    __slots__ = ("order", "table", "identity", "inverse", "name", "_classes", "_conjugations")
+    __slots__ = ("order", "identity", "name", "generators", "mul", "inv", "class_key",
+                 "power_key", "_count_classes", "_table", "_inverse", "_class_sizes",
+                 "_conjugations")
 
     def __init__(self, table, name: str = ""):
         table = tuple(tuple(row) for row in table)
-        n = len(table)
-        if n < 1:
-            raise ValueError("a group needs at least the identity")
-        if n > MAX_GROUP_ORDER:
-            raise ValueError(f"group order {n} exceeds the budget {MAX_GROUP_ORDER}")
-        if any(len(row) != n for row in table):
-            raise ValueError("multiplication table must be square")
-        if not set().union(*table) <= set(range(n)):
-            raise ValueError("table entries must be element indices")
-        self.order = n
-        self.table = table
-        self.name = name
-        self._classes = None
-        self._conjugations = None
+        identity, inverse = _checked(table)
+        self._set(len(table), identity, name, _greedy_generators(table), _table=table,
+                  _inverse=inverse, mul=lambda a, b: table[a][b], inv=inverse.__getitem__)
+        keys = _class_orbits(self)
+        self.class_key, self._count_classes = keys.__getitem__, lambda: Counter(keys)
+        self.power_key = lambda key, m: keys[_power(key, m, self.mul, identity)]
 
-        points = tuple(range(n))
-        identity = None
-        for e in range(n):
-            if table[e] == points and all(row[e] == x for x, row in enumerate(table)):
-                identity = e
-                break
-        if identity is None:
-            raise ValueError("no identity element")
-        self.identity = identity
+    def _set(self, order, identity, name, generators, **parts) -> None:
+        self.order, self.identity, self.name, self.generators = order, identity, name, generators
+        self._table = self._inverse = self._class_sizes = self._conjugations = None
+        for attr, value in parts.items():
+            setattr(self, attr, value)
 
-        inverse = []
-        for a, row in enumerate(table):
-            # the first b with a*b = b*a = identity, found at C speed
-            b = -1
-            while True:
-                try:
-                    b = row.index(identity, b + 1)
-                except ValueError:
-                    raise ValueError(f"element {a} has no inverse") from None
-                if table[b][a] == identity:
-                    break
-            inverse.append(b)
-        self.inverse = tuple(inverse)
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        if self._table is None:
+            # row y*s is row s read through row y, as (y*s)*b = y*(s*b), so the
+            # walk fills each row once, by one itemgetter call on a built row
+            n = self.order
+            rows = [None] * n
+            rows[self.identity] = tuple(range(n))
+            steps = [(s, operator.itemgetter(*map(partial(self.mul, s), range(n))))
+                     for s in self.generators]
+            walk = [self.identity]
+            for y in walk:
+                row = rows[y]
+                for s, read in steps:
+                    z = row[s]  # y*s
+                    if rows[z] is None:
+                        rows[z] = read(row)
+                        walk.append(z)
+            if None in rows or _checked(rows) != (self.identity, self.inverse):
+                raise InternalCheckError(f"the table of {self!r} disagrees with its structure")
+            self._table = tuple(rows)
+        return self._table
 
-        self._check_associativity()
-
-    def _check_associativity(self):
-        n = self.order
-        t = self.table
-        if n <= _FULL_ASSOCIATIVITY_ORDER:
-            # Light's test: (ab)c = a(bc) for all a, c and every b in a set
-            # that generates the table under products is associativity itself
-            # (the b passing it are closed under products).  Row ab must
-            # equal row b read through row a.
-            gens = _greedy_generators(t)
-            for a in range(n):
-                row = t[a]
-                for b in gens:
-                    if t[row[b]] != tuple(map(row.__getitem__, t[b])):
-                        c = next(c for c in range(n) if t[row[b]][c] != row[t[b][c]])
-                        raise ValueError(f"multiplication table not associative at {(a, b, c)}")
-            return
-        state = 123456789
-        for _ in range(_SPOT_CHECK_TRIPLES):
-            out = []
-            for _ in range(3):
-                state = (1103515245 * state + 12345) % (1 << 31)
-                out.append(state % n)
-            a, b, c = out
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise ValueError(f"multiplication table not associative at {(a, b, c)}")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
+    @property
+    def inverse(self) -> tuple[int, ...]:
+        if self._inverse is None:
+            self._inverse = tuple(map(self.inv, self.elements()))
+        return self._inverse
 
     def elements(self) -> range:
         return range(self.order)
 
+    def class_sizes(self) -> dict:
+        """|class| for each class key, counted on the first call and checked
+        to sum to |Gamma| then."""
+        if self._class_sizes is None:
+            sizes = self._count_classes()
+            if sum(sizes.values()) != self.order:
+                raise InternalCheckError("conjugacy classes do not partition Gamma")
+            self._class_sizes = sizes
+        return self._class_sizes
+
     def conjugations(self) -> list[tuple[int, ...]]:
-        """The permutations x -> u x u^-1, one for each u other than the
-        identity among ``_greedy_generators``, built on the first call."""
+        """The permutations x -> u x u^-1, one for each of the ``generators``
+        other than the identity, built on the first call."""
         if self._conjugations is None:
             t, inverse = self.table, self.inverse
             self._conjugations = [
                 tuple(t[t[u][x]][inverse[u]] for x in self.elements())
-                for u in _greedy_generators(t)
+                for u in self.generators
                 if u != self.identity
             ]
         return self._conjugations
 
-    def conjugacy_classes(self) -> tuple[frozenset[int], ...]:
-        """The conjugacy classes in the order of their least elements, found
-        by ``_class_orbits`` and checked to partition the group on the first
-        call only."""
-        if self._classes is None:
-            classes = self._class_orbits()
-            if sorted(itertools.chain.from_iterable(classes)) != list(self.elements()):
-                raise InternalCheckError("conjugacy classes do not partition Gamma")
-            self._classes = classes
-        return self._classes
+    def __repr__(self) -> str:
+        return f"FiniteGroup({self.name or self.order})"
 
-    def _class_orbits(self) -> tuple[frozenset[int], ...]:
-        """The orbits under ``conjugations`` (Holt, Eick & O'Brien, *Handbook
-        of Computational Group Theory*, 4.1): the generators reach every u,
-        so the orbit of g is its class, in O(|Gamma| * |generators|)."""
-        conjugations = self.conjugations()
-        seen = bytearray(self.order)
-        classes = []
-        for g in self.elements():
-            if seen[g]:
-                continue
-            seen[g] = 1
+
+def _structured(order: int, identity: int, name: str, generators, **parts) -> FiniteGroup:
+    """The group with these ``generators``, ``mul``, ``inv``, ``class_key``,
+    ``power_key`` and ``_count_classes`` (() -> {key: |class|}), no table yet."""
+    group = FiniteGroup.__new__(FiniteGroup)
+    group._set(order, identity, name, generators, **parts)
+    return group
+
+
+def _checked(table) -> tuple[int, tuple[int, ...]]:
+    """The identity and the inverses of a table, checked to be a group's:
+    square, of element indices, with an identity and inverses, and
+    associative, exactly for N <= 48 (by Light's test) and spot-checked
+    (deterministically) for larger N."""
+    n = len(table)
+    if n < 1:
+        raise ValueError("a group needs at least the identity")
+    if n > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {n} exceeds the budget {MAX_GROUP_ORDER}")
+    if any(len(row) != n for row in table):
+        raise ValueError("multiplication table must be square")
+    if not set().union(*table) <= set(range(n)):
+        raise ValueError("table entries must be element indices")
+    points = tuple(range(n))
+    identity = next((e for e in points if table[e] == points
+                     and all(row[e] == x for x, row in enumerate(table))), None)
+    if identity is None:
+        raise ValueError("no identity element")
+    inverse = []
+    for a, row in enumerate(table):
+        # the first b with a*b = b*a = identity, found at C speed
+        b = -1
+        while True:
+            try:
+                b = row.index(identity, b + 1)
+            except ValueError:
+                raise ValueError(f"element {a} has no inverse") from None
+            if table[b][a] == identity:
+                break
+        inverse.append(b)
+    _check_associativity(table)
+    return identity, tuple(inverse)
+
+
+def _check_associativity(t) -> None:
+    n = len(t)
+    if n <= _FULL_ASSOCIATIVITY_ORDER:
+        # Light's test: (ab)c = a(bc) for all a, c and every b in a set
+        # that generates the table under products is associativity itself
+        # (the b passing it are closed under products).  Row ab must
+        # equal row b read through row a.
+        gens = _greedy_generators(t)
+        for a in range(n):
+            row = t[a]
+            for b in gens:
+                if t[row[b]] != tuple(map(row.__getitem__, t[b])):
+                    c = next(c for c in range(n) if t[row[b]][c] != row[t[b][c]])
+                    raise ValueError(f"multiplication table not associative at {(a, b, c)}")
+        return
+    state = 123456789
+    for _ in range(_SPOT_CHECK_TRIPLES):
+        out = []
+        for _ in range(3):
+            state = (1103515245 * state + 12345) % (1 << 31)
+            out.append(state % n)
+        a, b, c = out
+        if t[t[a][b]][c] != t[a][t[b][c]]:
+            raise ValueError(f"multiplication table not associative at {(a, b, c)}")
+
+
+def _class_orbits(group: FiniteGroup) -> list[int]:
+    """The least element of each element's class, by the orbits under
+    ``conjugations`` (Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, 4.1): the generators reach every u, so the orbit of g is
+    its class, in O(|Gamma| * |generators|)."""
+    conjugations = group.conjugations()
+    keys = [None] * group.order
+    for g in group.elements():
+        if keys[g] is None:
+            keys[g] = g
             orbit = [g]
             for x in orbit:
                 for conj in conjugations:
-                    y = conj[x]
-                    if not seen[y]:
-                        seen[y] = 1
-                        orbit.append(y)
-            classes.append(frozenset(orbit))
-        return tuple(classes)
-
-    def __repr__(self) -> str:
-        return f"FiniteGroup({self.name or self.order})"
+                    if keys[conj[x]] is None:
+                        keys[conj[x]] = g
+                        orbit.append(conj[x])
+    return keys
 
 
 def _greedy_generators(table) -> list[int]:
@@ -224,33 +258,27 @@ def _greedy_generators(table) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _closed_table(n: int, identity: int, generator_rows: dict) -> list[tuple[int, ...]]:
-    """The table of order n generated by ``generator_rows`` (s -> row s).
-    Row y*s is row s read through row y, as (y*s)*b = y*(s*b), so a walk from
-    the identity fills each row once, by one ``itemgetter`` call on a built row."""
-    rows = [None] * n
-    rows[identity] = tuple(range(n))
-    steps = [(s, operator.itemgetter(*row)) for s, row in generator_rows.items()]
-    walk = [identity]
-    for y in walk:
-        row = rows[y]
-        for s, read in steps:
-            z = row[s]  # y*s
-            if rows[z] is None:
-                rows[z] = read(row)
-                walk.append(z)
-    return rows
+def _itself(x):
+    return x
+
+
+def _abelian(n: int, name: str, generators, mul, inv, power_key) -> FiniteGroup:
+    """An abelian group: each element is its own class."""
+    return _structured(n, 0, name, generators, mul=mul, inv=inv, class_key=_itself,
+                       power_key=power_key, _count_classes=lambda: dict.fromkeys(range(n), 1))
 
 
 def trivial_group() -> FiniteGroup:
-    return FiniteGroup(((0,),), name="trivial")
+    group = cyclic_group(1)
+    group.name = "trivial"
+    return group
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1 or n > MAX_GROUP_ORDER:
         raise ValueError("cyclic order out of range")
-    successor = {1 % n: tuple(range(1, n)) + (0,)}
-    return FiniteGroup(_closed_table(n, 0, successor), name=f"C{n}")
+    return _abelian(n, f"C{n}", [1 % n], lambda a, b: (a + b) % n, lambda a: -a % n,
+                    lambda key, m: key * m % n)
 
 
 def elementary_abelian_2(k: int) -> FiniteGroup:
@@ -258,44 +286,111 @@ def elementary_abelian_2(k: int) -> FiniteGroup:
     # refused without forming 2**k
     if k < 0 or k >= MAX_GROUP_ORDER.bit_length():
         raise ValueError("elementary abelian rank out of range")
-    n = 2**k
-    flips = {1 << i: tuple(b ^ 1 << i for b in range(n)) for i in range(k)}
-    return FiniteGroup(_closed_table(n, 0, flips), name=f"(Z/2)^{k}")
+    return _abelian(2**k, f"(Z/2)^{k}", [1 << i for i in range(k)], operator.xor, _itself,
+                    lambda key, m: key if m & 1 else 0)
 
 
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> FiniteGroup:
-    """S_n on the permutations of range(n) in lexicographic order, walked by
-    ``_closed_table`` from the rows of the adjacent transpositions.  Memoised
-    like ``mk_field``: the table is immutable and a batch builds the same S_n
-    for many scenarios."""
+    """S_n on the permutations of range(n) in lexicographic order, generated
+    by the adjacent transpositions.  A class key is a cycle type, found on
+    first query and kept.  Memoised like ``mk_field``: a batch asks for the
+    same S_n in many scenarios."""
     if n < 1 or n > 6:
         raise ValueError("symmetric groups are supported for 1 <= n <= 6")
     perms = [bytes(p) for p in itertools.permutations(range(n))]
-    index = {p: i for i, p in enumerate(perms)}
-    swaps = {}
-    for i in range(n - 1):
-        s = bytes(range(i)) + bytes((i + 1, i)) + bytes(range(i + 2, n))
-        # (s*b)(x) = s(b(x)) is b.translate(s), with s padded to a 256-byte table
-        images = map(bytes.translate, perms, itertools.repeat(s.ljust(256, b"\0")))
-        swaps[index[s]] = tuple(map(index.__getitem__, images))
-    return FiniteGroup(_closed_table(len(perms), 0, swaps), name=f"S{n}")
+    index = {p: i for i, p in enumerate(perms)}.__getitem__
+    pads = [p.ljust(256, b"\0") for p in perms]
+    points = bytes(range(n))
+    types = {}
+
+    def class_key(x):
+        if x not in types:
+            types[x] = _cycle_type(perms[x])
+        return types[x]
+
+    return _structured(
+        len(perms), 0, f"S{n}",
+        [index(points[:i] + bytes((i + 1, i)) + points[i + 2:]) for i in range(n - 1)],
+        # (a*b)(x) = a(b(x)) is b.translate(a), with a padded to a 256-byte table
+        mul=lambda a, b: index(perms[b].translate(pads[a])),
+        inv=lambda a: index(bytes.maketrans(perms[a], points)[:n]),  # maps p(i) to i
+        class_key=class_key, power_key=_cycle_type_power,
+        _count_classes=lambda: _cycle_type_sizes(n),
+    )
+
+
+def _cycle_type(perm: bytes) -> tuple[int, ...]:
+    """The cycle lengths of a permutation, longest first."""
+    lengths, seen = [], set()
+    for start in range(len(perm)):
+        x, length = start, 0
+        while x not in seen:
+            seen.add(x)
+            x, length = perm[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _cycle_type_power(cycle_type: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The cycle type of x^m: each L-cycle of x splits into gcd(L, m) cycles
+    of length L / gcd(L, m).  Memoised: S_n has few cycle types."""
+    parts = []
+    for length in cycle_type:
+        g = math.gcd(length, m)
+        parts += [length // g] * g
+    return tuple(sorted(parts, reverse=True))
+
+
+def _cycle_type_sizes(n: int) -> dict[tuple[int, ...], int]:
+    """The class size of each cycle type of S_n: n! / prod i^(m_i) m_i!, with
+    m_i the number of i-cycles (Sagan, *The Symmetric Group*, 1.1)."""
+    sizes = {}
+    for cycle_type in _partitions(n, n):
+        centralizer = 1
+        for length in set(cycle_type):
+            m = cycle_type.count(length)
+            centralizer *= length**m * math.factorial(m)
+        sizes[cycle_type] = math.factorial(n) // centralizer
+    return sizes
+
+
+def _partitions(n: int, cap: int):
+    """The partitions of n into parts at most cap, as non-increasing tuples."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """A x B, with (x, y) at index x * |B| + y, walked by ``_closed_table``
-    from (1, 1) with the rows of (g, 1) and (1, h) for g and h among the
-    factors' ``_greedy_generators``."""
+    """A x B, with (x, y) at index x * |B| + y, generated by (g, 1) and
+    (1, h) for the factors' generators g and h.  Products, inverses, class
+    keys, class sizes and the power map work componentwise."""
     n = a.order * b.order
     if n > MAX_GROUP_ORDER:
         raise ValueError(f"product order {n} exceeds the budget {MAX_GROUP_ORDER}")
     nb = b.order
-    gens = {g * nb + b.identity: tuple(x * nb + y for x in a.table[g] for y in range(nb))
-            for g in _greedy_generators(a.table)}
-    gens.update({a.identity * nb + h: tuple(x * nb + y for x in a.elements() for y in b.table[h])
-                 for h in _greedy_generators(b.table)})
-    table = _closed_table(n, a.identity * nb + b.identity, gens)
-    return FiniteGroup(table, name=f"{a.name or '?'}x{b.name or '?'}")
+
+    def mul(x, y):
+        (xa, xb), (ya, yb) = divmod(x, nb), divmod(y, nb)
+        return a.mul(xa, ya) * nb + b.mul(xb, yb)
+
+    def count_classes():
+        sizes = b.class_sizes().items()
+        return {(ka, kb): i * j for ka, i in a.class_sizes().items() for kb, j in sizes}
+
+    return _structured(
+        n, a.identity * nb + b.identity, f"{a.name or '?'}x{b.name or '?'}",
+        [g * nb + b.identity for g in a.generators] + [a.identity * nb + h for h in b.generators],
+        mul=mul, inv=lambda x: a.inv(x // nb) * nb + b.inv(x % nb),
+        class_key=lambda x: (a.class_key(x // nb), b.class_key(x % nb)),
+        power_key=lambda key, m: (a.power_key(key[0], m), b.power_key(key[1], m)),
+        _count_classes=count_classes,
+    )
 
 
 def build_group(spec) -> FiniteGroup:
@@ -368,25 +463,33 @@ def _join(
 ) -> tuple[list[int], int]:
     """Elements and bitmask of <H, g>, given H's elements and generators.
 
-    <H, g> is a union of right cosets H*r, and right multiplication by a
+    <H, g> is a union of left cosets r*H, and left multiplication by a
     generator maps a coset to a coset, so a search over coset
-    representatives reaches them all; each coset is added whole.
+    representatives reaches them all; each coset is added whole.  Once
+    the table is built, a coset is row r read at H's elements; before,
+    the products go through ``mul``.
     """
-    t = group.table
+    t, mul = group._table, group.mul
     elems = list(h_elems)
     mask = h_mask
     gens = gens + (g,)
     reps = [group.identity]
     for r in reps:
-        row = t[r]
         for s in gens:
-            y = row[s]
+            y = mul(s, r) if t is None else t[s][r]
             if mask >> y & 1:
                 continue
-            for x in h_elems:
-                z = t[x][y]
-                elems.append(z)
-                mask |= 1 << z
+            if t is None:
+                for x in h_elems:
+                    z = mul(y, x)
+                    elems.append(z)
+                    mask |= 1 << z
+            else:
+                row = t[y]
+                for x in h_elems:
+                    z = row[x]
+                    elems.append(z)
+                    mask |= 1 << z
             reps.append(y)
     return elems, mask
 
@@ -407,12 +510,12 @@ def is_subgroup(group: FiniteGroup, subset: Iterable[int]) -> bool:
     """Whether the subset is a subgroup, without testing every product.
 
     It is one exactly when it holds the identity and equals the subgroup
-    its own elements generate.
+    its own elements generate.  A subset of |Gamma| elements is Gamma.
     """
     h = frozenset(subset)
     if group.identity not in h or any(not (0 <= a < group.order) for a in h):
         return False
-    return subgroup_closure(group, h) == h
+    return len(h) == group.order or subgroup_closure(group, h) == h
 
 
 def _cyclic_generators(group: FiniteGroup) -> list[int]:
@@ -451,7 +554,7 @@ def _subgroup_class_lists(group: FiniteGroup) -> list[list[list[int]]]:
     frontier = [(start, (), [group.identity])]
     while frontier:
         h, gens, elems = frontier.pop()
-        # <H, g> = <H, x> for every x in the coset H*g, which _join lists
+        # <H, g> = <H, x> for every x in the coset g*H, which _join lists
         # right after H; `done` holds H and the cosets already joined
         done = h
         for g in cyclic:
@@ -573,20 +676,16 @@ def _bad_class_total(problem: SplitDensityProblem) -> int:
     """N_bad: the number of x in Gamma with x^M conjugate into H.
 
     M is the odd part of |Gamma|.  Whether x^M is conjugate into H is the
-    same for every conjugate of x, so one power map x -> x^M over one
-    representative per class takes about log2(M) table lookups each, and
-    the elements conjugate into H are the classes that meet H.
+    same for every conjugate of x, so N_bad is the total size of the
+    classes whose key maps under ``power_key`` to the key of an element
+    of H.
     """
     gamma = problem.gamma
     n = gamma.order
-    t = gamma.table
-    classes = gamma.conjugacy_classes()
-    into_h = set().union(*(c for c in classes if not c.isdisjoint(problem.subgroup)))
-    powers = _power(
-        [next(iter(c)) for c in classes], n // (n & -n),
-        lambda a, b: [t[i][j] for i, j in zip(a, b)], [gamma.identity] * len(classes),
-    )
-    n_bad = sum(len(c) for c, x in zip(classes, powers) if x in into_h)
+    m = n // (n & -n)
+    into_h = set(map(gamma.class_key, problem.subgroup))
+    power_key = gamma.power_key
+    n_bad = sum(size for key, size in gamma.class_sizes().items() if power_key(key, m) in into_h)
     # the identity lies in H, so its power does too and is always counted
     if not 1 <= n_bad <= n:
         raise InternalCheckError(f"N_bad = {n_bad} is not within 1..|Gamma|")

@@ -390,9 +390,17 @@ sys.stdout.write(out.decode())
 """
 
 
-def test_a_group_at_the_order_budget_stays_within_400_mb(tmp_path):
-    # |Z2 x Z2520| = MAX_GROUP_ORDER: its table holds 5040^2 entries
-    gamma = {"type": "product", "factors": ["Z2", "Z2520"]}
+@pytest.mark.parametrize(
+    "gamma, expected",
+    [
+        pytest.param({"type": "product", "factors": ["Z2", "Z2520"]}, "63/64", id="Z2xZ2520"),
+        pytest.param({"type": "product", "factors": ["S6", "Z7"]}, "59/64", id="S6xZ7"),
+        pytest.param({"type": "elementary_abelian_2", "k": 12}, "16383/16384", id="E2^12"),
+    ],
+)
+def test_a_group_at_the_order_budget_stays_within_150_mb(tmp_path, gamma, expected):
+    # groups of order 4096 and 5040 = MAX_GROUP_ORDER: a table of theirs would
+    # hold |Gamma|^2 entries, ~200 MB of references at 5040
     path = _write(tmp_path, {"mode": "density", "gamma": gamma, "k": 1})
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
@@ -404,8 +412,8 @@ def test_a_group_at_the_order_budget_stays_within_400_mb(tmp_path):
     status, out = proc.stdout.split("\n", 1)
     code, peak_kib = map(int, status.split())
     assert code == EXIT_OK
-    assert json.loads(out)["verdicts"]["density"] == "63/64"
-    assert peak_kib / 1024 <= 400
+    assert json.loads(out)["verdicts"]["density"] == expected
+    assert peak_kib / 1024 <= 150
 
 
 _PLACES = [{"kind": "ell", "condition": "sm", "local_degree": 1}, {"kind": "arch"}]

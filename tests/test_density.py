@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 import random
 from collections import Counter
@@ -112,6 +113,14 @@ def _class_sweep_oracle(group):
     return tuple(classes)
 
 
+def _classes_by_key(group):
+    """The classes ``class_key`` names, in the order of their least elements."""
+    classes = {}
+    for x in group.elements():
+        classes.setdefault(group.class_key(x), set()).add(x)
+    return tuple(frozenset(c) for c in classes.values())
+
+
 def _conjugates_oracle(group, h):
     """The class of h, by conjugating it with every element of the group."""
     return {frozenset(group.mul(group.mul(u, x), group.inv(u)) for x in h)
@@ -218,16 +227,10 @@ def _associativity_oracle(table):
 
 
 def _light_test_accepts(table):
-    """Run only the associativity check of FiniteGroup on a square table.
-
-    The table need not have an identity or inverses, so the instance is
-    made without __init__ and its other checks.
-    """
-    group = object.__new__(FiniteGroup)
-    group.order = len(table)
-    group.table = tuple(tuple(row) for row in table)
+    """Run only the associativity check of FiniteGroup on a square table,
+    which need not have an identity or inverses."""
     try:
-        group._check_associativity()
+        density_module._check_associativity(tuple(tuple(row) for row in table))
     except ValueError as exc:
         assert "associative" in str(exc)
         return False
@@ -347,10 +350,23 @@ def test_table_entries_outside_the_indices_are_rejected(bad):
         FiniteGroup(table)
 
 
+def test_table_without_inverses_rejected():
+    # identity 0, but 1 * x is 1 for every x
+    with pytest.raises(ValueError, match="element 1 has no inverse"):
+        FiniteGroup([[0, 1], [1, 1]])
+
+
+def test_a_table_that_disagrees_with_its_structure_raises_internal_check():
+    z4 = cyclic_group(4)
+    z4.inv = lambda a: a  # the table's inverses are -a mod 4
+    with pytest.raises(InternalCheckError, match="disagrees with its structure"):
+        z4.table
+
+
 def test_conjugacy_classes_of_s3():
     s3 = symmetric_group(3)
-    sizes = sorted(len(c) for c in s3.conjugacy_classes())
-    assert sizes == [1, 2, 3]
+    assert sorted(len(c) for c in _classes_by_key(s3)) == [1, 2, 3]
+    assert sorted(s3.class_sizes().values()) == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -555,28 +571,38 @@ def test_closed_form_at_the_largest_k_needs_no_enumeration():
 
 
 def test_broken_class_partition_raises_internal_check(monkeypatch):
-    # a fresh group, so its classes are swept (and checked) under the patch;
-    # the cached symmetric_group(3) may already keep its classes
-    s3 = FiniteGroup(symmetric_group(3).table)
-    problem = SplitDensityProblem(s3, frozenset({s3.identity}), 1)
-    real = FiniteGroup._class_orbits
-    monkeypatch.setattr(FiniteGroup, "_class_orbits", lambda self: real(self)[1:])
-    with pytest.raises(InternalCheckError, match="partition"):
-        density(problem)
+    # fresh groups, so their classes are counted (and checked) under the
+    # patches; the cached symmetric_group(3) may already keep its classes
+    table_s3 = FiniteGroup(symmetric_group(3).table)
+    counted = table_s3._count_classes
+    table_s3._count_classes = lambda: dict(list(counted().items())[1:])
+    sizes = density_module._cycle_type_sizes
+    monkeypatch.setattr(density_module, "_cycle_type_sizes", lambda n: {**sizes(n), (n,): 1})
+    product = direct_product(cyclic_group(2), symmetric_group.__wrapped__(4))
+    for gamma in (table_s3, symmetric_group.__wrapped__(3), product):
+        problem = SplitDensityProblem(gamma, frozenset({gamma.identity}), 1)
+        with pytest.raises(InternalCheckError, match="partition"):
+            density(problem)
 
 
 def test_classes_are_swept_once_per_group_across_c08(monkeypatch):
     # c08 certifies 123 problems over five groups (S4 90 times, S3 18 times);
-    # every certificate reads the classes its group keeps from one sweep
-    symmetric_group.cache_clear()  # so S3 and S4 are built, and swept, afresh
+    # every certificate reads the class sizes its group keeps from one count
+    symmetric_group.cache_clear()  # so S3 and S4 are built, and counted, afresh
     swept = Counter()
-    real = FiniteGroup._class_orbits
+    real = density_module._structured
 
-    def counted(group):
-        swept[group] += 1
-        return real(group)
+    def structured(*args, **parts):
+        group = real(*args, **parts)
 
-    monkeypatch.setattr(FiniteGroup, "_class_orbits", counted)
+        def counted():
+            swept[group] += 1
+            return parts["_count_classes"]()
+
+        group._count_classes = counted
+        return group
+
+    monkeypatch.setattr(density_module, "_structured", structured)
     ok, detail = c08_density_bound()
     assert ok, detail
     assert sorted(group.order for group in swept) == [1, 2, 3, 6, 24]
@@ -604,7 +630,8 @@ LATTICE_ZOO = dict(ORACLE_ZOO, Z2xS4=direct_product(Z2, symmetric_group(4)), S5=
 @pytest.mark.parametrize("name", sorted(LATTICE_ZOO))
 def test_lattice_matches_saturation_oracle(name):
     group = LATTICE_ZOO[name]
-    assert all_subgroups(group) == _saturation_oracle(group)
+    # the oracle multiplies through the table, which the lattice builds anyway
+    assert all_subgroups(group) == _saturation_oracle(FiniteGroup(group.table))
 
 
 LATTICE_ORACLE_ZOO = dict(
@@ -647,8 +674,20 @@ LARGE_CLASS_ZOO = {"Z720": lambda: cyclic_group(720), "E1024": lambda: elementar
 @pytest.mark.parametrize("name", sorted(LATTICE_ORACLE_ZOO) + sorted(LARGE_CLASS_ZOO))
 def test_class_orbits_match_the_sweep_oracle(name):
     built = LATTICE_ORACLE_ZOO.get(name) or LARGE_CLASS_ZOO[name]()
-    group = FiniteGroup(built.table)  # fresh, so its classes are found here
-    assert group.conjugacy_classes() == _class_sweep_oracle(group)
+    group = FiniteGroup(built.table)  # its classes are the orbits of conjugations
+    assert _classes_by_key(group) == _classes_by_key(built) == _class_sweep_oracle(group)
+    for g in (group, built):
+        assert g.class_sizes() == Counter(map(g.class_key, g.elements()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cycle_types_are_the_classes_of_s_n(n):
+    group = symmetric_group.__wrapped__(n)  # fresh, so no table is built yet
+    assert _classes_by_key(group) == _class_sweep_oracle(group)
+    sizes = group.class_sizes()
+    assert sizes == Counter(map(group.class_key, group.elements()))
+    assert sum(sizes.values()) == math.factorial(n)
+    assert group._table is None
 
 
 N_BAD_ZOO = dict(LATTICE_ORACLE_ZOO, Z8=cyclic_group(8), Z12=cyclic_group(12), Z30=cyclic_group(30))
@@ -665,11 +704,13 @@ def test_bad_class_total_matches_the_exponent_search(name):
 @pytest.mark.parametrize("left, right", [("S3", "Z4"), ("S4", "Z3"), ("S3", "S4"), ("Z2", "S5")])
 def test_bad_class_total_matches_the_exponent_search_on_non_normal_subgroups(left, right):
     group = direct_product(LATTICE_ZOO[left], LATTICE_ZOO[right])
-    non_normal = [h for h in all_subgroups(group) if len(_conjugates_oracle(group, h)) > 1]
+    twin = FiniteGroup(group.table)  # the oracles multiply through the table
+    non_normal = [h for h in all_subgroups(group) if len(_conjugates_oracle(twin, h)) > 1]
     rng = random.Random(f"n_bad:{left}x{right}")
     for h in rng.sample(non_normal, 8):
         problem = SplitDensityProblem(group, h, 1)
-        assert density_module._bad_class_total(problem) == _bad_class_total_oracle(problem), h
+        oracle = _bad_class_total_oracle(SplitDensityProblem(twin, h, 1))
+        assert density_module._bad_class_total(problem) == oracle, h
 
 
 def test_subgroup_class_counts():
@@ -794,6 +835,61 @@ def test_direct_product_matches_method_oracle(left, right):
     assert product.table == _direct_product_oracle(a, b)
     expected = _direct_product_comprehension_oracle(a, b)
     assert (product.table, product.identity, product.inverse) == expected
+
+
+# seeded products whose tables are never built: H is closed through mul
+STRUCTURE_PRODUCTS = {
+    "Z4xS4": lambda: direct_product(cyclic_group(4), symmetric_group.__wrapped__(4)),
+    "Z5xS3": lambda: direct_product(cyclic_group(5), symmetric_group.__wrapped__(3)),
+    "S4xE2": lambda: direct_product(symmetric_group.__wrapped__(4), elementary_abelian_2(2)),
+    "S3xE3": lambda: direct_product(symmetric_group.__wrapped__(3), elementary_abelian_2(3)),
+    "Z3'xS3xZ4": lambda: direct_product(
+        direct_product(Z3_RELABELLED, symmetric_group.__wrapped__(3)), cyclic_group(4)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_PRODUCTS))
+def test_bad_class_total_on_seeded_products_with_non_normal_subgroups(name):
+    group = STRUCTURE_PRODUCTS[name]()
+    rng = random.Random(f"n_bad:seeded:{name}")
+    checked = 0
+    while checked < 5:
+        h = subgroup_closure(group, rng.sample(group.elements(), rng.randint(1, 2)))
+        if len(_conjugates_oracle(group, h)) == 1:
+            continue  # normal
+        problem = SplitDensityProblem(group, h, 1)
+        assert density_module._bad_class_total(problem) == _bad_class_total_oracle(problem), h
+        checked += 1
+    assert group._table is None
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FACTORS))
+def test_mul_and_inv_agree_with_the_table(name):
+    group = PRODUCT_FACTORS[name]
+    t = group.table
+    assert all(group.mul(a, b) == t[a][b] for a in group.elements() for b in group.elements())
+    assert all(t[a][group.inv(a)] == group.identity for a in group.elements())
+
+
+def test_a_subset_of_gamma_size_is_a_subgroup_without_closing_it(monkeypatch):
+    s4 = symmetric_group(4)
+    monkeypatch.setattr(density_module, "subgroup_closure", None)  # any call would fail
+    assert is_subgroup(s4, range(24))
+    assert not is_subgroup(s4, range(1, 25))  # no identity, and 24 is out of range
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["Z2520", "S6", {"type": "product", "factors": ["Z2", "S6"]},
+     {"type": "product", "factors": ["S4", "Z210"]}, {"type": "elementary_abelian_2", "k": 12}],
+)
+def test_density_builds_no_table(spec):
+    symmetric_group.cache_clear()  # a cached S_n may keep a table another test built
+    gamma = build_group(spec)
+    for h in (frozenset({gamma.identity}), frozenset(gamma.elements())):
+        assert bound_certificate(SplitDensityProblem(gamma, h, 1)).holds
+    assert gamma._table is None
 
 
 LIGHT_ZOO = dict(

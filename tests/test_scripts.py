@@ -41,3 +41,17 @@ def test_splitting_probe_runs_its_cheapest_case():
     case, field, roots, _, wall, rss, code = row.split()
     assert (case, field, roots, code) == ("4+3", "F_2^12", "7", "0")
     assert float(wall) > 0 and float(rss) > 0
+
+
+def test_density_probe_runs_its_cheapest_case():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "density_probe.py"), "--group", "S6"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split() == ["group", "density", "wall_s", "maxrss_MB", "exit"]
+    group, density, wall, rss, code = row.split()
+    assert (group, density, code) == ("S6", "59/64", "0")
+    assert float(wall) > 0 and float(rss) > 0
