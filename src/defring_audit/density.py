@@ -24,89 +24,94 @@ and the map x -> x^M on keys.
 
 The subgroup lattice is searched by conjugacy classes (the cyclic
 extension method) over the group's table, which is built for it on
-first access: one subgroup per class is joined with the cyclic
-subgroups outside it, and each new subgroup's class is recorded at once
-as its orbit under conjugation.  ``subgroup_classes`` gives one
-representative per class with the class size, and ``all_subgroups`` the
-sorted union of the classes.
+first access by one walk over the generators that also checks, exactly
+and at every order, that the structure is a group: one subgroup per
+class is joined with the cyclic subgroups outside it, and each new
+subgroup's class is recorded at once as its orbit under conjugation.
+``subgroup_classes`` gives one representative per class with the class
+size, and ``all_subgroups`` the sorted union of the classes.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable, NamedTuple
 
-from .ff import InternalCheckError, Record, _power
+from .ff import InternalCheckError, Record
 
 MAX_GROUP_ORDER = 5040
 MAX_DENSITY_K = 64
-_FULL_ASSOCIATIVITY_ORDER = 48
-_SPOT_CHECK_TRIPLES = 300
 
 
 class FiniteGroup:
     """A finite group on the element indices 0..N-1, given by its structure.
 
-    Density reads only ``mul``, ``inv``, a class key per element
-    (``class_key``), the keys' power map ``power_key(key, m)`` (the key of
-    x^m) and ``class_sizes``.  The table is built on first access, by one
-    walk from the identity over the ``generators``, and checked then as a
-    given table is; only the subgroup lattice reads it.
-    ``FiniteGroup(table)`` takes a table and checks it at once; its classes
-    are the orbits of ``conjugations``, each keyed by its least element.
+    Each constructor gives its ``generators``, ``mul``, ``inv``, a class key
+    per element (``class_key``), the keys' power map ``power_key(key, m)``
+    (the key of x^m) and ``count_classes`` (() -> {key: |class|}).
+    Density reads only these.  The table is built on first access, by one
+    walk from the identity over the generators, and the walk is its exact
+    check at every order; only the subgroup lattice reads it.
     """
 
     __slots__ = ("order", "identity", "name", "generators", "mul", "inv", "class_key",
-                 "power_key", "_count_classes", "_table", "_inverse", "_class_sizes",
-                 "_conjugations")
+                 "power_key", "_count_classes", "_table", "_class_sizes", "_conjugations")
 
-    def __init__(self, table, name: str = ""):
-        table = tuple(tuple(row) for row in table)
-        identity, inverse = _checked(table)
-        self._set(len(table), identity, name, _greedy_generators(table), _table=table,
-                  _inverse=inverse, mul=lambda a, b: table[a][b], inv=inverse.__getitem__)
-        keys = _class_orbits(self)
-        self.class_key, self._count_classes = keys.__getitem__, lambda: Counter(keys)
-        self.power_key = lambda key, m: keys[_power(key, m, self.mul, identity)]
-
-    def _set(self, order, identity, name, generators, **parts) -> None:
+    def __init__(self, order: int, identity: int, name: str, generators, *, mul, inv,
+                 class_key, power_key, count_classes):
         self.order, self.identity, self.name, self.generators = order, identity, name, generators
-        self._table = self._inverse = self._class_sizes = self._conjugations = None
-        for attr, value in parts.items():
-            setattr(self, attr, value)
+        self.mul, self.inv, self.class_key, self.power_key = mul, inv, class_key, power_key
+        self._count_classes = count_classes
+        self._table = self._class_sizes = self._conjugations = None
 
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley table, filled by one walk from the identity: row y*s is
+        row s read through row y, as (y*s)*c = y*(s*c), with the generators'
+        rows from ``mul``.  The walk compares that reading with row y*s at
+        every (y, s), built or not: Light's test over the generators
+        (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1.2),
+        which with a two-sided identity and ``inv`` agreeing makes the table
+        a group's.  Any failure raises ``InternalCheckError``."""
         if self._table is None:
-            # row y*s is row s read through row y, as (y*s)*b = y*(s*b), so the
-            # walk fills each row once, by one itemgetter call on a built row
-            n = self.order
+            n, e = self.order, self.identity
+            points = tuple(range(n))
+            if not {e, *self.generators} <= set(points):
+                raise InternalCheckError(f"{self!r} names an element outside 0..{n - 1}")
+            steps = []
+            for s in self.generators:
+                s_row = tuple(map(partial(self.mul, s), points))
+                if sorted(s_row) != list(points):
+                    raise InternalCheckError(f"row {s} of {self!r} is not a permutation")
+                # one point's only permutation is the identity, and itemgetter
+                # of one index would give the entry, not a 1-tuple
+                steps.append((s, operator.itemgetter(*s_row) if n > 1 else _itself))
             rows = [None] * n
-            rows[self.identity] = tuple(range(n))
-            steps = [(s, operator.itemgetter(*map(partial(self.mul, s), range(n))))
-                     for s in self.generators]
-            walk = [self.identity]
+            rows[e] = points
+            walk = [e]
             for y in walk:
                 row = rows[y]
                 for s, read in steps:
-                    z = row[s]  # y*s
+                    z, product = row[s], read(row)  # y*s, and y*(s*c) for each c
                     if rows[z] is None:
-                        rows[z] = read(row)
+                        rows[z] = product
                         walk.append(z)
-            if None in rows or _checked(rows) != (self.identity, self.inverse):
-                raise InternalCheckError(f"the table of {self!r} disagrees with its structure")
+                    elif rows[z] != product:
+                        c = next(c for c in points if rows[z][c] != product[c])
+                        raise InternalCheckError(
+                            f"the product of {self!r} is not associative at {(y, s, c)}")
+            if None in rows:
+                raise InternalCheckError(f"the generators of {self!r} do not generate it")
+            if tuple(row[e] for row in rows) != points:
+                raise InternalCheckError(f"the identity {e} of {self!r} is not two-sided")
+            inverse = list(map(self.inv, points))
+            if sorted(inverse) != list(points) or set(map(operator.getitem, rows, inverse)) != {e}:
+                raise InternalCheckError(f"the inverses of {self!r} disagree with its table")
             self._table = tuple(rows)
         return self._table
-
-    @property
-    def inverse(self) -> tuple[int, ...]:
-        if self._inverse is None:
-            self._inverse = tuple(map(self.inv, self.elements()))
-        return self._inverse
 
     def elements(self) -> range:
         return range(self.order)
@@ -125,132 +130,16 @@ class FiniteGroup:
         """The permutations x -> u x u^-1, one for each of the ``generators``
         other than the identity, built on the first call."""
         if self._conjugations is None:
-            t, inverse = self.table, self.inverse
+            t = self.table
             self._conjugations = [
-                tuple(t[t[u][x]][inverse[u]] for x in self.elements())
-                for u in self.generators
+                tuple(t[t[u][x]][u_inv] for x in self.elements())
+                for u, u_inv in zip(self.generators, map(self.inv, self.generators))
                 if u != self.identity
             ]
         return self._conjugations
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name or self.order})"
-
-
-def _structured(order: int, identity: int, name: str, generators, **parts) -> FiniteGroup:
-    """The group with these ``generators``, ``mul``, ``inv``, ``class_key``,
-    ``power_key`` and ``_count_classes`` (() -> {key: |class|}), no table yet."""
-    group = FiniteGroup.__new__(FiniteGroup)
-    group._set(order, identity, name, generators, **parts)
-    return group
-
-
-def _checked(table) -> tuple[int, tuple[int, ...]]:
-    """The identity and the inverses of a table, checked to be a group's:
-    square, of element indices, with an identity and inverses, and
-    associative, exactly for N <= 48 (by Light's test) and spot-checked
-    (deterministically) for larger N."""
-    n = len(table)
-    if n < 1:
-        raise ValueError("a group needs at least the identity")
-    if n > MAX_GROUP_ORDER:
-        raise ValueError(f"group order {n} exceeds the budget {MAX_GROUP_ORDER}")
-    if any(len(row) != n for row in table):
-        raise ValueError("multiplication table must be square")
-    if not set().union(*table) <= set(range(n)):
-        raise ValueError("table entries must be element indices")
-    points = tuple(range(n))
-    identity = next((e for e in points if table[e] == points
-                     and all(row[e] == x for x, row in enumerate(table))), None)
-    if identity is None:
-        raise ValueError("no identity element")
-    inverse = []
-    for a, row in enumerate(table):
-        # the first b with a*b = b*a = identity, found at C speed
-        b = -1
-        while True:
-            try:
-                b = row.index(identity, b + 1)
-            except ValueError:
-                raise ValueError(f"element {a} has no inverse") from None
-            if table[b][a] == identity:
-                break
-        inverse.append(b)
-    _check_associativity(table)
-    return identity, tuple(inverse)
-
-
-def _check_associativity(t) -> None:
-    n = len(t)
-    if n <= _FULL_ASSOCIATIVITY_ORDER:
-        # Light's test: (ab)c = a(bc) for all a, c and every b in a set
-        # that generates the table under products is associativity itself
-        # (the b passing it are closed under products).  Row ab must
-        # equal row b read through row a.
-        gens = _greedy_generators(t)
-        for a in range(n):
-            row = t[a]
-            for b in gens:
-                if t[row[b]] != tuple(map(row.__getitem__, t[b])):
-                    c = next(c for c in range(n) if t[row[b]][c] != row[t[b][c]])
-                    raise ValueError(f"multiplication table not associative at {(a, b, c)}")
-        return
-    state = 123456789
-    for _ in range(_SPOT_CHECK_TRIPLES):
-        out = []
-        for _ in range(3):
-            state = (1103515245 * state + 12345) % (1 << 31)
-            out.append(state % n)
-        a, b, c = out
-        if t[t[a][b]][c] != t[a][t[b][c]]:
-            raise ValueError(f"multiplication table not associative at {(a, b, c)}")
-
-
-def _class_orbits(group: FiniteGroup) -> list[int]:
-    """The least element of each element's class, by the orbits under
-    ``conjugations`` (Holt, Eick & O'Brien, *Handbook of Computational
-    Group Theory*, 4.1): the generators reach every u, so the orbit of g is
-    its class, in O(|Gamma| * |generators|)."""
-    conjugations = group.conjugations()
-    keys = [None] * group.order
-    for g in group.elements():
-        if keys[g] is None:
-            keys[g] = g
-            orbit = [g]
-            for x in orbit:
-                for conj in conjugations:
-                    if keys[conj[x]] is None:
-                        keys[conj[x]] = g
-                        orbit.append(conj[x])
-    return keys
-
-
-def _greedy_generators(table) -> list[int]:
-    """The least indices whose right products reach every element.
-
-    Each index not yet reached becomes a generator; the reached set is
-    then closed again under right multiplication by every generator.  No
-    associativity is assumed, so the set generates any table.
-    """
-    n = len(table)
-    gens: list[int] = []
-    reached = 0
-    for g in range(n):
-        if reached >> g & 1:
-            continue
-        gens.append(g)
-        reached = 0
-        for x in gens:
-            reached |= 1 << x
-        elems = list(gens)
-        for x in elems:
-            row = table[x]
-            for s in gens:
-                y = row[s]
-                if not reached >> y & 1:
-                    reached |= 1 << y
-                    elems.append(y)
-    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +153,8 @@ def _itself(x):
 
 def _abelian(n: int, name: str, generators, mul, inv, power_key) -> FiniteGroup:
     """An abelian group: each element is its own class."""
-    return _structured(n, 0, name, generators, mul=mul, inv=inv, class_key=_itself,
-                       power_key=power_key, _count_classes=lambda: dict.fromkeys(range(n), 1))
+    return FiniteGroup(n, 0, name, generators, mul=mul, inv=inv, class_key=_itself,
+                       power_key=power_key, count_classes=lambda: dict.fromkeys(range(n), 1))
 
 
 def trivial_group() -> FiniteGroup:
@@ -309,14 +198,14 @@ def symmetric_group(n: int) -> FiniteGroup:
             types[x] = _cycle_type(perms[x])
         return types[x]
 
-    return _structured(
+    return FiniteGroup(
         len(perms), 0, f"S{n}",
         [index(points[:i] + bytes((i + 1, i)) + points[i + 2:]) for i in range(n - 1)],
         # (a*b)(x) = a(b(x)) is b.translate(a), with a padded to a 256-byte table
         mul=lambda a, b: index(perms[b].translate(pads[a])),
         inv=lambda a: index(bytes.maketrans(perms[a], points)[:n]),  # maps p(i) to i
         class_key=class_key, power_key=_cycle_type_power,
-        _count_classes=lambda: _cycle_type_sizes(n),
+        count_classes=lambda: _cycle_type_sizes(n),
     )
 
 
@@ -383,13 +272,13 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
         sizes = b.class_sizes().items()
         return {(ka, kb): i * j for ka, i in a.class_sizes().items() for kb, j in sizes}
 
-    return _structured(
+    return FiniteGroup(
         n, a.identity * nb + b.identity, f"{a.name or '?'}x{b.name or '?'}",
         [g * nb + b.identity for g in a.generators] + [a.identity * nb + h for h in b.generators],
         mul=mul, inv=lambda x: a.inv(x // nb) * nb + b.inv(x % nb),
         class_key=lambda x: (a.class_key(x // nb), b.class_key(x % nb)),
         power_key=lambda key, m: (a.power_key(key[0], m), b.power_key(key[1], m)),
-        _count_classes=count_classes,
+        count_classes=count_classes,
     )
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import operator
@@ -29,12 +30,88 @@ from defring_audit.density import (
 )
 from defring_audit import density as density_module
 from defring_audit.acceptance import c08_density_bound, enumerated_density, enumerated_xi
-from defring_audit.ff import InternalCheckError
+from defring_audit.ff import InternalCheckError, _power
 
 
 # ---------------------------------------------------------------------------
 # oracles: the exhaustive routines the fast paths replaced
 # ---------------------------------------------------------------------------
+
+
+def _greedy_generators_oracle(table):
+    """The least indices whose right products reach every element.
+
+    Each index not yet reached becomes a generator; the reached set is
+    then closed again under right multiplication by every generator.  No
+    associativity is assumed, so the set generates any table.
+    """
+    n = len(table)
+    gens = []
+    reached = 0
+    for g in range(n):
+        if reached >> g & 1:
+            continue
+        gens.append(g)
+        reached = 0
+        for x in gens:
+            reached |= 1 << x
+        elems = list(gens)
+        for x in elems:
+            row = table[x]
+            for s in gens:
+                y = row[s]
+                if not reached >> y & 1:
+                    reached |= 1 << y
+                    elems.append(y)
+    return gens
+
+
+def _class_orbits_oracle(group):
+    """The least element of each element's class, by the orbits under
+    ``conjugations`` (Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, 4.1): the generators reach every u, so the orbit of g is
+    its class."""
+    conjugations = group.conjugations()
+    keys = [None] * group.order
+    for g in group.elements():
+        if keys[g] is None:
+            keys[g] = g
+            orbit = [g]
+            for x in orbit:
+                for conj in conjugations:
+                    if keys[conj[x]] is None:
+                        keys[conj[x]] = g
+                        orbit.append(conj[x])
+    return keys
+
+
+def _table_group(table, name="", generators=None):
+    """A group whose product is a lookup in ``table``, checked only by its walk.
+
+    The oracles' twin of a structured group (its products are lookups) and
+    the walk's test input.  Its identity is the first left identity (else
+    0), each inverse the first right inverse (else the element itself), its
+    generators the greedy ones unless given, and its classes the orbits of
+    its conjugations, found on the first query.
+    """
+    table = tuple(tuple(row) for row in table)
+    points = tuple(range(len(table)))
+    identity = next((e for e in points if table[e] == points), 0)
+    inverse = [row.index(identity) if identity in row else a for a, row in enumerate(table)]
+    keys = functools.cache(lambda: _class_orbits_oracle(group))
+    group = FiniteGroup(
+        len(table), identity, name,
+        _greedy_generators_oracle(table) if generators is None else list(generators),
+        mul=lambda a, b: table[a][b], inv=inverse.__getitem__,
+        class_key=lambda x: keys()[x],
+        power_key=lambda key, m: keys()[_power(key, m, group.mul, identity)],
+        count_classes=lambda: Counter(keys()),
+    )
+    return group
+
+
+def _inverses(group):
+    return tuple(map(group.inv, group.elements()))
 
 
 def _closure_oracle(group, generators):
@@ -199,7 +276,7 @@ def _direct_product_comprehension_oracle(a, b):
     table = tuple(
         tuple(x * nb + y for x in arow for y in brow) for arow in a.table for brow in b.table
     )
-    inverse = tuple(x * nb + y for x in a.inverse for y in b.inverse)
+    inverse = tuple(x * nb + y for x in _inverses(a) for y in _inverses(b))
     return table, a.identity * nb + b.identity, inverse
 
 
@@ -226,13 +303,22 @@ def _associativity_oracle(table):
     return None
 
 
-def _light_test_accepts(table):
-    """Run only the associativity check of FiniteGroup on a square table,
-    which need not have an identity or inverses."""
+def _is_group_oracle(table):
+    """Whether a table is a group's: associative, with a two-sided identity
+    and a two-sided inverse for every element."""
+    points = range(len(table))
+    identity = [e for e in points if all(table[e][x] == table[x][e] == x for x in points)]
+    return _associativity_oracle(table) is None and len(identity) == 1 and all(
+        any(table[a][b] == table[b][a] == identity[0] for b in points) for a in points
+    )
+
+
+def _walk_accepts(table, generators=None):
+    """Whether the walk over ``generators`` (the greedy ones if None) accepts a
+    square table of element indices as a group's."""
     try:
-        density_module._check_associativity(tuple(tuple(row) for row in table))
-    except ValueError as exc:
-        assert "associative" in str(exc)
+        _table_group(table, generators=generators).table
+    except InternalCheckError:
         return False
     return True
 
@@ -330,36 +416,55 @@ def test_elementary_abelian_rank_past_the_order_budget_is_refused_before_2_to_th
 
 
 def test_non_associative_table_rejected():
+    # Z/4 with two entries of row 2 swapped; every row is a generator's
     table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
-    table[2][3] = 0  # was 1
-    with pytest.raises(ValueError, match="associative"):
-        FiniteGroup(table)
+    table[2][2], table[2][3] = table[2][3], table[2][2]
+    group = _table_group(table, "Z4'", generators=range(4))
+    match = r"FiniteGroup\(Z4'\) is not associative at \(1, 1, 2\)"
+    with pytest.raises(InternalCheckError, match=match):
+        group.table
 
 
 def test_table_without_identity_rejected():
-    with pytest.raises(ValueError, match="identity"):
-        FiniteGroup([[1, 1], [1, 1]])
+    # x*y = y: associative, every element a left identity and none a right one
+    group = _table_group([[0, 1], [0, 1]], "right zeros")
+    match = r"identity 0 of FiniteGroup\(right zeros\) is not two-sided"
+    with pytest.raises(InternalCheckError, match=match):
+        group.table
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_table_entries_outside_the_indices_are_rejected(bad):
     # -1 would otherwise index the last row, and 4 past it
     table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
-    table[2][1] = bad
-    with pytest.raises(ValueError, match="table entries must be element indices"):
-        FiniteGroup(table)
+    table[1][2] = bad
+    group = _table_group(table, "C4", generators=[1])
+    with pytest.raises(InternalCheckError, match=r"row 1 of FiniteGroup\(C4\) is not a perm"):
+        group.table
 
 
 def test_table_without_inverses_rejected():
-    # identity 0, but 1 * x is 1 for every x
-    with pytest.raises(ValueError, match="element 1 has no inverse"):
-        FiniteGroup([[0, 1], [1, 1]])
+    # x*y = max(x, y): associative with identity 0, but 1 has no inverse, so
+    # its row is not a permutation
+    with pytest.raises(InternalCheckError, match="row 1 .* is not a permutation"):
+        _table_group([[0, 1], [1, 1]]).table
 
 
 def test_a_table_that_disagrees_with_its_structure_raises_internal_check():
     z4 = cyclic_group(4)
     z4.inv = lambda a: a  # the table's inverses are -a mod 4
-    with pytest.raises(InternalCheckError, match="disagrees with its structure"):
+    with pytest.raises(InternalCheckError, match=r"inverses of FiniteGroup\(C4\) disagree"):
+        z4.table
+
+
+@pytest.mark.parametrize("identity, generators, match", [
+    (4, [1], "outside 0..3"), (-1, [1], "outside 0..3"), (0, [5], "outside 0..3"),
+    (0, [2], "do not generate"), (0, [], "do not generate"),
+])
+def test_a_structure_naming_bad_elements_raises_internal_check(identity, generators, match):
+    z4 = cyclic_group(4)
+    z4.identity, z4.generators = identity, generators
+    with pytest.raises(InternalCheckError, match=match):
         z4.table
 
 
@@ -573,7 +678,7 @@ def test_closed_form_at_the_largest_k_needs_no_enumeration():
 def test_broken_class_partition_raises_internal_check(monkeypatch):
     # fresh groups, so their classes are counted (and checked) under the
     # patches; the cached symmetric_group(3) may already keep its classes
-    table_s3 = FiniteGroup(symmetric_group(3).table)
+    table_s3 = _table_group(symmetric_group(3).table)
     counted = table_s3._count_classes
     table_s3._count_classes = lambda: dict(list(counted().items())[1:])
     sizes = density_module._cycle_type_sizes
@@ -590,19 +695,18 @@ def test_classes_are_swept_once_per_group_across_c08(monkeypatch):
     # every certificate reads the class sizes its group keeps from one count
     symmetric_group.cache_clear()  # so S3 and S4 are built, and counted, afresh
     swept = Counter()
-    real = density_module._structured
+    real = FiniteGroup.__init__
 
-    def structured(*args, **parts):
-        group = real(*args, **parts)
+    def init(group, *args, **parts):
+        real(group, *args, **parts)
 
         def counted():
             swept[group] += 1
-            return parts["_count_classes"]()
+            return parts["count_classes"]()
 
         group._count_classes = counted
-        return group
 
-    monkeypatch.setattr(density_module, "_structured", structured)
+    monkeypatch.setattr(FiniteGroup, "__init__", init)
     ok, detail = c08_density_bound()
     assert ok, detail
     assert sorted(group.order for group in swept) == [1, 2, 3, 6, 24]
@@ -631,7 +735,7 @@ LATTICE_ZOO = dict(ORACLE_ZOO, Z2xS4=direct_product(Z2, symmetric_group(4)), S5=
 def test_lattice_matches_saturation_oracle(name):
     group = LATTICE_ZOO[name]
     # the oracle multiplies through the table, which the lattice builds anyway
-    assert all_subgroups(group) == _saturation_oracle(FiniteGroup(group.table))
+    assert all_subgroups(group) == _saturation_oracle(_table_group(group.table))
 
 
 LATTICE_ORACLE_ZOO = dict(
@@ -674,7 +778,7 @@ LARGE_CLASS_ZOO = {"Z720": lambda: cyclic_group(720), "E1024": lambda: elementar
 @pytest.mark.parametrize("name", sorted(LATTICE_ORACLE_ZOO) + sorted(LARGE_CLASS_ZOO))
 def test_class_orbits_match_the_sweep_oracle(name):
     built = LATTICE_ORACLE_ZOO.get(name) or LARGE_CLASS_ZOO[name]()
-    group = FiniteGroup(built.table)  # its classes are the orbits of conjugations
+    group = _table_group(built.table)  # its classes are the orbits of conjugations
     assert _classes_by_key(group) == _classes_by_key(built) == _class_sweep_oracle(group)
     for g in (group, built):
         assert g.class_sizes() == Counter(map(g.class_key, g.elements()))
@@ -704,7 +808,7 @@ def test_bad_class_total_matches_the_exponent_search(name):
 @pytest.mark.parametrize("left, right", [("S3", "Z4"), ("S4", "Z3"), ("S3", "S4"), ("Z2", "S5")])
 def test_bad_class_total_matches_the_exponent_search_on_non_normal_subgroups(left, right):
     group = direct_product(LATTICE_ZOO[left], LATTICE_ZOO[right])
-    twin = FiniteGroup(group.table)  # the oracles multiply through the table
+    twin = _table_group(group.table)  # the oracles multiply through the table
     non_normal = [h for h in all_subgroups(group) if len(_conjugates_oracle(twin, h)) > 1]
     rng = random.Random(f"n_bad:{left}x{right}")
     for h in rng.sample(non_normal, 8):
@@ -780,7 +884,7 @@ def test_symmetric_table_matches_comprehension(n):
     assert group.table == _symmetric_table_oracle(n)
     perms = list(itertools.permutations(range(n)))
     inverse = tuple(perms.index(tuple(sorted(range(n), key=p.__getitem__))) for p in perms)
-    assert (group.identity, group.inverse) == (0, inverse)
+    assert (group.identity, _inverses(group)) == (0, inverse)
     assert symmetric_group(n) is group  # memoised
 
 
@@ -799,18 +903,18 @@ def test_symmetric_table_matches_translate_oracle(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 12, 48])
 def test_cyclic_group_matches_the_comprehension_oracle(n):
     group = cyclic_group(n)
-    assert (group.table, group.identity, group.inverse) == _cyclic_oracle(n)
+    assert (group.table, group.identity, _inverses(group)) == _cyclic_oracle(n)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
 def test_elementary_abelian_2_matches_the_comprehension_oracle(k):
     group = elementary_abelian_2(k)
-    assert (group.table, group.identity, group.inverse) == _elementary_abelian_2_oracle(k)
+    assert (group.table, group.identity, _inverses(group)) == _elementary_abelian_2_oracle(k)
 
 
 # Z/3 with its elements relabelled 0 -> 2, 1 -> 0, 2 -> 1: the identity is 2
 _RELABEL = (2, 0, 1)
-Z3_RELABELLED = FiniteGroup(
+Z3_RELABELLED = _table_group(
     [[_RELABEL[(a + b) % 3] for b in sorted(range(3), key=_RELABEL.__getitem__)]
      for a in sorted(range(3), key=_RELABEL.__getitem__)],
     name="Z3'",
@@ -834,7 +938,7 @@ def test_direct_product_matches_method_oracle(left, right):
     product = direct_product(a, b)
     assert product.table == _direct_product_oracle(a, b)
     expected = _direct_product_comprehension_oracle(a, b)
-    assert (product.table, product.identity, product.inverse) == expected
+    assert (product.table, product.identity, _inverses(product)) == expected
 
 
 # seeded products whose tables are never built: H is closed through mul
@@ -900,50 +1004,87 @@ LIGHT_ZOO = dict(
     Z2xZ2xS3=direct_product(elementary_abelian_2(2), symmetric_group(3)),
     C48=cyclic_group(48),
     E32=elementary_abelian_2(5),
+    Z2xZ30=direct_product(cyclic_group(2), cyclic_group(30)),
 )
 
 
-@pytest.mark.parametrize("name", sorted(n for n, g in LIGHT_ZOO.items() if g.order <= 48))
+@pytest.mark.parametrize("name", sorted(LIGHT_ZOO))
 def test_light_test_accepts_every_zoo_table(name):
     table = LIGHT_ZOO[name].table
-    assert _associativity_oracle(table) is None
-    assert _light_test_accepts(table)
+    if len(table) <= 48:  # the cubic oracle
+        assert _associativity_oracle(table) is None
+    # the twin's walk, over the greedy generators, rebuilds the same table
+    assert _table_group(table).table == table
+
+
+def _generator_row_swaps(group):
+    """The group's table with two entries of one generator's row swapped, for
+    every generator and every pair of columns."""
+    table = [list(row) for row in group.table]
+    for r in group.generators:
+        for i, j in itertools.combinations(group.elements(), 2):
+            swapped = [row[:] for row in table]
+            swapped[r][i], swapped[r][j] = swapped[r][j], swapped[r][i]
+            yield swapped
 
 
 @pytest.mark.parametrize("name", ["S3", "V4", "Z4"])
 def test_light_test_agrees_with_oracle_on_every_entry_swap(name):
-    table = [list(row) for row in ORACLE_ZOO[name].table]
-    n = len(table)
+    group = ORACLE_ZOO[name]
     rejected = 0
-    for r in range(n):
-        for i, j in itertools.combinations(range(n), 2):
-            swapped = [row[:] for row in table]
-            swapped[r][i], swapped[r][j] = swapped[r][j], swapped[r][i]
-            oracle_ok = _associativity_oracle(swapped) is None
-            assert _light_test_accepts(swapped) == oracle_ok, (r, i, j)
-            rejected += not oracle_ok
-    assert rejected == n * n * (n - 1) // 2  # a group table has no other Latin row
+    for swapped in _generator_row_swaps(group):
+        oracle_ok = _is_group_oracle(swapped)
+        assert _walk_accepts(swapped, group.generators) == oracle_ok, swapped
+        rejected += not oracle_ok
+    # a swap puts one value twice in a column, so no swapped table is a group's
+    n = group.order
+    assert rejected == len(group.generators) * n * (n - 1) // 2
+
+
+def test_the_walk_rejects_every_entry_swap_past_order_48():
+    # order 60: the walk's check is exact at every order, not only up to 48
+    group = LIGHT_ZOO["Z2xZ30"]
+    assert group.generators == [30, 1]
+    rejected = sum(not _walk_accepts(swapped, group.generators)
+                   for swapped in _generator_row_swaps(group))
+    assert rejected == 3540 == 2 * 60 * 59 // 2
 
 
 def test_light_test_agrees_with_oracle_on_every_magma_of_order_three():
-    accepted = 0
+    # every row a generator's, so the walk's Light's test covers every b
+    associative = groups = 0
     for entries in itertools.product(range(3), repeat=9):
         table = [entries[0:3], entries[3:6], entries[6:9]]
-        oracle_ok = _associativity_oracle(table) is None
-        assert _light_test_accepts(table) == oracle_ok, table
-        accepted += oracle_ok
-    assert accepted == 113  # the associative binary operations on 3 labelled points
+        oracle_ok = _is_group_oracle(table)
+        assert _walk_accepts(table, generators=range(3)) == oracle_ok, table
+        associative += _associativity_oracle(table) is None
+        groups += oracle_ok
+    assert associative == 113  # the associative binary operations on 3 labelled points
+    assert groups == 3  # Z/3 with each of the 3 points as identity
+
+
+LOOP = (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 4, 0, 1, 3),
+    (3, 2, 4, 0, 1),
+    (4, 3, 1, 2, 0),
+)
 
 
 def test_loop_of_order_five_is_rejected_after_identity_and_inverses():
     # a Latin square with identity 0 and x*x = 0: every check but associativity passes
-    loop = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
-    assert _associativity_oracle(loop) == (1, 1, 2)
-    with pytest.raises(ValueError, match=r"not associative at \(1, 1, 2\)"):
-        FiniteGroup(loop)
+    assert _associativity_oracle(LOOP) == (1, 1, 2)
+    with pytest.raises(InternalCheckError, match=r"not associative at \(1, 1, 2\)"):
+        _table_group(LOOP, "loop5").table
+
+
+def test_a_structure_whose_product_is_a_loop_raises_internal_check():
+    # no ValueError, which a scenario would report as invalid input
+    loop = FiniteGroup(5, 0, "loop5", [1, 2], mul=lambda a, b: LOOP[a][b], inv=lambda a: a,
+                       class_key=lambda x: x, power_key=lambda key, m: key,
+                       count_classes=lambda: dict.fromkeys(range(5), 1))
+    for read in (lambda: loop.table, lambda: all_subgroups(loop), lambda: subgroup_classes(loop)):
+        with pytest.raises(InternalCheckError,
+                           match=r"FiniteGroup\(loop5\) is not associative at \(1, 1, 2\)"):
+            read()
