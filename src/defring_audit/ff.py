@@ -181,8 +181,8 @@ def _power(x, e: int, mul: Callable, one):
 
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic over F_p (coefficient lists of encoded elements, lowest
-# degree first), in plain integer loops mod p: the modulus search and the table
-# builder use it before any F_{p^m} exists.  Remainder, exact division and gcd
+# degree first), in plain integer loops mod p: the irreducibility test uses it
+# before any F_{p^m} exists.  Remainder, exact division and gcd
 # also work over a field K of characteristic p when K is given, calling K's
 # operations; the splitting-field search needs no product over K.
 # ---------------------------------------------------------------------------
@@ -312,58 +312,102 @@ def _log_tables(p: int, m: int, modulus: Sequence[int]) -> tuple[list, list, lis
     ``exp[i] = g^i`` for 0 <= i < 2(q-1), so a sum of two logs needs no
     reduction; ``log[a]`` is the log of a nonzero a and ``log[0]`` is None;
     ``zech[n] = log(1 + g^n)`` for 0 <= n < q-1, None where 1 + g^n = 0.
+
+    The tables are filled by walks x -> xT, one for each coset of <T>, and
+    no polynomial product is formed.  If T has order q - 1, then g = T and
+    the walk of <T> is the table.  Otherwise g is found in the cyclic
+    quotient F*/<T>, and coset i starts from g^i, g times the last start.
     """
     q = p**m
     n = q - 1
     top = p ** (m - 1)
-    # T^m = sum of r * T^i over these (p^i, r), r != 0
-    reduction = [(p**i, (-c) % p) for i, c in enumerate(modulus[:m]) if c]
-
-    def times_t(x: int) -> int:
-        c, y = divmod(x, top)
-        y *= p
-        if c:
-            for w, r in reduction:
-                d = y // w % p
-                y += ((d + c * r) % p - d) * w
-        return y
-
-    def orbit(x: int, length: int) -> list[int]:
-        out = []
-        for _ in range(length):
-            out.append(x)
-            x = times_t(x)
-        return out
-
-    def mul(a: int, b: int) -> int:
-        # schoolbook product in F_p[T], reduced mod the modulus
-        return _encode(_prem(_pmul(_digits(a, p, m), _digits(b, p, m), p), modulus, p), p)
-
-    primes = _prime_divisors(n)
-    # encodings below p are the constants F_p^*, whose orders divide p - 1 < n
-    g = next(a for a in range(p, q) if all(_power(a, n // r, mul, 1) != 1 for r in primes))
-    # Multiplying by T is cheap, by g is not.  With k the order of T and
-    # e = n / k, g^e generates <T>: g^e = T^v, and g^(i + e*l) = g^i T^(l*v).
-    # So coset i of <T>, listed as g^i T^j, fills exp[i::e] in the order l.
-    t_powers = [1]
-    x = p
-    while x != 1:
-        t_powers.append(x)
-        x = times_t(x)
-    k = len(t_powers)
-    e = n // k
-    v = t_powers.index(_power(g, e, mul, 1))
+    # T^m = r0 + the sum of r * T^i over these (p^i, r), 0 < i < m and r != 0
+    r0 = (-modulus[0]) % p
+    reduction = [(p**i, (-c) % p) for i, c in enumerate(modulus[1:m], 1) if c]
     exp = [0] * n
-    h = 1
-    for i in range(e):
-        coset = orbit(h, k) if i else t_powers
-        exp[i::e] = [coset[l * v % k] for l in range(k)]
-        h = mul(g, h)
     log: list = [None] * q
-    for i, x in enumerate(exp):
-        log[x] = i
+
+    def walk(x: int, pos: int, step: int) -> int:
+        """Put x, xT, xT^2, ... at exp[pos], exp[pos + step], ... (mod n) and
+        in log until the orbit closes; return the last position."""
+        start = x
+        while True:
+            exp[pos] = x
+            log[x] = pos
+            c, x = divmod(x, top)  # x = xT
+            x *= p
+            if c:
+                x += c * r0 % p  # the constant digit of x is 0
+                for w, r in reduction:
+                    d = x // w % p
+                    x += ((d + c * r) % p - d) * w
+            if x == start:
+                return pos
+            pos += step
+            if pos >= n:
+                pos -= n
+
+    k = walk(1, 0, 1) + 1  # the order of T; exp[j] = T^j and log[T^j] = j for now
+    e = n // k
+    if e > 1:
+        # A vector of m digits is packed in slots of ``bits`` bits.  Times T
+        # shifts it by a slot and folds the top slot c back as c * (T^m mod
+        # modulus), leaving each slot unreduced but below (p - 1) p^i after
+        # i steps, so b -> ab is one sum of b_i * aT^i with no carry between
+        # slots, reduced mod p at the end.
+        bits = (m * p ** (m + 1)).bit_length()
+        mask, top_slot = (1 << bits) - 1, bits * m
+        slots = [(bits * i, p**i) for i in range(m)]
+        t_m = sum(r << bits * i for i, r in enumerate((-c) % p for c in modulus[:m]))
+
+        def times(a: int) -> Callable[[int], int]:
+            """b -> ab, an F_p-linear map whose columns are the aT^i, i < m."""
+            column, columns = 0, []
+            for shift, _ in slots:
+                a, d = divmod(a, p)
+                column |= d << shift
+            for _ in range(m):
+                columns.append(column)
+                column <<= bits
+                c = column >> top_slot
+                column += c * t_m - (c << top_slot)
+
+            def apply(b: int) -> int:
+                acc = y = 0
+                for column in columns:
+                    b, d = divmod(b, p)
+                    acc += d * column
+                for shift, w in slots:
+                    y += (acc >> shift & mask) % p * w
+                return y
+
+            return apply
+
+        # a maps to a generator of F*/<T>, cyclic of order e, iff no a^(e/r)
+        # for a prime r | e lies in <T>, where log is set.  Then a is
+        # primitive iff a^e = T^s with s prime to k.  Encodings below p are
+        # the constants F_p^*, whose orders divide p - 1 < n.
+        primes = _prime_divisors(e)
+        for g in range(p, q):
+            if log[g] is None and all(
+                log[_power(g, e // r, lambda a, b: times(a)(b), 1)] is None for r in primes
+            ):
+                s = log[_power(g, e, lambda a, b: times(a)(b), 1)]
+                if math.gcd(s, k) == 1:
+                    break
+        else:
+            raise InternalCheckError(f"F_{p}^{m} has no primitive element")
+        # T = g^(e w) with s w = 1 mod k, so g^i T^j sits at i + e w j (mod n)
+        step = e * pow(s, -1, k)
+        for j, x in enumerate(exp[:k]):
+            exp[j * step % n] = x
+            log[x] = j * step % n
+        times_g, h = times(g), 1
+        for i in range(1, e):
+            h = times_g(h)
+            walk(h, i, step)
     if log.count(None) != 1:
-        raise InternalCheckError(f"powers of {g} do not cover F_{p}^{m}")
+        raise InternalCheckError(f"the cosets of <T> do not cover F_{p}^{m}")
     # 1 + x changes only the constant digit of x
     zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in exp]
     return exp + exp, log, zech
@@ -607,9 +651,13 @@ def mk_field(p: int, m: int = 1) -> PrimeField:
     if m == 1:
         return PrimeField(p, 1, (0, 1))
     for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
-        cand = list(tail) + [1]
-        if _is_irreducible(cand, p):
-            return PrimeField(p, m, cand)
+        # Horner at every r in F_p^* at once: a root r is a factor T - r, and
+        # a reducible candidate of degree m <= 3 has a factor of degree 1
+        values = [1] * (p - 1)
+        for c in reversed(tail):
+            values = [(v * r + c) % p for r, v in enumerate(values, 1)]
+        if 0 not in values and (m <= 3 or _is_irreducible(tail + (1,), p)):
+            return PrimeField(p, m, tail + (1,))
     raise InternalCheckError("no irreducible modulus found")
 
 

@@ -416,6 +416,26 @@ def test_a_group_at_the_order_budget_stays_within_150_mb(tmp_path, gamma, expect
     assert peak_kib / 1024 <= 150
 
 
+def test_a_near_cap_field_with_many_cosets_stays_within_130_mb(tmp_path):
+    # F_{1013^2}: its modulus T^2 + T + 1 gives T order 3, so the tables are
+    # walked as 342,056 cosets of <T>; its build peaked at ~119 MB when each
+    # coset started from a schoolbook product, and 130 MB is that plus 10%
+    path = _write(tmp_path, {"mode": "partition", "op": "theta", "partition": "2,1",
+                             "p": 1013, "m": 2})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER,
+         sys.executable, "-m", "defring_audit.cli", "run", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    status, out = proc.stdout.split("\n", 1)
+    code, peak_kib = map(int, status.split())
+    assert code == EXIT_OK
+    assert json.loads(out)["verdicts"]["theta"] == "2,1"
+    assert peak_kib / 1024 <= 130
+
+
 _PLACES = [{"kind": "ell", "condition": "sm", "local_degree": 1}, {"kind": "arch"}]
 _LEDGER = {"mode": "ledger", "lie": {"gn": 1}, "deg_F": 1, "places": _PLACES}
 _DIMS = {"dim_g": 4, "dim_g_der": 3, "dim_g_ab": 1, "dim_b_der": 1}

@@ -457,6 +457,26 @@ def test_a_table_that_disagrees_with_its_structure_raises_internal_check():
         z4.table
 
 
+def test_a_mul_wrong_off_the_generator_rows_raises_internal_check():
+    # Z/3 with row 2 changed to (1, 0, 2): the greedy generators are 0 and 1,
+    # whose rows are right, so the walk rebuilds Z/3 and checks only those
+    # rows; mul(2, 0) = 1 where the table holds 2
+    group = _table_group([[0, 1, 2], [1, 2, 0], [1, 0, 2]], name="bad3")
+    assert group.generators == [0, 1]
+    with pytest.raises(InternalCheckError, match=r"mul of FiniteGroup\(bad3\) disagrees"):
+        group.table
+
+
+def test_a_mul_wrong_off_the_generator_rows_of_s5_raises_internal_check():
+    # order 120: the check samples 256 of the 14,400 pairs
+    table = build_group("S5").table
+    group = _table_group(table, name="S5twin")
+    rows = set(group.generators)
+    group.mul = lambda x, y: table[x][y] if x in rows else table[x][y] ^ 1
+    with pytest.raises(InternalCheckError, match=r"mul of FiniteGroup\(S5twin\) disagrees"):
+        group.table
+
+
 @pytest.mark.parametrize("identity, generators, match", [
     (4, [1], "outside 0..3"), (-1, [1], "outside 0..3"), (0, [5], "outside 0..3"),
     (0, [2], "do not generate"), (0, [], "do not generate"),

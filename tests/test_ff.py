@@ -3,6 +3,7 @@ import copy
 import functools
 import inspect
 import itertools
+import math
 import pickle
 import random
 
@@ -21,12 +22,15 @@ from defring_audit.ff import (
     PrimeField,
     ScanBudgetExceeded,
     _check_field_order,
+    _digits,
     _echelon,
+    _encode,
     _is_irreducible,
     _pmul,
     _power,
     _ppowmod,
     _prem,
+    _prime_divisors,
     block_diag,
     charpoly,
     eigenvalues_in_splitting_field,
@@ -300,6 +304,92 @@ def test_negation_and_zero(p, m):
 @pytest.mark.parametrize("p,m", _extension_fields(2**12))
 def test_mk_field_matches_full_scan(p, m):
     assert mk_field(p, m).modulus == _full_scan_modulus(p, m)
+
+
+def _log_tables_oracle(p, m, modulus):
+    """The tables by the schoolbook product: g is found by testing
+    g^((q-1)/r) != 1 for each prime r | q - 1, and each coset of <T> starts
+    from one product by g."""
+    q = p**m
+    n = q - 1
+    top = p ** (m - 1)
+    reduction = [(p**i, (-c) % p) for i, c in enumerate(modulus[:m]) if c]
+
+    def times_t(x):
+        c, y = divmod(x, top)
+        y *= p
+        if c:
+            for w, r in reduction:
+                d = y // w % p
+                y += ((d + c * r) % p - d) * w
+        return y
+
+    def orbit(x, length):
+        out = []
+        for _ in range(length):
+            out.append(x)
+            x = times_t(x)
+        return out
+
+    def mul(a, b):
+        return _encode(_prem(_pmul(_digits(a, p, m), _digits(b, p, m), p), modulus, p), p)
+
+    primes = _prime_divisors(n)
+    g = next(a for a in range(p, q) if all(_power(a, n // r, mul, 1) != 1 for r in primes))
+    # g^e = T^v generates <T>, so coset i, listed as g^i T^j, fills exp[i::e]
+    t_powers = [1]
+    x = p
+    while x != 1:
+        t_powers.append(x)
+        x = times_t(x)
+    k = len(t_powers)
+    e = n // k
+    v = t_powers.index(_power(g, e, mul, 1))
+    exp = [0] * n
+    h = 1
+    for i in range(e):
+        coset = orbit(h, k) if i else t_powers
+        exp[i::e] = [coset[l * v % k] for l in range(k)]
+        h = mul(g, h)
+    log = [None] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in exp]
+    return exp + exp, log, zech
+
+
+def _order_of_t(f):
+    """ord(T) = (q - 1) / gcd(log T, q - 1), T encoded as p."""
+    return (f.order - 1) // math.gcd(f._log[f.p], f.order - 1)
+
+
+# F_{101^2}'s modulus is T^2 + T + 1, so ord(T) = 3 and <T> has 3,400 cosets
+@pytest.mark.parametrize("p,m", _extension_fields(2**12) + [(101, 2)])
+def test_log_tables_match_the_schoolbook_oracle(p, m):
+    f = mk_field(p, m)
+    assert (f._exp, f._log, f._zech) == _log_tables_oracle(p, m, f.modulus)
+
+
+def test_the_generator_is_the_smallest_primitive_element_by_brute_force():
+    # where ord(T) < q - 1, g comes from the quotient test: check it against
+    # the orders of the elements, walked by schoolbook products
+    assert _order_of_t(mk_field(101, 2)) == 3
+    fields = [mk_field(p, m) for p, m in _extension_fields(2**12) + [(101, 2)]]
+    fields = [f for f in fields if _order_of_t(f) < f.order - 1]
+    assert len(fields) >= 10
+    for f in fields:
+        n = f.order - 1
+
+        def order(a):
+            x, k = a, 1
+            while x != 1:
+                x = f.encode(_prem(_pmul(f.coeffs(x), f.coeffs(a), f.p), f.modulus, f.p))
+                k += 1
+            return k
+
+        g = f._exp[1]
+        assert order(g) == n, f
+        assert all(order(a) < n for a in range(f.p, g)), f
 
 
 def test_canonical_moduli_are_irreducible_by_sympy():
