@@ -27,6 +27,11 @@ each entry from ``dot``, so no caller asks which kind of field it holds.
 ``PrimeField`` and its builder ``_table_ops`` are the only readers of
 the tables.
 
+Polynomials are coefficient lists, computed on in a field's own operations:
+Rabin's test of a modulus (over ``mk_field(p)``) and distinct-degree
+factorization share one remainder, gcd and Frobenius step, and neither
+forms a product of two polynomials.
+
 Eigenvalues live in the splitting field L = F_{q^D} of the characteristic
 polynomial over K = F_q.  The roots in K come from a scan of K; the rest
 is split by distinct-degree factorization, whose factor degrees give D, so
@@ -180,11 +185,9 @@ def _power(x, e: int, mul: Callable, one):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic over F_p (coefficient lists of encoded elements, lowest
-# degree first), in plain integer loops mod p: the irreducibility test uses it
-# before any F_{p^m} exists.  Remainder, exact division and gcd
-# also work over a field K of characteristic p when K is given, calling K's
-# operations; the splitting-field search needs no product over K.
+# Polynomials over a field K: lists of encoded elements, lowest degree first,
+# computed on in K's operations.  x^q mod f is a spread of x's coefficients
+# and one remainder, so no routine here forms a product of two polynomials.
 # ---------------------------------------------------------------------------
 
 
@@ -212,83 +215,73 @@ def _ptrim(c: list[int]) -> list[int]:
     return c
 
 
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _prem(
-    a: Sequence[int], b: Sequence[int], p: int, K: PrimeField | None = None, quot=None
-) -> list[int]:
-    """Remainder of a by a nonzero b.  With ``quot``, a list of zeros of
+def _prem(a: Sequence[int], b: Sequence[int], K: PrimeField, quot=None) -> list[int]:
+    """Remainder of a by a nonzero b over K.  With ``quot``, a list of zeros of
     length deg a - deg b + 1, the quotient's coefficients are written to it."""
     a = _ptrim(list(a))
     db = len(b) - 1
-    if K is None:
-        inv_lead = pow(b[-1], p - 2, p)
-        while len(a) > db:
-            c = (a[-1] * inv_lead) % p
-            shift = len(a) - 1 - db
-            if quot is not None:
-                quot[shift] = c
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * bi) % p
-            _ptrim(a)
-    else:
-        inv_lead, sub, mul = K.inv(b[-1]), K.sub, K.mul
-        while len(a) > db:
-            c = mul(a[-1], inv_lead)
-            shift = len(a) - 1 - db
-            if quot is not None:
-                quot[shift] = c
-            for i, bi in enumerate(b):
-                a[shift + i] = sub(a[shift + i], mul(c, bi))
-            _ptrim(a)
+    inv_lead, mul, axpy = K.inv(b[-1]), K.mul, K.axpy
+    while len(a) > db:
+        c = mul(a[-1], inv_lead)
+        shift = len(a) - 1 - db
+        if quot is not None:
+            quot[shift] = c
+        a[shift:] = axpy(a[shift:], c, b)  # the top coefficient becomes 0
+        _ptrim(a)
     return a
 
 
-def _pdiv(a: Sequence[int], b: Sequence[int], p: int, K: PrimeField | None = None) -> list[int]:
+def _pdiv(a: Sequence[int], b: Sequence[int], K: PrimeField) -> list[int]:
     """a / b for a b that divides a."""
     quot = [0] * (len(a) - len(b) + 1)
-    _prem(a, b, p, K, quot)
+    _prem(a, b, K, quot)
     return quot
 
 
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int, K: PrimeField | None = None) -> list[int]:
+def _pgcd(a: Sequence[int], b: Sequence[int], K: PrimeField) -> list[int]:
     """A gcd of a and b, not made monic ([] when both are zero)."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, _prem(a, b, p, K)
+        a, b = b, _prem(a, b, K)
     return a
 
 
-def _ppowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    return _power(_prem(base, mod, p), e, lambda a, b: _prem(_pmul(a, b, p), mod, p), [1])
+def _frobenius(x: list[int], f: Sequence[int], K: PrimeField) -> list[int]:
+    """x^q mod f for x in K[T], q = K.order: x^q = the sum of x_i T^(qi), as
+    x_i^q = x_i, so one remainder and no product.  Both callers keep q^2 <=
+    MAX_FIELD_ORDER, so the spread has at most 1024 deg(x) + 1 entries."""
+    q = K.order
+    y = [0] * (q * (len(x) - 1) + 1)
+    y[::q] = x
+    return _prem(y, f, K)
+
+
+def _minus_t(x: list[int], K: PrimeField) -> list[int]:
+    """x - T."""
+    h = x + [0] * (2 - len(x))
+    h[1] = K.sub(h[1], 1)
+    return _ptrim(h)
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
+    """Rabin's irreducibility test for a monic polynomial over F_p.
+
+    A poly of degree m is irreducible iff T^(p^m) = T mod poly and
+    gcd(T^(p^(m/r)) - T, poly) = 1 for each prime r | m.  The powers
+    T^(p^k) mod poly, k <= m, come from m Frobenius steps.
+    """
     m = len(poly) - 1
     if m < 1:
         return False
     if m == 1:
         return True
-    x = [0, 1]
-
-    def frobenius_minus_x(k: int) -> list[int]:
-        # T^(p^k) - T mod poly
-        t = _ppowmod(x, p**k, poly, p)
-        return _ptrim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)])
-
-    if frobenius_minus_x(m):
-        return False
-    return all(len(_pgcd(frobenius_minus_x(m // r), poly, p)) == 1 for r in _prime_divisors(m))
+    K = mk_field(p)
+    frob = [[0, 1]]  # frob[k] = T^(p^k) mod poly
+    for _ in range(m):
+        frob.append(_frobenius(frob[-1], poly, K))
+    return frob[m] == [0, 1] and all(
+        len(_pgcd(_minus_t(frob[m // r], K), poly, K)) == 1 for r in _prime_divisors(m)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -708,27 +701,6 @@ class PolyFF(Record):
     def evaluate(self, x: int) -> int:
         return self.field.horner(self.coeffs, x)
 
-    def __mul__(self, other: "PolyFF") -> "PolyFF":
-        f = self._common_field(other)
-        if self.is_zero() or other.is_zero():
-            return PolyFF(f, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return PolyFF(f, tuple(out))
-
-    def __pow__(self, e: int) -> "PolyFF":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        return _power(self, e, operator.mul, PolyFF(self.field, (1,)))
-
-    def _common_field(self, other: "PolyFF") -> PrimeField:
-        if self.field != other.field:
-            raise ValueError("mixed fields in polynomial arithmetic")
-        return self.field
-
     def __repr__(self) -> str:
         return f"PolyFF({self.field!r}, {self.coeffs})"
 
@@ -1060,7 +1032,7 @@ def _factor_degrees(f: list[int], K: PrimeField, limit: int) -> list[int]:
     is irreducible.  Raises ScanBudgetExceeded as soon as a factor of degree
     d is certain and q^d > limit.
     """
-    q, p = K.order, K.p
+    q = K.order
     degrees: list[int] = []
     frob, reached = [0, 1], 0  # frob = T^(q^reached) mod f
     d = 2
@@ -1068,15 +1040,9 @@ def _factor_degrees(f: list[int], K: PrimeField, limit: int) -> list[int]:
         if q**d > limit:
             raise _over_budget(limit)
         for _ in range(d - reached):
-            # x^q = sum x_i T^(qi) for x in K[T], as x_i^q = x_i: a remainder,
-            # and no product (q <= 1024 here, since q^2 <= MAX_FIELD_ORDER)
-            x, frob = frob, [0] * (q * (len(frob) - 1) + 1)
-            frob[::q] = x
-            frob = _prem(frob, f, p, K)
+            frob = _frobenius(frob, f, K)
         reached = d
-        h = frob + [0] * (2 - len(frob))
-        h[1] = K.sub(h[1], 1)
-        g = _pgcd(f, _ptrim(h), p, K)
+        g = _pgcd(f, _minus_t(frob, K), K)
         if len(g) > 1:
             degrees.append(d)
             if len(f) - 1 < 2 * d + 2:
@@ -1084,11 +1050,11 @@ def _factor_degrees(f: list[int], K: PrimeField, limit: int) -> list[int]:
                 # irreducible, since each factor of r has degree >= d
                 degrees.append(len(f) - 1 - d)
                 return degrees
-            f = _pdiv(f, g, p, K)
+            f = _pdiv(f, g, K)
             while len(g) > 1:
-                g = _pgcd(f, g, p, K)
-                f = _pdiv(f, g, p, K)
-            frob = _prem(frob, f, p, K)
+                g = _pgcd(f, g, K)
+                f = _pdiv(f, g, K)
+            frob = _prem(frob, f, K)
         d += 1
     if len(f) > 1:
         degrees.append(len(f) - 1)

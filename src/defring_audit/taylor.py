@@ -13,7 +13,6 @@ import math
 from .ff import (
     InternalCheckError,
     MatrixFF,
-    PolyFF,
     charpoly,
     eigenvalues_in_splitting_field,
     is_prime,
@@ -53,9 +52,10 @@ def satisfies_one_condition(X: MatrixFF) -> bool:
     """charpoly(X) == (T - 1)^n."""
     if X.rows != X.cols:
         raise ValueError("condition is defined for square matrices")
-    f = X.field
-    target = PolyFF(f, (f.neg(1), 1)) ** X.rows
-    return charpoly(X) == target
+    # the binomial coefficients lie in F_p, encoded alike in every F_{p^m}
+    n, p = X.rows, X.field.p
+    target = tuple(math.comb(n, k) * (-1) ** (n - k) % p for k in range(n + 1))
+    return charpoly(X).coeffs == target
 
 
 def qpower_conjugacy(X: MatrixFF, phi: MatrixFF, q: int) -> bool:

@@ -25,11 +25,9 @@ from defring_audit.ff import (
     _digits,
     _echelon,
     _encode,
+    _frobenius,
     _is_irreducible,
-    _pmul,
     _power,
-    _ppowmod,
-    _prem,
     _prime_divisors,
     block_diag,
     charpoly,
@@ -181,6 +179,134 @@ def test_generator_satisfies_modulus():
 
 
 # ---------------------------------------------------------------------------
+# schoolbook polynomial oracles: over F_p in integer loops mod p, and over a
+# field by its scalar add, sub, mul and inv
+# ---------------------------------------------------------------------------
+
+
+def _ptrim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _pmul(a, b, p):
+    """The product of a and b over F_p."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _ptrim(out)
+
+
+def _prem(a, b, p):
+    """The remainder of a by a nonzero b over F_p."""
+    a = _ptrim(list(a))
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
+        c, shift = a[-1] * inv_lead % p, len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * bi) % p
+        _ptrim(a)
+    return a
+
+
+def _poly_mul(f, a, b):
+    """The product of a and b over the field f."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+    return _ptrim(out)
+
+
+def _poly_rem(f, a, b):
+    """The remainder of a by a nonzero b over the field f."""
+    a = _ptrim(list(a))
+    inv_lead = f.inv(b[-1])
+    while len(a) >= len(b):
+        c, shift = f.mul(a[-1], inv_lead), len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[shift + i] = f.sub(a[shift + i], f.mul(c, bi))
+        _ptrim(a)
+    return a
+
+
+def _monic_polys(p, m):
+    """Every monic polynomial of degree m over F_p."""
+    return [list(tail) + [1] for tail in itertools.product(range(p), repeat=m)]
+
+
+def _irreducible_by_trial_division(poly, p):
+    """No monic divisor of degree 1 to deg(poly) / 2."""
+    m = len(poly) - 1
+    return m >= 1 and all(
+        _prem(poly, d, p) for k in range(1, m // 2 + 1) for d in _monic_polys(p, k)
+    )
+
+
+# (T^2 + T + 1)^2, (T^2 + T + 1)(T^3 + T + 1) over F_2 and (T^2 + 1)^2 over F_3
+# have no root: only the gcd step of Rabin's test rejects them
+ROOTLESS_REDUCIBLE = [
+    (2, _pmul([1, 1, 1], [1, 1, 1], 2)),
+    (2, _pmul([1, 1, 1], [1, 1, 0, 1], 2)),
+    (3, _pmul([1, 0, 1], [1, 0, 1], 3)),
+]
+
+
+def _count_irreducible(p, m):
+    """Gauss's count of the monic irreducibles of degree m over F_p."""
+
+    def mobius(n):
+        primes = _prime_divisors(n)
+        return 0 if any(n % (r * r) == 0 for r in primes) else (-1) ** len(primes)
+
+    return sum(mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
+@pytest.mark.parametrize("p, max_m", [(2, 6), (3, 4), (5, 3)])
+def test_is_irreducible_matches_trial_division(p, max_m):
+    for m in range(1, max_m + 1):
+        polys = _monic_polys(p, m)
+        want = [_irreducible_by_trial_division(c, p) for c in polys]
+        assert sum(want) == _count_irreducible(p, m), (p, m)
+        assert [_is_irreducible(c, p) for c in polys] == want, (p, m)
+        # every product of two monic factors of positive degree is reducible
+        for k in range(1, m // 2 + 1):
+            for a in _monic_polys(p, k):
+                for b in _monic_polys(p, m - k)[:8]:
+                    assert not _is_irreducible(_pmul(a, b, p), p)
+    for q, poly in ROOTLESS_REDUCIBLE:
+        if q == p:
+            assert all(_prem(poly, [-r % p, 1], p) for r in range(p))
+            assert not _irreducible_by_trial_division(poly, p)
+            assert not _is_irreducible(poly, p)
+
+
+def test_is_irreducible_near_the_cap():
+    # over F_1021: T^2 + 5T + 1 is F_{1021^2}'s modulus, and T^2 - 4 = (T - 2)(T + 2)
+    p = 1021
+    for poly, irreducible in (([1, 5, 1], True), ([p - 4, 0, 1], False)):
+        assert _irreducible_by_trial_division(poly, p) == irreducible
+        assert _is_irreducible(poly, p) == irreducible
+    assert _pmul([p - 2, 1], [2, 1], p) == [p - 4, 0, 1]
+
+
+@pytest.mark.parametrize("field", [F2, F5, mk_field(2, 2), mk_field(3, 2)], ids=repr)
+def test_frobenius_matches_the_qth_power_by_products(field):
+    # x^q mod f with x_i^q = x_i, against q products by x, each reduced mod f
+    rng = random.Random(f"frobenius {field!r}")
+    q = field.order
+    for _ in range(20):
+        f = [rng.randrange(q) for _ in range(rng.randint(2, 5))] + [1]
+        x = _ptrim([rng.randrange(q) for _ in range(len(f) - 1)])
+        want = [1]
+        for _ in range(q):
+            want = _poly_rem(field, _poly_mul(field, want, x), f)
+        assert _frobenius(x, f, field) == want, (f, x)
+
+
+# ---------------------------------------------------------------------------
 # table arithmetic against the digit-loop oracles
 # ---------------------------------------------------------------------------
 
@@ -209,10 +335,7 @@ BATCH_FIELDS = [
 
 def _full_scan_modulus(p, m):
     """The first irreducible modulus in the full constant-term-first scan."""
-    for tail in itertools.product(range(p), repeat=m):
-        cand = list(tail) + [1]
-        if _is_irreducible(cand, p):
-            return tuple(cand)
+    return tuple(next(c for c in _monic_polys(p, m) if _irreducible_by_trial_division(c, p)))
 
 
 def _digit_add(f, a, b):
@@ -565,8 +688,10 @@ def test_charpoly_of_diag_1_2_over_f5():
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_charpoly_of_identity_is_t_minus_one_power(n):
     f = F5
-    target = PolyFF(f, (f.neg(1), 1)) ** n
-    assert charpoly(MatrixFF.identity(f, n)) == target
+    target = [1]
+    for _ in range(n):
+        target = _poly_mul(f, target, [f.neg(1), 1])
+    assert list(charpoly(MatrixFF.identity(f, n)).coeffs) == target
 
 
 def _polynomial_cofactor_charpoly(M):
@@ -926,10 +1051,10 @@ def test_product_of_linear_factors_recovers_charpoly(rows, field):
     M = MatrixFF.from_rows(field, rows)
     ext, roots = eigenvalues_in_splitting_field(M)
     emb = embed_field(field, ext)
-    lifted = PolyFF(ext, tuple(emb(c) for c in charpoly(M).coeffs))
-    product = PolyFF(ext, (1,))
+    lifted = [emb(c) for c in charpoly(M).coeffs]
+    product = [1]
     for z in roots:
-        product = product * PolyFF(ext, (ext.neg(z), 1))
+        product = _poly_mul(ext, product, [ext.neg(z), 1])
     assert product == lifted
 
 
@@ -956,8 +1081,15 @@ def test_eigenvalues_over_extension_base_field():
 @pytest.fixture
 def fresh_field_cache(monkeypatch):
     """ff.mk_field behind an empty cache of its own, so cache_info() counts
-    the fields one call builds."""
-    cached = functools.lru_cache(maxsize=None)(ff.mk_field.__wrapped__)
+    the fields one call builds; ``built`` lists their (p, m)."""
+    built, uncached = [], ff.mk_field.__wrapped__
+
+    def build(p, m=1):
+        built.append((p, m))
+        return uncached(p, m)
+
+    cached = functools.lru_cache(maxsize=None)(build)
+    cached.built = built
     monkeypatch.setattr(ff, "mk_field", cached)
     return cached
 
@@ -1071,10 +1203,6 @@ def _companion(field, coeffs):
     for i in range(n):
         rows[i][n - 1] = field.neg(coeffs[i])
     return MatrixFF.from_rows(field, rows)
-
-
-def _poly_mul(f, a, b):
-    return list((PolyFF(f, tuple(a)) * PolyFF(f, tuple(b))).coeffs)
 
 
 def _splitting_matrices(field):
@@ -1232,7 +1360,8 @@ def test_an_over_budget_splitting_field_is_refused_before_any_field_is_built(
 def test_only_the_splitting_field_is_built(fresh_field_cache):
     M = block_diag([_companion(F2, QUARTIC), _companion(F2, CUBIC)])
     field, roots = eigenvalues_in_splitting_field(M)
-    assert fresh_field_cache.cache_info().misses == 1
+    # F_2 is the field of the scan's Rabin tests for the modulus of F_{2^12}
+    assert sorted(fresh_field_cache.built) == [(2, 1), (2, 12)]
     assert field == mk_field(2, 12) and len(roots) == 7
     assert (field, roots) == _exhaustive_eigenvalues(M)
 
@@ -1303,7 +1432,7 @@ def test_is_unipotent():
 
 
 # ---------------------------------------------------------------------------
-# square-and-multiply: one loop for matrices, polynomials and residues
+# square-and-multiply: one loop for matrices and residues
 # ---------------------------------------------------------------------------
 
 
@@ -1344,27 +1473,6 @@ def test_matpow_matches_repeated_products_with_the_fewest_products(monkeypatch, 
         products.clear()
         assert M.matpow(e) == oracle[e], e
         assert len(products) == _square_and_multiply_products(e), e
-
-
-@pytest.mark.parametrize("field", [F5, mk_field(3, 2)])
-def test_poly_power_matches_repeated_products(field):
-    rng = random.Random(f"polypow:{field.p}:{field.m}")
-    for base in (PolyFF(field, ()), PolyFF(field, (1,)), PolyFF(field, (2, 1)),
-                 PolyFF(field, tuple(rng.randrange(field.order) for _ in range(3)))):
-        want = PolyFF(field, (1,))
-        for e in range(0, 12):
-            assert base**e == want, (base, e)
-            want = want * base
-
-
-@pytest.mark.parametrize("p, mod", [(2, [1, 1, 0, 1]), (3, [2, 2, 0, 1]), (5, [2, 0, 1])])
-def test_ppowmod_matches_repeated_products(p, mod):
-    rng = random.Random(f"ppowmod:{p}")
-    for base in ([0, 1], [1], [rng.randrange(p) for _ in range(5)]):
-        want = [1]
-        for e in range(0, 40):
-            assert _ppowmod(base, e, mod, p) == want, (base, e)
-            want = _prem(_pmul(want, base, p), mod, p)
 
 
 def test_only_the_field_and_the_vector_ops_read_the_tables():
@@ -1428,4 +1536,4 @@ def test_fields_matrices_and_polynomials_survive_pickle_and_deepcopy(field, roun
     assert [field2.mul(a, b) for a, b in pairs] == [field.mul(a, b) for a, b in pairs]
     assert [field2.add(a, b) for a, b in pairs] == [field.add(a, b) for a, b in pairs]
     assert M2 * M2 == M * M and charpoly(M2) == charpoly(M)
-    assert P2 * P2 == P * P and P2.evaluate(1) == P.evaluate(1)
+    assert P2.evaluate(1) == P.evaluate(1)

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from defring_audit.ff import MatrixFF, is_unipotent, mk_field, nilpotent_block
+from defring_audit.cli import LIMITS
+from defring_audit.ff import MatrixFF, charpoly, is_unipotent, mk_field, nilpotent_block
 from defring_audit.partitions import Partition, nabla_matrix, partitions_of
 from defring_audit.taylor import (
     MAX_THRESHOLD_BITS,
@@ -89,6 +90,31 @@ def test_satisfies_one_condition_examples():
     )
     for lam in partitions_of(5):
         assert satisfies_one_condition(nabla_matrix(lam, F7))
+
+
+def _companion(field, coeffs):
+    """The companion matrix of a monic polynomial (lowest degree first)."""
+    n = len(coeffs) - 1
+    return MatrixFF.from_rows(field, [
+        [1 if j == i - 1 else 0 for j in range(n - 1)] + [field.neg(coeffs[i])]
+        for i in range(n)
+    ])
+
+
+@pytest.mark.parametrize(
+    "field", [mk_field(2), F3, F5, mk_field(2, 2), mk_field(3, 2)], ids=repr
+)
+def test_the_one_condition_target_is_the_product_of_n_factors_t_minus_one(field):
+    # n = 0 is the 0 x 0 matrix, and p divides C(n, k) for some k at n = p
+    f = field
+    power = [1]  # (T - 1)^n, one product by T - 1 at a time
+    for n in range(LIMITS["MAX_MATRIX_DIM"] + 1):
+        C = _companion(f, power)
+        assert list(charpoly(C).coeffs) == power
+        assert satisfies_one_condition(C)
+        if n:
+            assert not satisfies_one_condition(_companion(f, [f.add(power[0], 1)] + power[1:]))
+        power = [f.neg(power[0])] + [f.sub(a, b) for a, b in zip(power, power[1:])] + [1]
 
 
 def test_one_condition_iff_unipotent_exhaustive_2x2_f3():
