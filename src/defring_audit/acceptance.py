@@ -27,10 +27,10 @@ from .ff import (
     InternalCheckError,
     MatrixFF,
     PolyFF,
+    _echelon,
     charpoly,
     is_prime,
     kernel_dim,
-    mat_inverse,
     mk_field,
     nilpotent_block,
 )
@@ -138,16 +138,16 @@ def enumerated_density(problem: dens.SplitDensityProblem) -> Fraction:
 
 
 def random_involution(rng: random.Random, field, d: int) -> MatrixFF:
-    """A random order-2 matrix: conjugate of a random +-1 diagonal."""
+    """A random order-2 matrix P D P^-1, D a random +-1 diagonal and P drawn
+    again while singular; Gauss-Jordan on [P^t | D P^t] leaves [I | sigma^t]."""
     signs = [rng.choice((1, field.neg(1))) for _ in range(d)]
-    diag = MatrixFF(field, d, d, [signs[i] if i == j else 0 for i in range(d) for j in range(d)])
     while True:
-        P = MatrixFF(field, d, d, [rng.randrange(field.order) for _ in range(d * d)])
-        try:
-            pinv = mat_inverse(P)
-        except ValueError:
-            continue
-        return P * diag * pinv
+        P = [rng.randrange(field.order) for _ in range(d * d)]
+        cols = [P[j::d] for j in range(d)]  # the rows of P^t
+        aug = [col + field.scale(s, col) for col, s in zip(cols, signs)]
+        reduced = _echelon(field, aug, d, full=True)
+        if len(reduced) == d:
+            return MatrixFF(field, d, d, [row[d + i] for i in range(d) for row in reduced])
 
 
 def _random_gn_setting(rng: random.Random) -> ledger.DeformationSetting:

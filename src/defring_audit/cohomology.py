@@ -109,10 +109,11 @@ def cohomology_dims(action: CyclicAction) -> CohomologyDims:
     """h^0, h^1, h^2 and dim Z^1 of the cyclic action, from two ranks.
 
     With d the dimension, r = rank(sigma-1) and s = rank(N): h0 = d - r,
-    z1 = d - s, h1 = z1 - r and h2 = h0 - s.
+    z1 = d - s, h1 = z1 - r and h2 = h0 - s.  r is read from the 1-eigenspace,
+    so no identity matrix is built.
     """
     d = action.dimension
-    r = mat_rank(action.sigma - MatrixFF.identity(action.field, d))
+    r = d - eigenspace_dim(action.sigma, 1)
     s = mat_rank(action.norm)
     h0, z1 = d - r, d - s
     h1, h2 = z1 - r, h0 - s

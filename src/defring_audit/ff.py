@@ -21,9 +21,9 @@ primality test, at MAX_PRIMALITY_N.
 
 Rank, kernel dimensions, eigenspaces and inverses share one elimination
 kernel, ``_echelon``, and the characteristic polynomial comes from a
-Hessenberg reduction in O(n^3).  Both work a row at a time through the
-field's ``scale``, ``axpy`` and ``dot``, and the matrix product takes
-each entry from ``dot``, so no caller asks which kind of field it holds.
+Hessenberg reduction in O(n^3).  They and the matrix product work a row
+at a time through the field's ``scale``, ``axpy`` and ``dot``, so no
+caller asks which kind of field it holds.
 ``PrimeField`` and its builder ``_table_ops`` are the only readers of
 the tables.
 
@@ -568,6 +568,8 @@ class PrimeField:
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         if m > 1:
             _check_field_order(p, m)
+        elif not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.m = m
         self.order = p**m
@@ -637,12 +639,11 @@ def mk_field(p: int, m: int = 1) -> PrimeField:
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    if m > 1:
-        _check_field_order(p, m)
+    if m == 1:
+        return PrimeField(p, 1, (0, 1))  # which refuses a composite p
+    _check_field_order(p, m)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if m == 1:
-        return PrimeField(p, 1, (0, 1))
     for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         # Horner at every r in F_p^* at once: a root r is a factor T - r, and
         # a reducible candidate of degree m <= 3 has a factor of degree 1
@@ -805,9 +806,21 @@ class MatrixFF:
         n, k, m = self.rows, self.cols, other.cols
         e1, e2 = self.entries, other.entries
         rows = [e1[i * k : (i + 1) * k] for i in range(n)]
-        cols = [e2[j::m] for j in range(m)]
-        dot = f.dot
-        return MatrixFF(f, n, m, [dot(r, c) for r in rows for c in cols])
+        if 2 * e1.count(0) < n * k:
+            cols = [e2[j::m] for j in range(m)]
+            dot = f.dot
+            return MatrixFF(f, n, m, [dot(r, c) for r in rows for c in cols])
+        # half zeros or more: product row i = sum of a_it * (row t of other), a_it != 0
+        axpy, neg = f.axpy, f.neg
+        others = [e2[t * m : (t + 1) * m] for t in range(k)]
+        out = []
+        for row in rows:
+            acc = [0] * m
+            for a, y in zip(row, others):
+                if a:
+                    acc = axpy(acc, neg(a), y)
+            out += acc
+        return MatrixFF(f, n, m, out)
 
     def transpose(self) -> "MatrixFF":
         return MatrixFF(
@@ -872,7 +885,7 @@ def block_diag(blocks: Sequence[MatrixFF], field: PrimeField | None = None) -> M
 def _echelon(
     field: PrimeField, rows: list[list[int]], ncols: int, full: bool = False
 ) -> list[list[int]]:
-    """Row echelon form of ``rows`` over ``field``; the list is consumed.
+    """Row echelon form of ``rows``; the list is consumed, each row replaced, never edited.
 
     Pivots are sought in the first ``ncols`` columns, but each row
     operation acts on the whole row, so columns past ``ncols`` (an
@@ -892,7 +905,7 @@ def _echelon(
                 break
         else:
             continue
-        pivot = scale(field.inv(rows[r][col]), rows[r])
+        pivot = rows[r] if rows[r][col] == 1 else scale(field.inv(rows[r][col]), rows[r])
         rows[r] = rows[rank]
         rows[rank] = pivot
         for i in range(0 if full else rank + 1, nrows):

@@ -172,10 +172,14 @@ def expected_local_dim(lie: LieDims, place: PlaceSpec) -> int:
     if place.kind == KIND_S:
         return lie.dim_g_der
     if place.condition == COND_CRYS:
-        return lie.dim_g_der + (lie.dim_g_der - lie.dim_b_der) * place.local_degree
+        return _crys_dim(lie, place.local_degree)
     if place.condition == COND_SM:
         return lie.dim_g_der * (place.local_degree + 1) - place.delta
     raise ValueError("ell-places must carry the sm or crys condition")
+
+
+def _crys_dim(lie: LieDims, local_degree: int) -> int:
+    return lie.dim_g_der + (lie.dim_g_der - lie.dim_b_der) * local_degree
 
 
 def r0(lie: LieDims, s_ell_count: int) -> int:
@@ -268,8 +272,7 @@ def framework_check(setting: DeformationSetting) -> FrameworkVerdict:
             PlaceDim(idx, p.kind, p.condition, p.local_degree, p.delta, dim)
         )
         if p.kind == KIND_ELL:
-            crys_dim = expected_local_dim(lie, crys_place(p.local_degree))
-            gen_i += dim - crys_dim
+            gen_i += dim - _crys_dim(lie, p.local_degree)
     gen_bound = g - r
     margin = gen_bound - gen_i
     return FrameworkVerdict(

@@ -5,11 +5,13 @@ stated per-criterion time budgets are asserted where the criterion
 carries one, and the whole suite must finish well under a minute.
 """
 
+import random
 import re
 
 import pytest
 
 from defring_audit import acceptance
+from defring_audit.ff import MatrixFF, mat_inverse, mk_field
 
 _IDS = [c[0] for c in acceptance.CRITERIA]
 
@@ -64,3 +66,29 @@ def test_verify_all_lines_are_pinned():
     lines = [re.sub(r" \(\d+\.\d+s\)", "", r.line(), count=1)
              for r in acceptance.run_all(max_n=10, seed=0)]
     assert lines == _PINNED_LINES
+
+
+def _conjugated_involution(rng, field, d):
+    """The former ``random_involution``: P D P^-1 by an inverse and two products."""
+    signs = [rng.choice((1, field.neg(1))) for _ in range(d)]
+    diag = MatrixFF(field, d, d, [signs[i] if i == j else 0 for i in range(d) for j in range(d)])
+    while True:
+        P = MatrixFF(field, d, d, [rng.randrange(field.order) for _ in range(d * d)])
+        try:
+            pinv = mat_inverse(P)
+        except ValueError:
+            continue
+        return P * diag * pinv
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_random_involution_matches_the_conjugation_oracle(p):
+    f = mk_field(p)
+    for seed in range(20):
+        for d in range(1, 7):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            sigma = acceptance.random_involution(got_rng, f, d)
+            assert sigma == _conjugated_involution(want_rng, f, d)
+            assert sigma * sigma == MatrixFF.identity(f, d)
+            # the same draws, singular retries included
+            assert got_rng.random() == want_rng.random()

@@ -81,8 +81,15 @@ def test_modulus_is_lex_smallest_for_f8():
 
 
 def test_mk_field_rejects_composite_characteristic():
-    with pytest.raises(ValueError):
-        mk_field(4, 1)
+    # the constructor refuses a composite p for m = 1 with mk_field's message:
+    # "F_4" on residues mod 4 would give inv(2) = 0
+    for build in (lambda: mk_field(4, 1), lambda: PrimeField(4, 1, (0, 1))):
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            build()
+    for p in (2, 3, 2**61 - 1):
+        f = PrimeField(p, 1, (0, 1))
+        for again in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert again == f and again.inv(p - 1) == p - 1
 
 
 # ---------------------------------------------------------------------------
@@ -540,24 +547,80 @@ def test_field_order_cap_is_inclusive():
         _check_field_order(3, 13)
 
 
+# zero patterns of a product's left factor: the product takes one dot per
+# entry when fewer than half of its entries are zero, else one axpy per nonzero
+ZERO_PATTERNS = ("dense", "under half", "half", "90%", "monomial", "nilpotent")
+
+
+def _left_factor(rng, rows, inner, pattern, nonzero):
+    """A rows x inner entry list with the zero pattern ``pattern``;
+    ``nonzero()`` draws each nonzero entry."""
+    if pattern == "monomial":  # one nonzero per row
+        picks = [rng.randrange(inner) for _ in range(rows)] if inner else []
+        return [nonzero() if j == c else 0 for c in picks for j in range(inner)]
+    if pattern == "nilpotent":  # ones on the superdiagonal
+        return [1 if j == i + 1 else 0 for i in range(rows) for j in range(inner)]
+    size = rows * inner
+    zeros = {"dense": 0, "under half": (size - 1) // 2, "half": (size + 1) // 2,
+             "90%": size * 9 // 10}[pattern]
+    es = [nonzero() for _ in range(size)]
+    for t in rng.sample(range(size), max(zeros, 0)):
+        es[t] = 0
+    return es
+
+
+def _dot_counting_field(f):
+    """A copy of ``f`` whose ``dot`` counts its calls in ``calls[0]``."""
+    g = copy.copy(f)
+    calls = [0]
+    dot = g.dot
+
+    def counted(x, y):
+        calls[0] += 1
+        return dot(x, y)
+
+    g.dot = counted
+    return g, calls
+
+
+def _check_product(A, B, product, calls) -> bool:
+    """A * B meets its oracle in the loop order that A's zero count selects;
+    True for the order by rows."""
+    e1 = A.entries
+    row_order = 2 * e1.count(0) >= len(e1)
+    calls[0] = 0
+    got = A * B
+    assert calls[0] == (0 if row_order else A.rows * B.cols)
+    assert (got.rows, got.cols) == (A.rows, B.cols)
+    assert got == product
+    return row_order
+
+
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 2), (2, 10), (13, 3)])
 def test_matmul_over_extension_matches_entrywise_sums(p, m):
-    f = mk_field(p, m)
+    f, calls = _dot_counting_field(mk_field(p, m))
     rng = random.Random(f"matmul {p}^{m}")
     for rows, inner, cols in [(1, 1, 1), (3, 4, 2), (5, 5, 5), (2, 0, 3), (3, 3, 0)]:
-        es1 = [rng.choice([0, rng.randrange(f.order)]) for _ in range(rows * inner)]
-        es2 = [rng.choice([0, rng.randrange(f.order)]) for _ in range(inner * cols)]
-        if rows > 1:
-            es1[:inner] = [0] * inner  # an all-zero row
-        A, B = MatrixFF(f, rows, inner, es1), MatrixFF(f, inner, cols, es2)
-        expect = []
-        for i in range(rows):
-            for j in range(cols):
-                s = 0
-                for t in range(inner):
-                    s = f.add(s, f.mul(A.at(i, t), B.at(t, j)))
-                expect.append(s)
-        assert (A * B).entries == tuple(expect)
+        orders = set()
+        for pattern in (None,) + ZERO_PATTERNS:
+            if pattern is None:
+                es1 = [rng.choice([0, rng.randrange(f.order)]) for _ in range(rows * inner)]
+                if rows > 1:
+                    es1[:inner] = [0] * inner  # an all-zero row
+            else:
+                es1 = _left_factor(rng, rows, inner, pattern, lambda: rng.randrange(1, f.order))
+            es2 = [rng.choice([0, rng.randrange(f.order)]) for _ in range(inner * cols)]
+            A, B = MatrixFF(f, rows, inner, es1), MatrixFF(f, inner, cols, es2)
+            expect = []
+            for i in range(rows):
+                for j in range(cols):
+                    s = 0
+                    for t in range(inner):
+                        s = f.add(s, f.mul(A.at(i, t), B.at(t, j)))
+                    expect.append(s)
+            orders.add(_check_product(A, B, MatrixFF(f, rows, cols, expect), calls))
+        # an empty left factor has no nonzero entry, so it takes the row order
+        assert orders == ({False, True} if rows * inner else {True})
 
 
 def _triple_loop_product(A, B):
@@ -584,16 +647,23 @@ PRODUCT_SHAPES = [
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101, 2**31 - 1])
 def test_prime_field_matmul_matches_triple_loop(p):
-    f = mk_field(p)
+    f, calls = _dot_counting_field(mk_field(p))
     rng = random.Random(f"prime matmul {p}")
     for rows, inner, cols in PRODUCT_SHAPES:
+        orders = set()
         for _ in range(5):
             es1 = [rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(rows * inner)]
             es2 = [rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(inner * cols)]
             A, B = MatrixFF(f, rows, inner, es1), MatrixFF(f, inner, cols, es2)
-            got = A * B
-            assert (got.rows, got.cols) == (rows, cols)
-            assert got == _triple_loop_product(A, B)
+            orders.add(_check_product(A, B, _triple_loop_product(A, B), calls))
+        nonzero = lambda: rng.choice([1, p - 1, rng.randrange(1, p)])  # noqa: E731
+        for pattern in ZERO_PATTERNS:
+            A = MatrixFF(f, rows, inner, _left_factor(rng, rows, inner, pattern, nonzero))
+            B = MatrixFF(f, inner, cols, [rng.choice([0, 1, p - 1, rng.randrange(p)])
+                                          for _ in range(inner * cols)])
+            orders.add(_check_product(A, B, _triple_loop_product(A, B), calls))
+        # an empty left factor has no nonzero entry, so it takes the row order
+        assert orders == ({False, True} if rows * inner else {True})
 
 
 @pytest.mark.parametrize(
@@ -1007,6 +1077,24 @@ def test_echelon_full_gives_the_reduced_form_with_augmented_columns():
     assert MatrixFF.from_rows(F5, [row[2:] for row in reduced]) * M == MatrixFF.identity(F5, 2)
     # without full, rows above a pivot keep their entries; rank counts pivot rows
     assert _echelon(F5, [[1, 2, 3], [0, 1, 4], [1, 3, 7]], 3) == [[1, 2, 3], [0, 1, 4]]
+
+
+@pytest.mark.parametrize("f", [F2, F5], ids=repr)
+def test_echelon_replaces_rows_and_never_edits_one(f):
+    # kernel_sequence re-reads the rows it passed in; over F_2 every pivot is 1
+    # and is used as it is, so a returned row may be an input row, unedited
+    rng = random.Random(f"echelon contract {f!r}")
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice([0, 1, rng.randrange(f.order)]) for _ in range(ncols + 2)]
+                for _ in range(nrows)]
+        before = [list(row) for row in rows]
+        for full in (False, True):
+            reduced = _echelon(f, list(rows), ncols, full)
+            assert rows == before
+            assert len(reduced) == mat_rank(MatrixFF.from_rows(f, [r[:ncols] for r in rows]))
+            for row in reduced:
+                assert next(x for x in row[:ncols] if x) == 1
 
 
 # ---------------------------------------------------------------------------
