@@ -38,8 +38,9 @@ class CyclicAction(Record):
             raise ValueError("group order must be >= 1")
         if sigma.rows != sigma.cols:
             raise ValueError("generator matrix must be square")
-        norm, power = _norm_and_power(sigma, order)
-        if power != MatrixFF.identity(sigma.field, sigma.rows):
+        one = MatrixFF.identity(sigma.field, sigma.rows)
+        norm, power = _norm_and_power(sigma, order, one)
+        if power != one:
             raise ValueError("sigma^n must be the identity")
         self._store(order=order, sigma=sigma, norm=norm)
 
@@ -81,8 +82,8 @@ class CohomologyDims(NamedTuple):
     z1: int
 
 
-def _norm_and_power(sigma: MatrixFF, order: int) -> tuple[MatrixFF, MatrixFF]:
-    """N = sum_{j=0}^{n-1} sigma^j and sigma^n, with n = order, by one walk.
+def _norm_and_power(sigma: MatrixFF, order: int, one: MatrixFF) -> tuple[MatrixFF, MatrixFF]:
+    """N = sum_{j=0}^{n-1} sigma^j and sigma^n, with n = order, by one walk; ``one`` is I.
 
     Reads the bits of n from the top, carrying N_k = sum_{j<k} sigma^j and
     sigma^k: N_2k = N_k + N_k sigma^k and N_2k+1 = N_2k + sigma^2k.  N_1 is
@@ -90,7 +91,7 @@ def _norm_and_power(sigma: MatrixFF, order: int) -> tuple[MatrixFF, MatrixFF]:
     costs a squaring, a product by sigma if it is set, and, past the first
     such bit, the product N_k sigma^k.
     """
-    norm, power = MatrixFF.identity(sigma.field, sigma.rows), sigma  # N_1, sigma^1
+    norm, power = one, sigma  # N_1, sigma^1
     for i, bit in enumerate(bin(order)[3:]):
         norm = norm + (norm * power if i else power)
         power = power * power

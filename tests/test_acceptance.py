@@ -10,8 +10,8 @@ import re
 
 import pytest
 
-from defring_audit import acceptance
-from defring_audit.ff import MatrixFF, mat_inverse, mk_field
+from defring_audit import acceptance, ledger
+from defring_audit.ff import MatrixFF, mat_inverse, mk_field, nilpotent_block
 
 _IDS = [c[0] for c in acceptance.CRITERIA]
 
@@ -92,3 +92,96 @@ def test_random_involution_matches_the_conjugation_oracle(p):
             assert sigma * sigma == MatrixFF.identity(f, d)
             # the same draws, singular retries included
             assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_below_draws_what_randrange_choice_and_randint_draw(q):
+    # q = 1 is randint(0, 0): each draw retries until getrandbits(1) gives 0
+    routes = {
+        "randrange": lambda rng: rng.randrange(q),
+        "choice": lambda rng: rng.choice(range(q)),
+        "randint": lambda rng: rng.randint(0, q - 1),
+    }
+    for seed in range(20):
+        for name, draw in routes.items():
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            assert acceptance._below(got_rng, q, 40) == [draw(want_rng) for _ in range(40)], name
+            assert got_rng.random() == want_rng.random(), name
+
+
+def _former_gn_setting(rng):
+    """The former ``_random_gn_setting``, which drew through ``randint``."""
+    n = rng.randint(1, 4)
+    deg_f = rng.randint(1, 3)
+    n_ell = rng.randint(1, deg_f)
+    cuts = sorted(rng.sample(range(1, deg_f), n_ell - 1)) if n_ell > 1 else []
+    degrees = [b - a for a, b in zip([0] + cuts, cuts + [deg_f])]
+    n_s = rng.randint(0, max(0, 8 - deg_f - n_ell))
+    places = (
+        [ledger.min_place() for _ in range(n_s)]
+        + [ledger.sm_place(d) for d in degrees]
+        + [ledger.arch_place() for _ in range(deg_f)]
+    )
+    return ledger.DeformationSetting(ledger.gn_dims(n), deg_f, tuple(places))
+
+
+def test_random_gn_setting_matches_the_randint_oracle():
+    for seed in range(20):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for _ in range(100):
+            assert acceptance._random_gn_setting(got_rng) == _former_gn_setting(want_rng)
+        assert got_rng.random() == want_rng.random()
+
+
+def test_c11_checks_the_matrices_its_former_draw_loop_drew(monkeypatch):
+    made, checked = [], []
+    Random = random.Random  # the test's own rngs stay unrecorded
+
+    class KeptRandom(Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    def record(M):
+        checked.append(M)
+        return 0
+
+    monkeypatch.setattr(acceptance.random, "Random", KeptRandom)
+    monkeypatch.setattr(acceptance, "charpoly", record)
+    monkeypatch.setattr(acceptance, "cofactor_charpoly", lambda M: 0)
+    fields = [mk_field(2), mk_field(3)]
+    for seed in range(20):
+        made.clear()
+        checked.clear()
+        assert acceptance.c11_charpoly_oracle(seed=seed)[0]
+        want_rng = Random(seed)
+        for M in checked[81:]:  # after the 81 fixed 2x2 matrices over F_3
+            f = want_rng.choice(fields)
+            n = want_rng.randint(3, 5)
+            assert M == MatrixFF(f, n, n, [want_rng.randrange(f.order) for _ in range(n * n)])
+        assert len(checked) == 81 + 1000
+        [c11_rng] = made
+        assert c11_rng.random() == want_rng.random()
+
+
+def test_c02_walks_every_power_that_matpow_forms(monkeypatch):
+    seen, products = [], []
+    real_mul = MatrixFF.__mul__
+
+    def counted_mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
+
+    def record(M):
+        seen.append(M)
+        return real_kernel_dim(M)
+
+    real_kernel_dim = acceptance.kernel_dim
+    monkeypatch.setattr(acceptance, "kernel_dim", record)
+    monkeypatch.setattr(MatrixFF, "__mul__", counted_mul)
+    assert acceptance.c02_kernel_formula()[0]
+    assert len(products) == 3 * 8 * 10  # one product per power past the identity
+    monkeypatch.undo()
+    want = [nilpotent_block(f, m).matpow(i)
+            for f in (mk_field(2), mk_field(5), mk_field(101)) for m in range(1, 9) for i in range(11)]
+    assert seen == want

@@ -125,10 +125,11 @@ def test_norm_by_doubling_matches_the_sum_for_every_order_up_to_64(monkeypatch, 
     monkeypatch.setattr(MatrixFF, "__mul__", counted_mul)
     for d in (1, 3, 4):
         sigma = _random_invertible(rng, field, d)
+        one = MatrixFF.identity(field, d)
         for order in range(1, 65):
             expected = _norm_by_summing(sigma, order)
             products.clear()
-            assert coh._norm_and_power(sigma, order)[0] == expected, (d, order)
+            assert coh._norm_and_power(sigma, order, one)[0] == expected, (d, order)
             assert len(products) <= 3 * (order.bit_length() - 1)
             assert len(products) < order or order == 1
 
