@@ -4,7 +4,8 @@ Scenarios are JSON objects with a top-level ``mode`` discriminator
 (``partition``, ``cohomology``, ``ledger``, ``density``, ``taylor`` or
 ``gn-audit``); a file may hold a single scenario or a list, run in
 order.  Every size a payload controls is checked against a budget when it
-is parsed (see ``LIMITS``).  Exit codes: 0 all checks pass, 1 a
+is parsed; the budgets, and the one reader of payload integers, live in
+``limits``, and ``LIMITS`` is their view.  Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 invalid input.  A reader that closes stdout
 early (``| head``) gets no traceback and leaves the exit code unchanged.
 """
@@ -23,98 +24,27 @@ from . import __version__
 from . import acceptance
 from . import cohomology as coh
 from . import density as dens
-from . import ledger
+from . import ledger, limits
 from . import partitions as parts
 from . import taylor
 from .ff import MatrixFF, PrimeField, mk_field
+from .limits import ScenarioError, read_int
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_INVALID = 2
 
-
-class ScenarioError(ValueError):
-    """Malformed scenario input (exit code 2)."""
+LIMITS = {name: value for name, value in vars(limits).items() if name.startswith("MAX_")}
 
 
 # ---------------------------------------------------------------------------
 # payload parsing helpers
 # ---------------------------------------------------------------------------
 
-# Budgets on the sizes a payload controls, checked when it is parsed and
-# before any work; a value past one is an exit-2 report that names it.  The
-# density rank, field orders and primes are checked against MAX_DENSITY_K,
-# MAX_FIELD_ORDER and MAX_PRIMALITY_N where those are defined.
-LIMITS = {
-    # sigma^order = I and the norm each take O(log order) matrix products
-    "MAX_CYCLIC_ORDER": 4096,
-    "MAX_INVOLUTION_N": 12,  # the twisted involution acts on n^2 x n^2 matrices
-    # rows and columns of a sigma, J or check-type matrix.  Slowest at the
-    # limit: a dense 12 x 12 sigma of order 4096 over F_2^20, ~2 s in a fresh
-    # process, ~1.5 s of it building the field and ~0.02 s the norm; a
-    # check-type matrix takes < 0.05 s after the field is built (2-core
-    # Xeon, Python 3.11).
-    "MAX_MATRIX_DIM": 12,
-    # places of a ledger setting, counted for gn-audit as s_count +
-    # len(ell_degrees) + deg_F.  Slowest at the limit: ~0.9 s and 37 MB
-    # peak RSS in a fresh process (2-core Xeon, Python 3.11).
-    "MAX_PLACES": 10_000,
-    # the size of a partition given to the partition mode.  Slowest at the
-    # limit: theta on the one-part partition "80", ~0.1 s and 17 MB peak
-    # RSS in a fresh process over F_5 or F_9 (2-core Xeon, Python 3.11).
-    "MAX_PARTITION_N": 80,
-    # every integer a ledger or gn-audit payload supplies (n or gn, the Lie
-    # dimensions, deg_F, s_count, local degrees, delta, the h0 values), so a
-    # report's integers stay far below Python's 4300-digit int/str limit.
-    # Slowest at the limit: gn-audit with n = 10^6 and 10000 places, ~1 s and
-    # 36 MB peak RSS in a fresh process, as at MAX_PLACES alone (2-core Xeon,
-    # Python 3.11).
-    "MAX_LEDGER_INT": 10**6,
-    # verify-all --max-n, the cap of verify_conjugation_lemma; the run
-    # grows ~1.3x per step of n past 12.  Slowest at the limit: ~0.26 s and
-    # 17 MB peak RSS in a fresh process, against ~0.22 s at the default 10
-    # and ~1.2 s at 18 (2-core Xeon, Python 3.11).
-    "MAX_VERIFY_N": parts.MAX_VERIFY_N,
-}
-
-
-def _as_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a bool, float, string or other value is invalid."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _at_most(value: int, limit: str, message: str) -> int:
-    """``value``, or past LIMITS[limit] a ScenarioError "{message} {limit} = {bound}"."""
-    if value > LIMITS[limit]:
-        raise ScenarioError(f"{message} {limit} = {LIMITS[limit]}")
-    return value
-
-
-def _ledger_int(value, what: str) -> int:
-    """``value`` coerced by :func:`_as_int` and at most LIMITS["MAX_LEDGER_INT"]."""
-    return _at_most(_as_int(value, what), "MAX_LEDGER_INT", f"{what} must be at most")
-
-
-def _payload_int(payload, key: str) -> int:
-    """``payload[key]`` (default 0) coerced by :func:`_ledger_int`."""
-    return _ledger_int(payload.get(key, 0), repr(key))
-
-
-def _bounded_int(payload, key: str, limit: str) -> int:
-    """``payload[key]`` coerced by :func:`_as_int` and within 1..LIMITS[limit]."""
-    value = _as_int(payload.get(key), repr(key))
-    if not 1 <= value <= LIMITS[limit]:
-        raise ScenarioError(
-            f"{key!r} must satisfy 1 <= {key} <= {limit} = {LIMITS[limit]}, got {value}"
-        )
-    return value
-
 
 def _field_from_json(obj) -> PrimeField:
-    p = _as_int(obj.get("p"), "bad field spec: 'p'")
-    m = _as_int(obj.get("m", 1), "bad field spec: 'm'")
+    p = read_int(obj.get("p"), "bad field spec: 'p'")
+    m = read_int(obj.get("m", 1), "bad field spec: 'm'")
     try:
         return mk_field(p, m)
     except ValueError as exc:
@@ -128,7 +58,7 @@ def _matrix_from_json(obj) -> MatrixFF:
     rows = obj["rows"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ScenarioError("matrix rows must be nested integer arrays")
-    limit = LIMITS["MAX_MATRIX_DIM"]
+    limit = limits.MAX_MATRIX_DIM
     if len(rows) > limit or any(len(r) > limit for r in rows):
         raise ScenarioError(f"matrix has more than MAX_MATRIX_DIM = {limit} rows or columns")
     try:
@@ -141,10 +71,10 @@ def _partition_from_json(obj) -> parts.Partition:
     if isinstance(obj, str):
         lam = parts.Partition.parse(obj)
     elif isinstance(obj, list):
-        lam = parts.Partition(tuple(_as_int(x, "each partition part") for x in obj))
+        lam = parts.Partition(tuple(read_int(x, "each partition part") for x in obj))
     else:
         raise ScenarioError("partition must be a string like '3,1' or an integer list")
-    _at_most(lam.n, "MAX_PARTITION_N", f"partition of {lam.n} exceeds")
+    read_int(lam.n, "partition size", "MAX_PARTITION_N", past=f"partition of {lam.n} exceeds")
     return lam
 
 
@@ -168,7 +98,7 @@ def _jsonable(value):
 def _run_partition(payload):
     op = payload.get("op", "verify-lemma")
     if op == "verify-lemma":
-        report = parts.verify_conjugation_lemma(_as_int(payload.get("n"), "'n'"))
+        report = parts.verify_conjugation_lemma(read_int(payload.get("n"), "'n'"))
         verdicts = {"checked": report.checked, "failures": list(report.failures)}
         diag = {} if report.ok else {"violated": "theta = conjugate on Young diagrams"}
         return verdicts, diag, report.ok
@@ -185,13 +115,13 @@ def _run_partition(payload):
 def _run_cohomology(payload):
     op = payload.get("op")
     if op == "cyclic":
-        order = _bounded_int(payload, "order", "MAX_CYCLIC_ORDER")
+        order = read_int(payload.get("order"), "'order'", "MAX_CYCLIC_ORDER", low=1)
         sigma = _matrix_from_json(payload.get("sigma"))
         action = coh.CyclicAction(order=order, sigma=sigma)
         dims = coh.cohomology_dims(action)
         return dims._asdict(), {"dimension": action.dimension}, True
     if op == "involution":
-        n = _bounded_int(payload, "n", "MAX_INVOLUTION_N")
+        n = read_int(payload.get("n"), "'n'", "MAX_INVOLUTION_N", low=1)
         jspec = payload.get("J", "antidiag")
         if jspec == "antidiag":
             f = _field_from_json(payload)
@@ -222,9 +152,10 @@ def _place_from_json(obj) -> ledger.PlaceSpec:
             condition = ledger.COND_UNRESTRICTED
         else:
             raise ScenarioError(f"place of kind {kind!r} needs a 'condition'")
-    local_degree = _payload_int(obj, "local_degree")
-    delta = _payload_int(obj, "delta")
-    h0_local = _ledger_int(obj["h0_local"], "'h0_local'") if "h0_local" in obj else None
+    local_degree = read_int(obj.get("local_degree", 0), "'local_degree'", "MAX_LEDGER_INT")
+    delta = read_int(obj.get("delta", 0), "'delta'", "MAX_LEDGER_INT")
+    h0_local = (read_int(obj["h0_local"], "'h0_local'", "MAX_LEDGER_INT")
+                if "h0_local" in obj else None)
     try:
         return ledger.PlaceSpec(
             kind=kind,
@@ -239,15 +170,16 @@ def _place_from_json(obj) -> ledger.PlaceSpec:
 
 def _lie_from_json(obj) -> ledger.LieDims:
     if isinstance(obj, dict) and "gn" in obj:
-        return ledger.gn_dims(_ledger_int(obj["gn"], "'gn'"))
+        return ledger.gn_dims(read_int(obj["gn"], "'gn'", "MAX_LEDGER_INT"))
     if isinstance(obj, dict):
         try:
             return ledger.LieDims(
-                dim_g=_ledger_int(obj["dim_g"], "'dim_g'"),
-                dim_g_der=_ledger_int(obj["dim_g_der"], "'dim_g_der'"),
-                dim_g_ab=_ledger_int(obj["dim_g_ab"], "'dim_g_ab'"),
-                dim_b_der=_ledger_int(obj["dim_b_der"], "'dim_b_der'"),
-                dim_z=_ledger_int(obj["dim_z"], "'dim_z'") if "dim_z" in obj else None,
+                dim_g=read_int(obj["dim_g"], "'dim_g'", "MAX_LEDGER_INT"),
+                dim_g_der=read_int(obj["dim_g_der"], "'dim_g_der'", "MAX_LEDGER_INT"),
+                dim_g_ab=read_int(obj["dim_g_ab"], "'dim_g_ab'", "MAX_LEDGER_INT"),
+                dim_b_der=read_int(obj["dim_b_der"], "'dim_b_der'", "MAX_LEDGER_INT"),
+                dim_z=(read_int(obj["dim_z"], "'dim_z'", "MAX_LEDGER_INT")
+                       if "dim_z" in obj else None),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad Lie dimensions: {exc}") from exc
@@ -258,13 +190,13 @@ def _setting_from_json(payload) -> ledger.DeformationSetting:
     places = payload.get("places", [])
     if not isinstance(places, list):
         raise ScenarioError(f"'places' must be a list, got {places!r}")
-    _at_most(len(places), "MAX_PLACES", f"{len(places)} places exceed")
+    read_int(len(places), "places", "MAX_PLACES", past=f"{len(places)} places exceed")
     degrees_complete = payload.get("degrees_complete", True)
     if not isinstance(degrees_complete, bool):
         raise ScenarioError(f"'degrees_complete' must be true or false, got {degrees_complete!r}")
     return ledger.DeformationSetting(
         lie=_lie_from_json(payload.get("lie")),
-        deg_F=_payload_int(payload, "deg_F"),
+        deg_F=read_int(payload.get("deg_F", 0), "'deg_F'", "MAX_LEDGER_INT"),
         places=tuple(_place_from_json(p) for p in places),
         degrees_complete=degrees_complete,
     )
@@ -294,11 +226,11 @@ def _run_ledger(payload):
     if h0_locals is not None:
         if not isinstance(h0_locals, list):
             raise ScenarioError(f"'h0_locals' must be a list, got {h0_locals!r}")
-        h0_locals = [_ledger_int(h, "each 'h0_locals' entry") for h in h0_locals]
+        h0_locals = [read_int(h, "each 'h0_locals' entry", "MAX_LEDGER_INT") for h in h0_locals]
     return _ledger_verdicts(
         setting,
-        _payload_int(payload, "h0_global"),
-        _payload_int(payload, "h0_global_dual"),
+        read_int(payload.get("h0_global", 0), "'h0_global'", "MAX_LEDGER_INT"),
+        read_int(payload.get("h0_global_dual", 0), "'h0_global_dual'", "MAX_LEDGER_INT"),
         h0_locals,
         run_dual,
     )
@@ -311,7 +243,7 @@ def _subgroup_from_json(gamma: dens.FiniteGroup, obj) -> frozenset[int]:
         return frozenset(gamma.elements())
     if isinstance(obj, list):
         try:
-            gens = [_as_int(x, "each subgroup generator") for x in obj]
+            gens = [read_int(x, "each subgroup generator") for x in obj]
             return dens.subgroup_closure(gamma, gens)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad subgroup generators: {exc}") from exc
@@ -364,9 +296,9 @@ def _run_density(payload):
 def _run_taylor(payload):
     op = payload.get("op")
     if op in ("threshold", "coprime"):
-        ell = _as_int(payload.get("ell"), "'ell'") if op == "coprime" else None
-        q = _as_int(payload.get("q"), "'q'")
-        n = _as_int(payload.get("n"), "'n'")
+        ell = read_int(payload.get("ell"), "'ell'") if op == "coprime" else None
+        q = read_int(payload.get("q"), "'q'")
+        n = read_int(payload.get("n"), "'n'")
         if op == "threshold":
             return {"q": q, "n": n, "threshold": taylor.taylor_threshold(q, n)}, {}, True
         result = taylor.threshold_coprime(ell, q, n)
@@ -390,11 +322,11 @@ def gn_audit(n: int, deg_F: int, s_count: int, ell_degrees) -> dict:
     """
     if not isinstance(ell_degrees, (list, tuple)):
         raise ScenarioError(f"'ell_degrees' must be a list, got {ell_degrees!r}")
-    ell_degrees = [_ledger_int(d, "each 'ell_degrees' entry") for d in ell_degrees]
+    ell_degrees = [read_int(d, "each 'ell_degrees' entry", "MAX_LEDGER_INT") for d in ell_degrees]
     if n < 1 or deg_F < 1 or s_count < 0:
         raise ScenarioError("need n >= 1, deg_F >= 1, s_count >= 0")
     count = s_count + len(ell_degrees) + deg_F
-    _at_most(count, "MAX_PLACES", f"{count} places exceed")
+    read_int(count, "places", "MAX_PLACES", past=f"{count} places exceed")
     if sum(ell_degrees) != deg_F:
         raise ScenarioError(f"ell degrees {ell_degrees} must sum to deg_F = {deg_F}")
     if any(d < 1 for d in ell_degrees):
@@ -420,9 +352,9 @@ def gn_audit(n: int, deg_F: int, s_count: int, ell_degrees) -> dict:
 
 
 def _run_gn_audit_payload(payload):
-    n = _ledger_int(payload.get("n"), "'n'")
-    deg_f = _ledger_int(payload.get("deg_F"), "'deg_F'")
-    s_count = _payload_int(payload, "s_count")
+    n = read_int(payload.get("n"), "'n'", "MAX_LEDGER_INT")
+    deg_f = read_int(payload.get("deg_F"), "'deg_F'", "MAX_LEDGER_INT")
+    s_count = read_int(payload.get("s_count", 0), "'s_count'", "MAX_LEDGER_INT")
     report = gn_audit(n, deg_f, s_count, payload.get("ell_degrees", []))
     return report["verdicts"], report["diagnostics"], report["ok"]
 
@@ -667,26 +599,24 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return run_scenario(args.file, args.out)
-    if args.command == "verify-all":
-        limit = LIMITS["MAX_VERIFY_N"]
-        if not 1 <= args.max_n <= limit:
-            print(f"error: --max-n must satisfy 1 <= max-n <= MAX_VERIFY_N = {limit}, "
-                  f"got {args.max_n}", file=sys.stderr)
-            return EXIT_INVALID
-        results = acceptance.run_all(max_n=args.max_n, seed=args.seed)
-        for res in results:
-            _print(res.line())
-        total = sum(r.elapsed_s for r in results)
-        passed = sum(r.ok for r in results)
-        _print(f"{passed}/{len(results)} criteria passed in {total:.2f}s")
-        return EXIT_OK if passed == len(results) else EXIT_MATH_FAIL
     try:
-        build = _PAYLOADS[args.command, getattr(args, "subop", None)]
-        report = run_scenario_obj(build(args))
+        if args.command == "verify-all":
+            max_n = read_int(args.max_n, "--max-n", "MAX_VERIFY_N", low=1)
+        else:
+            build = _PAYLOADS[args.command, getattr(args, "subop", None)]
+            report = run_scenario_obj(build(args))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    return _write_report(report, [report], getattr(args, "out", None))
+    if args.command != "verify-all":
+        return _write_report(report, [report], getattr(args, "out", None))
+    results = acceptance.run_all(max_n=max_n, seed=args.seed)
+    for res in results:
+        _print(res.line())
+    total = sum(r.elapsed_s for r in results)
+    passed = sum(r.ok for r in results)
+    _print(f"{passed}/{len(results)} criteria passed in {total:.2f}s")
+    return EXIT_OK if passed == len(results) else EXIT_MATH_FAIL
 
 
 if __name__ == "__main__":

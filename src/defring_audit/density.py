@@ -42,9 +42,8 @@ from functools import lru_cache, partial
 from typing import Iterable, NamedTuple
 
 from .ff import InternalCheckError, Record
-
-MAX_GROUP_ORDER = 5040
-MAX_DENSITY_K = 64
+from .limits import MAX_DENSITY_K, MAX_GROUP_ORDER, MAX_SYMMETRIC_N, ScenarioError, read_int
+from .partitions import partitions_of
 
 
 class FiniteGroup:
@@ -173,7 +172,7 @@ def trivial_group() -> FiniteGroup:
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1 or n > MAX_GROUP_ORDER:
-        raise ValueError("cyclic order out of range")
+        raise ValueError(f"cyclic order out of range (MAX_GROUP_ORDER = {MAX_GROUP_ORDER})")
     return _abelian(n, f"C{n}", [1 % n], lambda a, b: (a + b) % n, lambda a: -a % n,
                     lambda key, m: key * m % n)
 
@@ -182,7 +181,8 @@ def elementary_abelian_2(k: int) -> FiniteGroup:
     # 2**k > MAX_GROUP_ORDER exactly when k >= its bit length; a huge k is
     # refused without forming 2**k
     if k < 0 or k >= MAX_GROUP_ORDER.bit_length():
-        raise ValueError("elementary abelian rank out of range")
+        raise ValueError("elementary abelian rank out of range "
+                         f"(MAX_GROUP_ORDER = {MAX_GROUP_ORDER})")
     return _abelian(2**k, f"(Z/2)^{k}", [1 << i for i in range(k)], operator.xor, _itself,
                     lambda key, m: key if m & 1 else 0)
 
@@ -193,8 +193,9 @@ def symmetric_group(n: int) -> FiniteGroup:
     by the adjacent transpositions.  A class key is a cycle type, found on
     first query and kept.  Memoised like ``mk_field``: a batch asks for the
     same S_n in many scenarios."""
-    if n < 1 or n > 6:
-        raise ValueError("symmetric groups are supported for 1 <= n <= 6")
+    if n < 1 or n > MAX_SYMMETRIC_N:
+        raise ValueError(f"symmetric groups are supported for 1 <= n <= {MAX_SYMMETRIC_N} "
+                         f"(MAX_SYMMETRIC_N = {MAX_SYMMETRIC_N})")
     perms = [bytes(p) for p in itertools.permutations(range(n))]
     index = {p: i for i, p in enumerate(perms)}.__getitem__
     pads = [p.ljust(256, b"\0") for p in perms]
@@ -245,7 +246,8 @@ def _cycle_type_sizes(n: int) -> dict[tuple[int, ...], int]:
     """The class size of each cycle type of S_n: n! / prod i^(m_i) m_i!, with
     m_i the number of i-cycles (Sagan, *The Symmetric Group*, 1.1)."""
     sizes = {}
-    for cycle_type in _partitions(n, n):
+    for lam in partitions_of(n):
+        cycle_type = lam.parts
         centralizer = 1
         for length in set(cycle_type):
             m = cycle_type.count(length)
@@ -254,22 +256,14 @@ def _cycle_type_sizes(n: int) -> dict[tuple[int, ...], int]:
     return sizes
 
 
-def _partitions(n: int, cap: int):
-    """The partitions of n into parts at most cap, as non-increasing tuples."""
-    if n == 0:
-        yield ()
-    for part in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
-
-
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """A x B, with (x, y) at index x * |B| + y, generated by (g, 1) and
     (1, h) for the factors' generators g and h.  Products, inverses, class
     keys, class sizes and the power map work componentwise."""
     n = a.order * b.order
     if n > MAX_GROUP_ORDER:
-        raise ValueError(f"product order {n} exceeds the budget {MAX_GROUP_ORDER}")
+        raise ValueError(f"product order {n} exceeds the budget {MAX_GROUP_ORDER} "
+                         f"(MAX_GROUP_ORDER = {MAX_GROUP_ORDER})")
     nb = b.order
 
     def mul(x, y):
@@ -299,11 +293,11 @@ def build_group(spec) -> FiniteGroup:
         if kind == "trivial":
             return trivial_group()
         if kind == "cyclic":
-            return cyclic_group(_spec_int(spec, "n"))
+            return cyclic_group(read_int(spec["n"], "group spec 'n'"))
         if kind == "symmetric":
-            return symmetric_group(_spec_int(spec, "n"))
+            return symmetric_group(read_int(spec["n"], "group spec 'n'"))
         if kind == "elementary_abelian_2":
-            return elementary_abelian_2(_spec_int(spec, "k"))
+            return elementary_abelian_2(read_int(spec["k"], "group spec 'k'"))
         if kind == "product":
             factors = [build_group(s) for s in spec["factors"]]
             if not factors:
@@ -314,14 +308,6 @@ def build_group(spec) -> FiniteGroup:
             return out
         raise ValueError(f"unknown group constructor {kind!r}")
     raise ValueError("group spec must be a name or a dict")
-
-
-def _spec_int(spec: dict, key: str) -> int:
-    """``spec[key]`` if it is an integer; a bool, float, string or other value is refused."""
-    value = spec[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"group spec {key!r} must be an integer, got {value!r}")
-    return value
 
 
 def numbered_name(name: str, prefix: str) -> int | None:
@@ -546,10 +532,11 @@ def perm_index_from_cycles(n: int, text: str) -> int:
 
 def check_density_k(k) -> None:
     """Reject a rank k of Omega = (Z/2)^k outside 1 <= k <= MAX_DENSITY_K."""
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= MAX_DENSITY_K:
-        raise ValueError(
-            f"k must be an integer with 1 <= k <= MAX_DENSITY_K = {MAX_DENSITY_K}, got {k!r}"
-        )
+    try:
+        read_int(k, "k", "MAX_DENSITY_K", low=1)
+    except ScenarioError:
+        raise ValueError(f"k must be an integer with 1 <= k <= MAX_DENSITY_K = {MAX_DENSITY_K}, "
+                         f"got {k!r}") from None
 
 
 class SplitDensityProblem(Record):

@@ -50,9 +50,7 @@ import operator
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-# Largest extension field F_{p^m}, m >= 2, that is built; also the default
-# budget of the splitting-field search.
-MAX_FIELD_ORDER = 2**20
+from .limits import MAX_FIELD_ORDER, MAX_PRIMALITY_N
 
 
 class ScanBudgetExceeded(ValueError):
@@ -108,9 +106,7 @@ class Record:
         return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
-# Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
-# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015).
-MAX_PRIMALITY_N = 3_317_044_064_679_887_385_961_981
+# the 13 prime bases with which Miller-Rabin is exact below MAX_PRIMALITY_N
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # below this, trial division (fewer than 128 odd divisors) is the cheaper test
 _TRIAL_DIVISION_BELOW = 2**16

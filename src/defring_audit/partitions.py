@@ -13,10 +13,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .ff import MatrixFF, PrimeField, Record, _echelon, mk_field
-
-# Largest n whose partitions verify_conjugation_lemma checks; also the cap
-# of verify-all --max-n.
-MAX_VERIFY_N = 12
+from .limits import MAX_VERIFY_N
 
 
 def parse_int(text: str) -> int:

@@ -18,12 +18,8 @@ from .ff import (
     is_prime,
     mat_inverse,
 )
+from .limits import MAX_THRESHOLD_BITS, MAX_THRESHOLD_N
 from .partitions import Partition, conjugate, kernel_sequence
-
-MAX_THRESHOLD_N = 8
-# q^(n!) has at most bit_length(q) * n! bits; 14000 bits are fewer than 4215
-# digits, so a report prints the value within Python's 4300-digit limit
-MAX_THRESHOLD_BITS = 14_000
 
 
 def taylor_threshold(q: int, n: int) -> int:
@@ -31,7 +27,8 @@ def taylor_threshold(q: int, n: int) -> int:
     if q < 2:
         raise ValueError("q must be >= 2")
     if n < 1 or n > MAX_THRESHOLD_N:
-        raise ValueError(f"n must be in [1, {MAX_THRESHOLD_N}]")
+        raise ValueError(f"n must be in [1, {MAX_THRESHOLD_N}] "
+                         f"(MAX_THRESHOLD_N = {MAX_THRESHOLD_N})")
     if q.bit_length() * math.factorial(n) > MAX_THRESHOLD_BITS:
         raise ValueError(f"bit_length(q) * n! exceeds MAX_THRESHOLD_BITS = {MAX_THRESHOLD_BITS}")
     return q ** math.factorial(n)
