@@ -5,7 +5,7 @@ Scenarios are JSON objects with a top-level ``mode`` discriminator
 ``gn-audit``); a file may hold a single scenario or a list, run in
 order.  Every size a payload controls is checked against a budget when it
 is parsed; the budgets, and the one reader of payload integers, live in
-``limits``, and ``LIMITS`` is their view.  Exit codes: 0 all checks pass, 1 a
+``limits``.  Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 invalid input.  A reader that closes stdout
 early (``| head``) gets no traceback and leaves the exit code unchanged.
 """
@@ -33,8 +33,6 @@ from .limits import ScenarioError, read_int
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_INVALID = 2
-
-LIMITS = {name: value for name, value in vars(limits).items() if name.startswith("MAX_")}
 
 
 # ---------------------------------------------------------------------------

@@ -101,11 +101,6 @@ def _norm_and_power(sigma: MatrixFF, order: int, one: MatrixFF) -> tuple[MatrixF
     return norm, power
 
 
-def norm_matrix(action: CyclicAction) -> MatrixFF:
-    """N = sum_{j=0}^{n-1} sigma^j, formed when the action was built."""
-    return action.norm
-
-
 def cohomology_dims(action: CyclicAction) -> CohomologyDims:
     """h^0, h^1, h^2 and dim Z^1 of the cyclic action, from two ranks.
 

@@ -15,9 +15,9 @@ A field picks its arithmetic once, when built: F_p computes on residues
 mod p, and for m >= 2 every operation walks log/antilog tables of a
 primitive element and a Zech-logarithm table, which change no encoding
 and no result.  Their size caps extension fields at MAX_FIELD_ORDER =
-2^20 elements, which is also the default budget of the splitting-field
-search.  Prime fields F_p need no tables; p is capped only by the exact
-primality test, at MAX_PRIMALITY_N.
+2^20 elements, which is also the cap of the splitting-field search.
+Prime fields F_p need no tables; p is capped only by the exact primality
+test, at MAX_PRIMALITY_N.
 
 Rank, kernel dimensions, eigenspaces and inverses share one elimination
 kernel, ``_echelon``, and the characteristic polynomial comes from a
@@ -692,12 +692,6 @@ class PolyFF(Record):
             c.pop()
         self._store(field=field, coeffs=tuple(c))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def evaluate(self, x: int) -> int:
-        return self.field.horner(self.coeffs, x)
-
     def __repr__(self) -> str:
         return f"PolyFF({self.field!r}, {self.coeffs})"
 
@@ -1070,9 +1064,7 @@ def _factor_degrees(f: list[int], K: PrimeField, limit: int) -> list[int]:
     return degrees
 
 
-def eigenvalues_in_splitting_field(
-    M: MatrixFF, budget: int = MAX_FIELD_ORDER
-) -> tuple[PrimeField, tuple[int, ...]]:
+def eigenvalues_in_splitting_field(M: MatrixFF) -> tuple[PrimeField, tuple[int, ...]]:
     """All n eigenvalues of M, located in its splitting field L.
 
     The roots in K = M.field come from a scan of K.  Distinct-degree
@@ -1082,7 +1074,7 @@ def eigenvalues_in_splitting_field(
     elements.  The result is deterministic: L is the canonical field of
     its order, K embeds by ``embed_field``, and the roots come sorted by
     encoding.  Raises ScanBudgetExceeded, before L is built, when L would
-    have more than ``budget`` elements or more than MAX_FIELD_ORDER.
+    have more than MAX_FIELD_ORDER elements.
     """
     if M.rows != M.cols:
         raise ValueError("eigenvalues of a non-square matrix")
@@ -1090,17 +1082,16 @@ def eigenvalues_in_splitting_field(
     chi = charpoly(M)
     if M.rows == 0:
         return K, ()
-    limit = min(budget, MAX_FIELD_ORDER)
-    if K.order > limit:
-        raise _over_budget(limit)
+    if K.order > MAX_FIELD_ORDER:
+        raise _over_budget(MAX_FIELD_ORDER)
     roots, rest = _peel_roots(list(chi.coeffs), K.elements(), K)
     if len(rest) == 1:
         return K, tuple(sorted(roots))
-    degrees = _factor_degrees(rest, K, limit)
+    degrees = _factor_degrees(rest, K, MAX_FIELD_ORDER)
     D = math.lcm(*degrees)
-    # q >= 2, so D >= bit_length(limit) is over the budget without forming q^D
-    if D >= limit.bit_length() or K.order**D > limit:
-        raise _over_budget(limit)
+    # q >= 2, so D >= bit_length(MAX_FIELD_ORDER) is over the cap without forming q^D
+    if D >= MAX_FIELD_ORDER.bit_length() or K.order**D > MAX_FIELD_ORDER:
+        raise _over_budget(MAX_FIELD_ORDER)
     L = mk_field(K.p, K.m * D)
     emb = embed_field(K, L)
     roots = [emb(z) for z in roots]

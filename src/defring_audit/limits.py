@@ -4,8 +4,7 @@ Each size an input controls is checked against one of the budgets below
 when the input is parsed, before any work; a value past one is refused
 with a message that names it as ``NAME = value``.  The modules that check
 a cap import it from here, so ``ff.MAX_FIELD_ORDER`` and the other old
-names still import, and ``cli.LIMITS`` is a view of every ``MAX_`` name.
-This module imports nothing from the package.
+names still import.  This module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ class ScenarioError(ValueError):
     """Malformed scenario input (exit code 2)."""
 
 
-# Largest extension field F_{p^m}, m >= 2, that is built; also the default
-# budget of the splitting-field search.
+# Largest extension field F_{p^m}, m >= 2, that is built; also the cap of
+# the splitting-field search.
 MAX_FIELD_ORDER = 2**20
 # Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
 # (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015).

@@ -160,12 +160,13 @@ class LemmaReport(NamedTuple):
         return not self.failures
 
 
-def verify_conjugation_lemma(n: int, field: PrimeField | None = None) -> LemmaReport:
-    """Check theta == conjugate on every partition of n (n <= MAX_VERIFY_N)."""
+def verify_conjugation_lemma(n: int) -> LemmaReport:
+    """Check theta == conjugate over F_5 on every partition of n (n <= MAX_VERIFY_N)."""
     if n < 1 or n > MAX_VERIFY_N:
-        raise ValueError(f"lemma verification supports 1 <= n <= {MAX_VERIFY_N}")
-    if field is None:
-        field = mk_field(5)
+        raise ValueError(
+            f"lemma verification supports 1 <= n <= {MAX_VERIFY_N} (MAX_VERIFY_N = {MAX_VERIFY_N})"
+        )
+    field = mk_field(5)
     checked = 0
     failures = []
     for lam in partitions_of(n):

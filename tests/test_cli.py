@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from defring_audit import acceptance
 from defring_audit import cohomology as coh
+from defring_audit import limits
 from defring_audit.cli import (
     EXIT_INVALID,
     EXIT_MATH_FAIL,
     EXIT_OK,
-    LIMITS,
     ScenarioError,
     gn_audit,
     main,
@@ -261,10 +261,10 @@ def _refuse_the_job(monkeypatch):
 
 @pytest.mark.parametrize(
     "scenario, limit",
-    [(_cyclic(LIMITS["MAX_CYCLIC_ORDER"] + 1), "MAX_CYCLIC_ORDER"),
+    [(_cyclic(limits.MAX_CYCLIC_ORDER + 1), "MAX_CYCLIC_ORDER"),
      (_cyclic(10**9), "MAX_CYCLIC_ORDER"),
      (_cyclic(0), "MAX_CYCLIC_ORDER"),
-     (_involution(LIMITS["MAX_INVOLUTION_N"] + 1), "MAX_INVOLUTION_N"),
+     (_involution(limits.MAX_INVOLUTION_N + 1), "MAX_INVOLUTION_N"),
      (_involution(60), "MAX_INVOLUTION_N")],
     ids=["order-past", "order-1e9", "order-0", "n-past", "n-60"],
 )
@@ -275,13 +275,13 @@ def test_size_past_its_limit_exits_two_without_running_the_job(
     path = _write(tmp_path, scenario)
     assert run_scenario(path) == EXIT_INVALID
     report = _last_json(capsys)
-    assert report["invalid"] is True and f"{limit} = {LIMITS[limit]}" in report["error"]
+    assert report["invalid"] is True and f"{limit} = {getattr(limits, limit)}" in report["error"]
 
 
 def test_sizes_at_their_limits_are_admitted(tmp_path, capsys, monkeypatch):
     # the benchmark inputs (cyclic order <= 12, involution n <= 4) and c04 (n <= 6) fit
-    assert LIMITS["MAX_CYCLIC_ORDER"] >= 12 and LIMITS["MAX_INVOLUTION_N"] >= 6
-    path = _write(tmp_path, _cyclic(LIMITS["MAX_CYCLIC_ORDER"]))
+    assert limits.MAX_CYCLIC_ORDER >= 12 and limits.MAX_INVOLUTION_N >= 6
+    path = _write(tmp_path, _cyclic(limits.MAX_CYCLIC_ORDER))
     assert run_scenario(path) == EXIT_OK
     assert _last_json(capsys)["verdicts"]["h0"] == 1
 
@@ -292,8 +292,8 @@ def test_sizes_at_their_limits_are_admitted(tmp_path, capsys, monkeypatch):
         raise Parsed(spec.n)
 
     monkeypatch.setattr(coh, "twisted_involution_action", parsed)
-    with pytest.raises(Parsed, match=str(LIMITS["MAX_INVOLUTION_N"])):
-        run_scenario_obj(_involution(LIMITS["MAX_INVOLUTION_N"]))
+    with pytest.raises(Parsed, match=str(limits.MAX_INVOLUTION_N)):
+        run_scenario_obj(_involution(limits.MAX_INVOLUTION_N))
 
 
 def _matrix_payloads(rows):
@@ -335,7 +335,7 @@ def test_matrix_past_the_dimension_limit_exits_two_before_it_is_built(
         raise AssertionError("a matrix was built")
 
     monkeypatch.setattr(MatrixFF, "from_rows", no_build)
-    limit = LIMITS["MAX_MATRIX_DIM"]
+    limit = limits.MAX_MATRIX_DIM
     tall = [[0] for _ in range(limit + 1)]
     wide = [[0] * (limit + 1)]
     path = _write(tmp_path, _matrix_payloads(tall) + _matrix_payloads(wide))
@@ -347,7 +347,7 @@ def test_matrix_past_the_dimension_limit_exits_two_before_it_is_built(
 
 def test_matrices_at_the_dimension_limit_are_admitted(tmp_path, capsys):
     # the benchmark and acceptance sizes: check-type <= 8, sigma <= 6, J <= 12
-    limit = LIMITS["MAX_MATRIX_DIM"]
+    limit = limits.MAX_MATRIX_DIM
     assert limit >= max(8, 6, 12)
     identity = [[int(i == j) for j in range(limit)] for i in range(limit)]
     path = _write(tmp_path, _matrix_payloads(identity)[::2])
@@ -517,7 +517,7 @@ def test_place_count_past_the_budget_exits_two_before_any_place_is_built(
 
     for name in ("PlaceSpec", "min_place", "sm_place", "arch_place"):
         monkeypatch.setattr(ledger, name, no_place)
-    limit = LIMITS["MAX_PLACES"]
+    limit = limits.MAX_PLACES
     gn = {"mode": "gn-audit", "n": 2, "deg_F": 1, "s_count": limit - 1, "ell_degrees": [1]}
     many = dict(_LEDGER, places=[_PLACES[1]] * (limit + 1))
     path = _write(tmp_path, [gn, many])
@@ -529,7 +529,7 @@ def test_place_count_past_the_budget_exits_two_before_any_place_is_built(
 
 def test_place_count_at_the_budget_is_admitted():
     # the benchmark, acceptance and the sweep script use at most 9 places
-    limit = LIMITS["MAX_PLACES"]
+    limit = limits.MAX_PLACES
     assert limit >= 9
     report = gn_audit(1, 1, limit - 2, [1])
     assert report["ok"] and report["diagnostics"]["s_ell_count"] == limit
@@ -549,11 +549,11 @@ _FORBIDDEN_AT_IMPORT = (
 )
 
 
-def _forbidden_modules_loaded_by(module: str) -> str:
+def _modules_added_by(statement: str) -> list[str]:
+    """The modules that ``statement`` adds to sys.modules in a fresh interpreter."""
     code = (
-        f"import sys; before = set(sys.modules); import {module}; "
-        "added = set(sys.modules) - before; "
-        f"print(sorted(set({_FORBIDDEN_AT_IMPORT!r}) & added))"
+        f"import json, sys; before = set(sys.modules); {statement}; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
@@ -561,16 +561,37 @@ def _forbidden_modules_loaded_by(module: str) -> str:
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return json.loads(proc.stdout)
+
+
+def _forbidden_modules_loaded_by(statement: str) -> list[str]:
+    return sorted(set(_FORBIDDEN_AT_IMPORT) & set(_modules_added_by(statement)))
 
 
 def test_importing_the_cli_starts_no_thread_machinery():
-    assert _forbidden_modules_loaded_by("defring_audit.cli") == "[]"
+    assert _forbidden_modules_loaded_by("import defring_audit.cli") == []
 
 
 def test_importing_the_library_starts_no_thread_machinery():
-    # the library-scan entry imports the package without the CLI
-    assert _forbidden_modules_loaded_by("defring_audit") == "[]"
+    # the library-scan entry imports these layers without the CLI
+    assert _forbidden_modules_loaded_by("from defring_audit import density, ff, taylor") == []
+
+
+def test_importing_the_package_loads_no_layer():
+    added = _modules_added_by("import defring_audit")
+    assert "defring_audit" in added
+    assert [name for name in added if name.startswith("defring_audit.")] == []
+
+
+_LAYERS = sorted(
+    p.stem for p in (Path(__file__).resolve().parent.parent / "src" / "defring_audit").glob("*.py")
+    if p.stem != "__init__"
+)
+
+
+@pytest.mark.parametrize("layer", _LAYERS)
+def test_each_layer_imports_alone_in_a_fresh_interpreter(layer):
+    assert f"defring_audit.{layer}" in _modules_added_by(f"import defring_audit.{layer}")
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +970,7 @@ def test_internal_check_errors_are_not_caught(monkeypatch):
 def test_partition_size_budget(monkeypatch):
     from defring_audit import partitions
 
-    limit = LIMITS["MAX_PARTITION_N"]
+    limit = limits.MAX_PARTITION_N
     assert limit >= 12  # the benchmark's theta items stop at n = 10
     at_limit = run_scenario_obj({"mode": "partition", "op": "conjugate", "partition": [limit]})
     assert at_limit["verdicts"]["conjugate"] == ",".join(["1"] * limit)
@@ -963,7 +984,7 @@ def test_partition_size_budget(monkeypatch):
             run_scenario_obj({"mode": "partition", "op": "theta", "partition": partition})
 
 
-_PAST = LIMITS["MAX_LEDGER_INT"] + 1
+_PAST = limits.MAX_LEDGER_INT + 1
 _GN = {"mode": "gn-audit", "n": 2, "deg_F": 1, "s_count": 1, "ell_degrees": [1]}
 
 
@@ -994,11 +1015,11 @@ def test_ledger_integer_past_its_budget_exits_two_and_names_the_key(
     assert run_scenario(path) == EXIT_INVALID
     good, bad = _last_json(capsys)
     assert good["ok"] is True and bad["invalid"] is True
-    assert f"{named} must be at most MAX_LEDGER_INT = {LIMITS['MAX_LEDGER_INT']}" in bad["error"]
+    assert f"{named} must be at most MAX_LEDGER_INT = {limits.MAX_LEDGER_INT}" in bad["error"]
 
 
 def test_ledger_integers_at_their_budget_are_admitted():
-    limit = LIMITS["MAX_LEDGER_INT"]
+    limit = limits.MAX_LEDGER_INT
     report = run_scenario_obj(dict(_GN, n=limit))
     assert report["verdicts"]["r0_identity"]["ok"] is True
     assert len(str(report["verdicts"]["gamma"])) < 100
@@ -1013,7 +1034,7 @@ def test_ascii_group_names_and_cycles_are_read_as_before(capsys, gamma, subgroup
 
 
 def test_verify_all_max_n_is_checked_before_any_criterion(monkeypatch, capsys):
-    limit = LIMITS["MAX_VERIFY_N"]
+    limit = limits.MAX_VERIFY_N
     assert limit == 12  # the cap of verify_conjugation_lemma
     ran = []
     monkeypatch.setattr(acceptance, "run_all", lambda max_n, seed: ran.append(max_n) or [])
@@ -1055,8 +1076,10 @@ def test_cycles_are_read_for_s_n_however_gamma_is_given(tmp_path, capsys):
 def test_the_verify_cap_is_the_lemma_cap(capsys):
     from defring_audit import partitions
 
-    assert LIMITS["MAX_VERIFY_N"] == partitions.MAX_VERIFY_N == 12
-    with pytest.raises(ValueError, match=r"^lemma verification supports 1 <= n <= 12$"):
+    assert limits.MAX_VERIFY_N == partitions.MAX_VERIFY_N == 12
+    with pytest.raises(
+        ValueError, match=r"^lemma verification supports 1 <= n <= 12 \(MAX_VERIFY_N = 12\)$"
+    ):
         partitions.verify_conjugation_lemma(partitions.MAX_VERIFY_N + 1)
     assert main(["verify-all", "--max-n", "13"]) == EXIT_INVALID
     assert capsys.readouterr().err == (

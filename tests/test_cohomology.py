@@ -14,7 +14,6 @@ from defring_audit.cohomology import (
     arch_lift_dim,
     cohomology_dims,
     eigenspace_dim,
-    norm_matrix,
     twisted_involution_action,
 )
 from defring_audit.ff import (
@@ -85,18 +84,17 @@ def _random_order_n_action(rng, field, n, d):
 
 def test_norm_of_trivial_action_is_multiplication_by_n():
     action = CyclicAction(3, MatrixFF.identity(F3, 1))
-    assert norm_matrix(action).to_lists() == [[0]]  # 3 = 0 in F_3
-    assert norm_matrix(action) is action.norm  # formed with the action, not again
+    assert action.norm.to_lists() == [[0]]  # 3 = 0 in F_3
 
 
 def test_norm_of_diag_involution():
     action = CyclicAction(2, _diag(F3, [1, 2]))
-    assert norm_matrix(action).to_lists() == [[2, 0], [0, 0]]
+    assert action.norm.to_lists() == [[2, 0], [0, 0]]
 
 
 def test_norm_of_order_one_action_is_identity():
     action = CyclicAction(1, MatrixFF.identity(F5, 3))
-    assert norm_matrix(action) == MatrixFF.identity(F5, 3)
+    assert action.norm == MatrixFF.identity(F5, 3)
 
 
 def _norm_by_summing(sigma, order):

@@ -1162,8 +1162,8 @@ def test_eigenvalues_over_extension_base_field():
     ext, roots = eigenvalues_in_splitting_field(M)
     assert ext.order == 16 and len(roots) == 2
     emb = embed_field(f4, ext)
-    lifted = PolyFF(ext, tuple(emb(x) for x in charpoly(M).coeffs))
-    assert all(lifted.evaluate(z) == 0 for z in roots)
+    lifted = [emb(x) for x in charpoly(M).coeffs]
+    assert all(ext.horner(lifted, z) == 0 for z in roots)
 
 
 @pytest.fixture
@@ -1203,23 +1203,28 @@ def test_embed_field_sends_the_generator_to_the_smallest_root(fresh_field_cache,
 
 
 def test_scan_budget_error_is_explicit():
-    # T^2 - 2 is irreducible over F_101 (2 is a non-residue mod 101),
-    # so the roots live in a field of 10201 elements
+    # 2 is a non-residue mod 101 and 101 = 1 mod 4, so T^2 - 2 and T^4 - 2
+    # are irreducible over F_101: the roots of the first live in a field of
+    # 10201 elements, under MAX_FIELD_ORDER, those of the second past it
     M = MatrixFF.from_rows(F101, [[0, 2], [1, 0]])
-    with pytest.raises(ScanBudgetExceeded):
-        eigenvalues_in_splitting_field(M, budget=5000)
-    field, roots = eigenvalues_in_splitting_field(M, budget=11000)
+    field, roots = eigenvalues_in_splitting_field(M)
     assert field.order == 101**2 and len(roots) == 2
+    with pytest.raises(ScanBudgetExceeded) as refused:
+        eigenvalues_in_splitting_field(_companion(F101, [F101.neg(2), 0, 0, 0, 1]))
+    assert str(refused.value) == (
+        f"splitting field of the characteristic polynomial needs more than "
+        f"{MAX_FIELD_ORDER} elements"
+    )
 
 
 def test_scan_stops_at_the_field_order_cap():
     # T^2 - c is irreducible over F_1031 for a non-residue c, and its roots
-    # live in F_{1031^2}, past MAX_FIELD_ORDER, whatever the budget
+    # live in F_{1031^2}, past MAX_FIELD_ORDER
     p = 1031
     c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
     M = MatrixFF.from_rows(mk_field(p), [[0, c], [1, 0]])
     with pytest.raises(ScanBudgetExceeded, match=str(MAX_FIELD_ORDER)):
-        eigenvalues_in_splitting_field(M, budget=2**40)
+        eigenvalues_in_splitting_field(M)
 
 
 def _field_horner(f, coeffs, x):
@@ -1253,14 +1258,14 @@ def _divide_by_linear(f, poly, z):
     return quot, acc
 
 
-def _exhaustive_eigenvalues(M, budget=MAX_FIELD_ORDER):
+def _exhaustive_eigenvalues(M, limit=MAX_FIELD_ORDER):
     """The d-by-d search: build F_{q^d} for d = 1, 2, ... and scan it whole,
-    peeling roots by synthetic division, until all n roots are found."""
+    peeling roots by synthetic division, until all n roots are found in a
+    field of at most ``limit`` elements."""
     K, n = M.field, M.rows
     chi = charpoly(M)
     if n == 0:
         return K, ()
-    limit = min(budget, MAX_FIELD_ORDER)
     d = 1
     while K.order**d <= limit:
         L = K if d == 1 else mk_field(K.p, K.m * d)
@@ -1348,22 +1353,39 @@ def _splitting_matrices(field):
 SPLITTING_FIELDS = [F2, F3, F5, mk_field(2, 2), mk_field(3, 2)]
 
 
+def _root_degree(L, z, q):
+    """The least e with z^(q^e) = z: the degree of z over F_q."""
+    e, w = 1, L.pow(z, q)
+    while w != z:
+        e, w = e + 1, L.pow(w, q)
+    return e
+
+
 @pytest.mark.parametrize("field", SPLITTING_FIELDS, ids=repr)
 def test_splitting_field_matches_the_exhaustive_scan(field):
-    # orders up to 2^12 keep the oracle's scans small; past a budget both sides raise
+    # orders up to 2^12 keep the oracle's scans small; past them the roots are
+    # checked one by one: they are the n roots of chi, and the field is the
+    # canonical one of degree the lcm of their degrees
     outcomes = set()
     for M in _splitting_matrices(field):
-        for budget in (2**12, field.order**2):
-            try:
-                want = _exhaustive_eigenvalues(M, budget)
-            except ScanBudgetExceeded:
-                outcomes.add("over")
-                with pytest.raises(ScanBudgetExceeded, match=f"more than {budget} elements"):
-                    eigenvalues_in_splitting_field(M, budget)
-                continue
-            outcomes.add(want[0].m // field.m)
-            assert eigenvalues_in_splitting_field(M, budget) == want
-    assert {1, 2, "over"} <= outcomes
+        got = eigenvalues_in_splitting_field(M)
+        try:
+            want = _exhaustive_eigenvalues(M, 2**12)
+        except ScanBudgetExceeded:
+            outcomes.add("past the oracle")
+            L, roots = got
+            assert L.order > 2**12 and list(roots) == sorted(roots)
+            poly = [embed_field(field, L)(c) for c in charpoly(M).coeffs]
+            for z in roots:
+                poly, rem = _divide_by_linear(L, poly, z)
+                assert rem == 0
+            assert poly == [1]
+            D = math.lcm(*(_root_degree(L, z, field.order) for z in roots))
+            assert L == mk_field(field.p, field.m * D)
+            continue
+        outcomes.add(want[0].m // field.m)
+        assert got == want
+    assert {1, 2} <= outcomes
 
 
 def _random_products(field, rng):
@@ -1423,24 +1445,28 @@ def test_repeated_quadratic_factors_are_stripped_over_an_extension_field(field):
         assert eigenvalues_in_splitting_field(M) == _exhaustive_eigenvalues(M)
 
 
-# T^5 + T^2 + 1, T^4 + T + 1 and T^3 + T + 1, irreducible over F_2
-QUINTIC, QUARTIC, CUBIC = (1, 0, 1, 0, 0, 1), (1, 1, 0, 0, 1), (1, 1, 0, 1)
+# T^4 + T + 1 and T^3 + T + 1, irreducible over F_2
+QUARTIC, CUBIC = (1, 1, 0, 0, 1), (1, 1, 0, 1)
+# T^21 + T^2 + 1, irreducible over F_2
+DEGREE_21 = (1, 0, 1) + (0,) * 18 + (1,)
 
 
-@pytest.mark.parametrize(
-    "factors, budget, ddf_steps", [((QUINTIC, QUARTIC), 2**19, 3), ((QUARTIC,), 2, 0)]
-)
+@pytest.mark.parametrize("p, poly, ddf_steps", [
+    # F_{2^21} is found past the cap after the steps d = 2, ..., 10
+    (2, DEGREE_21, 9),
+    # T^4 - 7 has no root in F_1031, and 1031^2 > 2^20: the step d = 2
+    # would already pass the cap
+    (1031, (1031 - 7, 0, 0, 0, 1), 0),
+], ids=["degree-21-over-F2", "rootless-quartic-over-F1031"])
 def test_an_over_budget_splitting_field_is_refused_before_any_field_is_built(
-    monkeypatch, fresh_field_cache, factors, budget, ddf_steps
+    monkeypatch, fresh_field_cache, p, poly, ddf_steps
 ):
-    # the 9 x 9 case splits in F_{2^20}, after the steps d = 2, 3, 4; the
-    # quartic needs F_{2^4}, and its step d = 2 would already pass the budget
-    M = block_diag([_companion(F2, f) for f in factors])
+    M = _companion(mk_field(p), poly)
     steps = []
     real_pgcd = ff._pgcd
     monkeypatch.setattr(ff, "_pgcd", lambda *args: steps.append(1) or real_pgcd(*args))
-    with pytest.raises(ScanBudgetExceeded, match=f"more than {budget} elements"):
-        eigenvalues_in_splitting_field(M, budget)
+    with pytest.raises(ScanBudgetExceeded, match=f"more than {MAX_FIELD_ORDER} elements"):
+        eigenvalues_in_splitting_field(M)
     assert fresh_field_cache.cache_info().misses == 0
     assert len(steps) == ddf_steps
 
@@ -1476,7 +1502,6 @@ def test_vector_horner_matches_field_horner(field):
     for c in polys:
         for x in range(min(field.order, 16)):
             assert horner(c, x) == _field_horner(field, c, x), (c, x)
-            assert PolyFF(field, tuple(c)).evaluate(x) == _field_horner(field, c, x)
 
 
 # ---------------------------------------------------------------------------
@@ -1624,4 +1649,4 @@ def test_fields_matrices_and_polynomials_survive_pickle_and_deepcopy(field, roun
     assert [field2.mul(a, b) for a, b in pairs] == [field.mul(a, b) for a, b in pairs]
     assert [field2.add(a, b) for a, b in pairs] == [field.add(a, b) for a, b in pairs]
     assert M2 * M2 == M * M and charpoly(M2) == charpoly(M)
-    assert P2.evaluate(1) == P.evaluate(1)
+    assert field2.horner(P2.coeffs, 1) == field.horner(P.coeffs, 1)

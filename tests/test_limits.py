@@ -88,8 +88,7 @@ def test_old_names_are_aliases_of_the_caps(module, name):
     assert getattr(module, name) == getattr(limits, name)
 
 
-def test_cli_limits_is_a_view_of_every_cap():
-    assert cli.LIMITS == {name: getattr(limits, name) for name in CAPS}
+def test_cli_scenario_error_is_the_limits_one():
     assert cli.ScenarioError is limits.ScenarioError
     assert issubclass(limits.ScenarioError, ValueError)
 
@@ -112,8 +111,9 @@ def test_readme_budget_table_gives_every_cap_with_its_value():
         assert f"| {getattr(limits, name)} |" in row, row
 
 
-# refusals raised by the group builders and the threshold themselves: each
-# line ends in its budget's name, after a text that callers match on
+# refusals raised by the group builders, the threshold and the lemma check
+# themselves: each line ends in its budget's name, after a text that callers
+# match on
 _NAMED_REFUSALS = {
     "cyclic-order": (["density", "--gamma", "Z5041", "--k", "1"],
                      "error: bad gamma spec: cyclic order out of range"
@@ -130,6 +130,8 @@ _NAMED_REFUSALS = {
         "bad gamma spec: product order 5760 exceeds the budget 5040 (MAX_GROUP_ORDER = 5040)"),
     "threshold-n": (["taylor", "threshold", "--q", "2", "--n", "9"],
                     "error: n must be in [1, 8] (MAX_THRESHOLD_N = 8)\n"),
+    "verify-lemma-n": (["partition", "verify-lemma", "--n", "13"],
+                       "error: lemma verification supports 1 <= n <= 12 (MAX_VERIFY_N = 12)\n"),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defring_audit.cli import LIMITS
+from defring_audit import limits
 from defring_audit.ff import (
     MatrixFF,
     block_diag,
@@ -310,7 +310,7 @@ def test_theta_is_field_independent_and_conjugation(lam, field):
 def test_theta_is_conjugation_at_the_partition_limit(text, field):
     # "80" takes the most kernel steps of any partition the CLI accepts
     lam = Partition.parse(text)
-    assert lam.n == LIMITS["MAX_PARTITION_N"]
+    assert lam.n == limits.MAX_PARTITION_N
     assert theta(lam, field) == conjugate(lam)
 
 

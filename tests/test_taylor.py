@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from defring_audit.cli import LIMITS
+from defring_audit import limits
 from defring_audit.ff import MatrixFF, charpoly, is_unipotent, mk_field, nilpotent_block
 from defring_audit.partitions import Partition, nabla_matrix, partitions_of
 from defring_audit.taylor import (
@@ -108,7 +108,7 @@ def test_the_one_condition_target_is_the_product_of_n_factors_t_minus_one(field)
     # n = 0 is the 0 x 0 matrix, and p divides C(n, k) for some k at n = p
     f = field
     power = [1]  # (T - 1)^n, one product by T - 1 at a time
-    for n in range(LIMITS["MAX_MATRIX_DIM"] + 1):
+    for n in range(limits.MAX_MATRIX_DIM + 1):
         C = _companion(f, power)
         assert list(charpoly(C).coeffs) == power
         assert satisfies_one_condition(C)
