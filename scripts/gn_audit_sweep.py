@@ -7,7 +7,7 @@ Usage: python3 scripts/gn_audit_sweep.py [--max-n 4] [--max-degf 3]
 import argparse
 import itertools
 
-from defring_audit.cli import gn_audit
+from defring_audit.ledger import gn_audit
 
 
 def compositions(total, parts):
@@ -34,8 +34,7 @@ def main():
             for n_ell in range(1, deg_f + 1):
                 for degrees in compositions(deg_f, n_ell):
                     for s in range(0, args.max_s + 1):
-                        report = gn_audit(n, deg_f, s, list(degrees))
-                        v = report["verdicts"]
+                        v, _, _ = gn_audit(n, deg_f, s, list(degrees))
                         print(
                             f"{n:>2} {deg_f:>4} {s:>3} {str(list(degrees)):>10} "
                             f"{v['gamma']:>6} {v['r0']:>5} {v['margin']:>6} "

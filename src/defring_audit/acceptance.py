@@ -250,13 +250,10 @@ def c05_framework_random(max_n: int = 10, seed: int = 0) -> tuple[bool, str]:
 
 
 def c06_worked_gn_audit(max_n: int = 10, seed: int = 0) -> tuple[bool, str]:
-    from .cli import gn_audit
-
     # hand-substitution: #S_l = 5, gamma = 4*1 + 2*8 + 2*3 + 4 = 30,
     # r0 = 5*5 - 1 = 24, gen_I = 2*(8 - 5) = 6, unframed = 2*3 = 6,
     # GW difference = 8 - 2 = 6 = tangent, so the dual dimension is 0.
-    report = gn_audit(2, 2, 1, [1, 1])
-    v = report["verdicts"]
+    v, _, _ = ledger.gn_audit(2, 2, 1, [1, 1])
     expected = {
         "gamma": 30,
         "r0": 24,

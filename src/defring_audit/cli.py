@@ -5,9 +5,12 @@ Scenarios are JSON objects with a top-level ``mode`` discriminator
 ``gn-audit``); a file may hold a single scenario or a list, run in
 order.  Every size a payload controls is checked against a budget when it
 is parsed; the budgets, and the one reader of payload integers, live in
-``limits``.  Exit codes: 0 all checks pass, 1 a
-mathematical check failed, 2 invalid input.  A reader that closes stdout
-early (``| head``) gets no traceback and leaves the exit code unchanged.
+``limits``.  Each mode handler maps a payload to ``(verdicts, diagnostics,
+ok)`` built from JSON values only (dict, list, str, int, bool, None), which
+the report holds as they are; gn-audit's is ``ledger.gn_audit``.  Exit
+codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid input.
+A reader that closes stdout early (``| head``) gets no traceback and
+leaves the exit code unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -28,6 +30,7 @@ from . import ledger, limits
 from . import partitions as parts
 from . import taylor
 from .ff import MatrixFF, PrimeField, mk_field
+from .ledger import gn_audit
 from .limits import ScenarioError, read_int
 
 EXIT_OK = 0
@@ -76,18 +79,6 @@ def _partition_from_json(obj) -> parts.Partition:
     return lam
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # mode handlers: payload -> (verdicts, diagnostics, ok)
 # ---------------------------------------------------------------------------
@@ -97,7 +88,7 @@ def _run_partition(payload):
     op = payload.get("op", "verify-lemma")
     if op == "verify-lemma":
         report = parts.verify_conjugation_lemma(read_int(payload.get("n"), "'n'"))
-        verdicts = {"checked": report.checked, "failures": list(report.failures)}
+        verdicts = {"checked": report.checked, "failures": [list(f) for f in report.failures]}
         diag = {} if report.ok else {"violated": "theta = conjugate on Young diagrams"}
         return verdicts, diag, report.ok
     if op in ("conjugate", "theta"):
@@ -200,23 +191,6 @@ def _setting_from_json(payload) -> ledger.DeformationSetting:
     )
 
 
-def _ledger_verdicts(setting, h0_global, h0_global_dual, h0_locals, run_dual):
-    verdict = ledger.framework_check(setting)
-    verdicts = {key: getattr(verdict, key) for key in
-                ("gamma", "r0", "gen_I", "gen_bound", "margin", "smooth", "unframed_dim")}
-    ok = verdict.smooth
-    diag = {"places": [d._asdict() for d in verdict.diagnostics]}
-    if not verdict.smooth:
-        diag["violated"] = "generator bound gen_I <= gamma - r0"
-    if run_dual:
-        dual = ledger.dual_selmer_verdict(setting, h0_global, h0_global_dual, h0_locals)
-        verdicts["dual_selmer"] = dual._asdict()
-        ok = ok and dual.vanishes
-        if not dual.vanishes:
-            diag["violated_dual"] = "dual-Selmer dimension must vanish"
-    return verdicts, diag, ok
-
-
 def _run_ledger(payload):
     setting = _setting_from_json(payload)
     run_dual = "h0_global" in payload or "h0_locals" in payload
@@ -225,7 +199,7 @@ def _run_ledger(payload):
         if not isinstance(h0_locals, list):
             raise ScenarioError(f"'h0_locals' must be a list, got {h0_locals!r}")
         h0_locals = [read_int(h, "each 'h0_locals' entry", "MAX_LEDGER_INT") for h in h0_locals]
-    return _ledger_verdicts(
+    return ledger.audit(
         setting,
         read_int(payload.get("h0_global", 0), "'h0_global'", "MAX_LEDGER_INT"),
         read_int(payload.get("h0_global_dual", 0), "'h0_global_dual'", "MAX_LEDGER_INT"),
@@ -275,9 +249,9 @@ def _run_density(payload):
     problem = dens.SplitDensityProblem(gamma, subgroup, k)
     cert = dens.bound_certificate(problem)
     verdicts = {
-        "density": _jsonable(cert.density),
+        "density": f"{cert.density.numerator}/{cert.density.denominator}",
         "bound": f"1-1/2^{k}",
-        "bound_value": _jsonable(cert.bound),
+        "bound_value": f"{cert.bound.numerator}/{cert.bound.denominator}",
         "witness_count": cert.witness_count,
         "holds": cert.holds,
     }
@@ -310,51 +284,11 @@ def _run_taylor(payload):
     raise ScenarioError(f"unknown taylor op {op!r}")
 
 
-def gn_audit(n: int, deg_F: int, s_count: int, ell_degrees) -> dict:
-    """Build the rank-n preset setting and run both global checks.
-
-    min at the ``s_count`` finite places, sm (delta = 0) at the given
-    ell-degrees, one archimedean place per real embedding; local h^0
-    values are zero except at infinity, where each place carries
-    dim g^der - dim b^der so their total meets the required identity.
-    """
-    if not isinstance(ell_degrees, (list, tuple)):
-        raise ScenarioError(f"'ell_degrees' must be a list, got {ell_degrees!r}")
-    ell_degrees = [read_int(d, "each 'ell_degrees' entry", "MAX_LEDGER_INT") for d in ell_degrees]
-    if n < 1 or deg_F < 1 or s_count < 0:
-        raise ScenarioError("need n >= 1, deg_F >= 1, s_count >= 0")
-    count = s_count + len(ell_degrees) + deg_F
-    read_int(count, "places", "MAX_PLACES", past=f"{count} places exceed")
-    if sum(ell_degrees) != deg_F:
-        raise ScenarioError(f"ell degrees {ell_degrees} must sum to deg_F = {deg_F}")
-    if any(d < 1 for d in ell_degrees):
-        raise ScenarioError("each ell degree must be >= 1")
-    lie = ledger.gn_dims(n)
-    arch_h0 = lie.dim_g_der - lie.dim_b_der
-    places = (
-        [ledger.min_place(h0_local=0) for _ in range(s_count)]
-        + [ledger.sm_place(d, h0_local=0) for d in ell_degrees]
-        + [ledger.arch_place(h0_local=arch_h0) for _ in range(deg_F)]
-    )
-    setting = ledger.DeformationSetting(lie, deg_F, tuple(places))
-    verdicts, diag, ok = _ledger_verdicts(setting, 0, 0, None, True)
-    s_ell = setting.s_ell_count
-    identity_value = (n * n + 1) * s_ell - 1
-    identity_ok = verdicts["r0"] == identity_value
-    verdicts["r0_identity"] = {"expected": identity_value, "ok": identity_ok}
-    if not identity_ok:
-        diag["violated_r0"] = "r0 = (n^2+1) #S_l - 1"
-    diag.update({"n": n, "deg_F": deg_F, "s_count": s_count, "ell_degrees": ell_degrees,
-                 "s_ell_count": s_ell})
-    return _report("gn-audit", "gn-audit", verdicts, diag, ok and identity_ok)
-
-
 def _run_gn_audit_payload(payload):
     n = read_int(payload.get("n"), "'n'", "MAX_LEDGER_INT")
     deg_f = read_int(payload.get("deg_F"), "'deg_F'", "MAX_LEDGER_INT")
     s_count = read_int(payload.get("s_count", 0), "'s_count'", "MAX_LEDGER_INT")
-    report = gn_audit(n, deg_f, s_count, payload.get("ell_degrees", []))
-    return report["verdicts"], report["diagnostics"], report["ok"]
+    return gn_audit(n, deg_f, s_count, payload.get("ell_degrees", []))
 
 
 _HANDLERS = {
@@ -371,18 +305,6 @@ MODES = tuple(_HANDLERS)
 # ---------------------------------------------------------------------------
 # reports and dispatch
 # ---------------------------------------------------------------------------
-
-
-def _report(name, mode, verdicts, diagnostics, ok, elapsed=0.0):
-    return {
-        "scenario": name,
-        "mode": mode,
-        "verdicts": _jsonable(verdicts),
-        "diagnostics": _jsonable(diagnostics),
-        "ok": ok,
-        "version": __version__,
-        "elapsed_s": elapsed,
-    }
 
 
 def run_scenario_obj(obj) -> dict:
@@ -405,8 +327,15 @@ def run_scenario_obj(obj) -> dict:
         raise
     except (TypeError, ValueError) as exc:
         raise ScenarioError(str(exc)) from exc
-    elapsed = time.perf_counter() - start
-    return _report(name, mode, verdicts, diagnostics, ok, elapsed)
+    return {
+        "scenario": name,
+        "mode": mode,
+        "verdicts": verdicts,
+        "diagnostics": diagnostics,
+        "ok": ok,
+        "version": __version__,
+        "elapsed_s": time.perf_counter() - start,
+    }
 
 
 def _print(text: str) -> None:

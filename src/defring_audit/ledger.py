@@ -7,7 +7,8 @@ condition; the checker chains the per-place relative dimensions into the
 generator-count bound gamma - r0 and, on the dual side, assembles the
 Greenberg-Wiles formula into a dual-Selmer vanishing verdict.  Verdicts
 carry the full per-place table so a failed audit can be replayed by
-hand.
+hand.  ``audit`` and the rank-n preset ``gn_audit`` give both checks as
+a report's ``(verdicts, diagnostics, ok)``, in JSON values only.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ff import Record
+from .limits import ScenarioError, read_int
 
 KIND_S = "S"
 KIND_ELL = "ell"
@@ -375,3 +377,64 @@ def dual_selmer_verdict(
         dual_dim=dual_dim,
         tangent_dim=tangent_dim,
     )
+
+
+def audit(setting: DeformationSetting, h0_global: int, h0_global_dual: int, h0_locals,
+          run_dual: bool) -> tuple[dict, dict, bool]:
+    """The framework check, and with ``run_dual`` the dual-Selmer verdict, of
+    ``setting`` as ``(verdicts, diagnostics, ok)``."""
+    verdict = framework_check(setting)
+    verdicts = {key: getattr(verdict, key) for key in
+                ("gamma", "r0", "gen_I", "gen_bound", "margin", "smooth", "unframed_dim")}
+    ok = verdict.smooth
+    diag = {"places": [d._asdict() for d in verdict.diagnostics]}
+    if not verdict.smooth:
+        diag["violated"] = "generator bound gen_I <= gamma - r0"
+    if run_dual:
+        dual = dual_selmer_verdict(setting, h0_global, h0_global_dual, h0_locals)
+        verdicts["dual_selmer"] = dual._asdict()
+        ok = ok and dual.vanishes
+        if not dual.vanishes:
+            diag["violated_dual"] = "dual-Selmer dimension must vanish"
+    return verdicts, diag, ok
+
+
+def gn_audit(n: int, deg_F: int, s_count: int, ell_degrees) -> tuple[dict, dict, bool]:
+    """Build the rank-n preset setting and run both global checks.
+
+    min at the ``s_count`` finite places, sm (delta = 0) at the given
+    ell-degrees, one archimedean place per real embedding; local h^0
+    values are zero except at infinity, where each place carries
+    dim g^der - dim b^der so their total meets the required identity.
+    Returns ``(verdicts, diagnostics, ok)``; a refused input is a
+    ScenarioError.
+    """
+    if not isinstance(ell_degrees, (list, tuple)):
+        raise ScenarioError(f"'ell_degrees' must be a list, got {ell_degrees!r}")
+    ell_degrees = [read_int(d, "each 'ell_degrees' entry", "MAX_LEDGER_INT") for d in ell_degrees]
+    if n < 1 or deg_F < 1 or s_count < 0:
+        raise ScenarioError("need n >= 1, deg_F >= 1, s_count >= 0")
+    count = s_count + len(ell_degrees) + deg_F
+    read_int(count, "places", "MAX_PLACES", past=f"{count} places exceed")
+    if sum(ell_degrees) != deg_F:
+        raise ScenarioError(f"ell degrees {ell_degrees} must sum to deg_F = {deg_F}")
+    if any(d < 1 for d in ell_degrees):
+        raise ScenarioError("each ell degree must be >= 1")
+    lie = gn_dims(n)
+    arch_h0 = lie.dim_g_der - lie.dim_b_der
+    places = (
+        [min_place(h0_local=0) for _ in range(s_count)]
+        + [sm_place(d, h0_local=0) for d in ell_degrees]
+        + [arch_place(h0_local=arch_h0) for _ in range(deg_F)]
+    )
+    setting = DeformationSetting(lie, deg_F, tuple(places))
+    verdicts, diag, ok = audit(setting, 0, 0, None, True)
+    s_ell = setting.s_ell_count
+    identity_value = (n * n + 1) * s_ell - 1
+    identity_ok = verdicts["r0"] == identity_value
+    verdicts["r0_identity"] = {"expected": identity_value, "ok": identity_ok}
+    if not identity_ok:
+        diag["violated_r0"] = "r0 = (n^2+1) #S_l - 1"
+    diag.update({"n": n, "deg_F": deg_F, "s_count": s_count, "ell_degrees": ell_degrees,
+                 "s_ell_count": s_ell})
+    return verdicts, diag, ok and identity_ok

@@ -531,8 +531,8 @@ def test_place_count_at_the_budget_is_admitted():
     # the benchmark, acceptance and the sweep script use at most 9 places
     limit = limits.MAX_PLACES
     assert limit >= 9
-    report = gn_audit(1, 1, limit - 2, [1])
-    assert report["ok"] and report["diagnostics"]["s_ell_count"] == limit
+    _, diag, ok = gn_audit(1, 1, limit - 2, [1])
+    assert ok and diag["s_ell_count"] == limit
 
 
 def test_integer_partition_list_and_string_parse_alike():
@@ -594,14 +594,22 @@ def test_each_layer_imports_alone_in_a_fresh_interpreter(layer):
     assert f"defring_audit.{layer}" in _modules_added_by(f"import defring_audit.{layer}")
 
 
+def test_the_worked_gn_audit_criterion_runs_without_the_cli():
+    # c06 takes the rank-n preset from ledger, not from the front door
+    added = _modules_added_by(
+        "from defring_audit import acceptance; assert acceptance.run_criterion('c06').ok"
+    )
+    assert "defring_audit.ledger" in added
+    assert "defring_audit.cli" not in added
+
+
 # ---------------------------------------------------------------------------
 # gn-audit
 # ---------------------------------------------------------------------------
 
 
 def test_gn_audit_worked_example():
-    report = gn_audit(2, 2, 1, [1, 1])
-    v = report["verdicts"]
+    v, _, ok = gn_audit(2, 2, 1, [1, 1])
     assert v["gamma"] == 30
     assert v["r0"] == 24
     assert v["gen_I"] == 6
@@ -609,18 +617,17 @@ def test_gn_audit_worked_example():
     assert v["unframed_dim"] == 6
     assert v["dual_selmer"]["vanishes"] is True
     assert v["r0_identity"] == {"expected": 24, "ok": True}
-    assert report["ok"]
+    assert ok
 
 
 def test_gn_audit_minimal_instance():
-    report = gn_audit(1, 1, 0, [1])
-    assert report["verdicts"]["smooth"] is True
-    assert report["ok"]
+    v, _, ok = gn_audit(1, 1, 0, [1])
+    assert v["smooth"] is True
+    assert ok
 
 
 def test_gn_audit_larger_instance_margin_zero():
-    report = gn_audit(3, 2, 2, [2])
-    v = report["verdicts"]
+    v, _, _ = gn_audit(3, 2, 2, [2])
     assert v["margin"] == 0 and v["smooth"] and v["dual_selmer"]["vanishes"]
     # s_ell = 2 + 1 + 2 = 5
     assert v["r0"] == (9 + 1) * 5 - 1
