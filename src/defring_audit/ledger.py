@@ -262,7 +262,6 @@ def framework_check(setting: DeformationSetting) -> FrameworkVerdict:
     in the degrees-complete case both sides equal
     [F:Q] dim b^der - sum(delta), so the margin is exactly zero.
     """
-    _require_part1_configuration(setting)
     lie = setting.lie
     g = gamma(setting)
     r = r0(lie, setting.s_ell_count)

@@ -4,7 +4,9 @@ Each size an input controls is checked against one of the budgets below
 when the input is parsed, before any work; a value past one is refused
 with a message that names it as ``NAME = value``.  The modules that check
 a cap import it from here, so ``ff.MAX_FIELD_ORDER`` and the other old
-names still import.  This module imports nothing from the package.
+names still import.  This module imports nothing from the package.  A note
+on the slowest input at a limit names its case in scripts/limits_probe.py,
+which measures it in a fresh process.
 """
 
 from __future__ import annotations
@@ -24,33 +26,28 @@ MAX_PRIMALITY_N = 3_317_044_064_679_887_385_961_981
 # sigma^order = I and the norm each take O(log order) matrix products
 MAX_CYCLIC_ORDER = 4096
 MAX_INVOLUTION_N = 12  # the twisted involution acts on n^2 x n^2 matrices
-# rows and columns of a sigma, J or check-type matrix.  Slowest at the
-# limit: a dense 12 x 12 sigma of order 4096 over F_2^20, ~2 s in a fresh
-# process, ~1.5 s of it building the field and ~0.02 s the norm; a
-# check-type matrix takes < 0.05 s after the field is built (2-core
-# Xeon, Python 3.11).
+# rows and columns of a sigma, J or check-type matrix.  Not yet a probe
+# case (ROADMAP item 5); the slowest input known at the limit is a dense
+# 12 x 12 sigma of order 4096 over F_2^20, ~2 s in a fresh process, ~1.5 s
+# of it building the field and ~0.02 s the norm; a check-type matrix takes
+# < 0.05 s after the field is built (2-core Xeon, Python 3.11).
 MAX_MATRIX_DIM = 12
 
 # places of a ledger setting, counted for gn-audit as s_count +
-# len(ell_degrees) + deg_F.  Slowest at the limit: ~0.9 s and 37 MB
-# peak RSS in a fresh process (2-core Xeon, Python 3.11).
+# len(ell_degrees) + deg_F.  Slowest at the limit: case `gn-audit`.
 MAX_PLACES = 10_000
 # every integer a ledger or gn-audit payload supplies (n or gn, the Lie
 # dimensions, deg_F, s_count, local degrees, delta, the h0 values), so a
 # report's integers stay far below Python's 4300-digit int/str limit.
-# Slowest at the limit: gn-audit with n = 10^6 and 10000 places, ~1 s and
-# 36 MB peak RSS in a fresh process, as at MAX_PLACES alone (2-core Xeon,
-# Python 3.11).
+# Slowest at the limit: case `gn-audit`, n = 10^6 with 10000 places, as at
+# MAX_PLACES alone.
 MAX_LEDGER_INT = 10**6
 
 # the size of a partition given to the partition mode.  Slowest at the
-# limit: theta on the one-part partition "80", ~0.1 s and 17 MB peak
-# RSS in a fresh process over F_5 or F_9 (2-core Xeon, Python 3.11).
+# limit: case `theta80`, theta on the one-part partition "80".
 MAX_PARTITION_N = 80
 # verify-all --max-n, the cap of verify_conjugation_lemma; the run
-# grows ~1.3x per step of n past 12.  Slowest at the limit: ~0.26 s and
-# 17 MB peak RSS in a fresh process, against ~0.22 s at the default 10
-# and ~1.2 s at 18 (2-core Xeon, Python 3.11).
+# grows ~1.3x per step of n past 12.  Slowest at the limit: case `verify12`.
 MAX_VERIFY_N = 12
 
 # the order of every group density builds: Z/n, (Z/2)^k and products

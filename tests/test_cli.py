@@ -375,65 +375,29 @@ def test_reader_closing_the_pipe_early_ends_quietly_with_the_verdict(tmp_path):
     assert err == b""
 
 
-# Runs argv and prints its exit code and ru_maxrss (KiB on Linux) from wait4,
-# then its stdout.  A child's ru_maxrss counts the resident set of the process
-# that spawned it, so the child is spawned from this small interpreter rather
-# than from the test process.
-_PEAK_RSS_LAUNCHER = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
-out = proc.stdout.read()
-_, status, usage = os.wait4(proc.pid, 0)
-proc.returncode = os.waitstatus_to_exitcode(status)
-print(proc.returncode, usage.ru_maxrss)
-sys.stdout.write(out.decode())
-"""
-
-
 @pytest.mark.parametrize(
-    "gamma, expected",
+    "case, expected",
     [
-        pytest.param({"type": "product", "factors": ["Z2", "Z2520"]}, "63/64", id="Z2xZ2520"),
-        pytest.param({"type": "product", "factors": ["S6", "Z7"]}, "59/64", id="S6xZ7"),
-        pytest.param({"type": "elementary_abelian_2", "k": 12}, "16383/16384", id="E2^12"),
+        pytest.param("Z2xZ2520", "63/64", id="Z2xZ2520"),
+        pytest.param("S6xZ7", "59/64", id="S6xZ7"),
+        pytest.param("(Z/2)^12", "16383/16384", id="E2^12"),
     ],
 )
-def test_a_group_at_the_order_budget_stays_within_150_mb(tmp_path, gamma, expected):
+def test_a_group_at_the_order_budget_stays_within_150_mb(run_script, case, expected):
     # groups of order 4096 and 5040 = MAX_GROUP_ORDER: a table of theirs would
     # hold |Gamma|^2 entries, ~200 MB of references at 5040
-    path = _write(tmp_path, {"mode": "density", "gamma": gamma, "k": 1})
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_LAUNCHER,
-         sys.executable, "-m", "defring_audit.cli", "run", path],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr[-500:]
-    status, out = proc.stdout.split("\n", 1)
-    code, peak_kib = map(int, status.split())
-    assert code == EXIT_OK
-    assert json.loads(out)["verdicts"]["density"] == expected
-    assert peak_kib / 1024 <= 150
+    row = dict(zip(*run_script("limits_probe.py", f"--case={case}")))
+    assert (row["result"], row["exit"]) == (expected, "0")
+    assert float(row["maxrss_MB"]) <= 150
 
 
-def test_a_near_cap_field_with_many_cosets_stays_within_130_mb(tmp_path):
+def test_a_near_cap_field_with_many_cosets_stays_within_130_mb(run_script):
     # F_{1013^2}: its modulus T^2 + T + 1 gives T order 3, so the tables are
     # walked as 342,056 cosets of <T>; its build peaked at ~119 MB when each
     # coset started from a schoolbook product, and 130 MB is that plus 10%
-    path = _write(tmp_path, {"mode": "partition", "op": "theta", "partition": "2,1",
-                             "p": 1013, "m": 2})
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_LAUNCHER,
-         sys.executable, "-m", "defring_audit.cli", "run", path],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr[-500:]
-    status, out = proc.stdout.split("\n", 1)
-    code, peak_kib = map(int, status.split())
-    assert code == EXIT_OK
-    assert json.loads(out)["verdicts"]["theta"] == "2,1"
-    assert peak_kib / 1024 <= 130
+    row = dict(zip(*run_script("limits_probe.py", "--case=F1013^2")))
+    assert (row["result"], row["exit"]) == ("2,1", "0")
+    assert float(row["maxrss_MB"]) <= 130
 
 
 _PLACES = [{"kind": "ell", "condition": "sm", "local_degree": 1}, {"kind": "arch"}]

@@ -1,13 +1,15 @@
 """Smoke tests: each experiment script runs on a small grid and prints its table."""
 
-import os
-import subprocess
-import sys
+import re
+import runpy
 from pathlib import Path
 
 import pytest
 
+from defring_audit import limits
+
 ROOT = Path(__file__).resolve().parent.parent
+PROBE_CASES = runpy.run_path(str(ROOT / "scripts" / "limits_probe.py"))["CASES"]
 
 
 @pytest.mark.parametrize(
@@ -17,41 +19,39 @@ ROOT = Path(__file__).resolve().parent.parent
         ("density_survey.py", ["--max-k", "2"], ["Gamma", "|H|", "k", "density"]),
     ],
 )
-def test_script_runs_on_a_small_grid(script, args, header):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].split()[: len(header)] == header
+def test_script_runs_on_a_small_grid(run_script, script, args, header):
+    lines = run_script(script, *args)
+    assert lines[0][: len(header)] == header
     assert len(lines) > 2
 
 
-def test_splitting_probe_runs_its_cheapest_case():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "splitting_probe.py"), "--case", "4+3"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, row = proc.stdout.splitlines()
-    assert header.split() == ["case", "field", "roots", "digest", "wall_s", "maxrss_MB", "exit"]
-    case, field, roots, _, wall, rss, code = row.split()
-    assert (case, field, roots, code) == ("4+3", "F_2^12", "7", "0")
-    assert float(wall) > 0 and float(rss) > 0
+def run_probe_case(run_script, case):
+    """Run one limits_probe case; its row, keyed by the header's words."""
+    header, row = run_script("limits_probe.py", f"--case={case}")
+    assert header == ["case", "cap", "result", "wall_s", "maxrss_MB", "exit"]
+    row = dict(zip(header, row))
+    assert float(row["wall_s"]) > 0 and float(row["maxrss_MB"]) > 0
+    return row
 
 
-def test_density_probe_runs_its_cheapest_case():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "density_probe.py"), "--group", "S6"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, row = proc.stdout.splitlines()
-    assert header.split() == ["group", "density", "wall_s", "maxrss_MB", "exit"]
-    group, density, wall, rss, code = row.split()
-    assert (group, density, code) == ("S6", "59/64", "0")
-    assert float(wall) > 0 and float(rss) > 0
+def test_splitting_probe_runs_its_cheapest_case(run_script):
+    row = run_probe_case(run_script, "split4+3")
+    assert (row["case"], row["result"], row["exit"]) == ("split4+3", "F_2^12/7/62f357edca28", "0")
+
+
+def test_density_probe_runs_its_cheapest_case(run_script):
+    row = run_probe_case(run_script, "S6")
+    assert (row["case"], row["result"], row["exit"]) == ("S6", "59/64", "0")
+
+
+def test_every_probe_case_names_a_cap():
+    caps = {name for name in vars(limits) if name.startswith("MAX_")}
+    assert {cap for cap, _, _ in PROBE_CASES.values()} <= caps
+
+
+def test_every_slowest_input_note_in_limits_names_a_probe_case():
+    source = (ROOT / "src" / "defring_audit" / "limits.py").read_text(encoding="utf-8")
+    text = re.sub(r"\n\s*# ?", " ", source)  # a note's comment lines, joined
+    named = re.findall(r"Slowest at the limit: case `([^`]+)`", text)
+    assert len(named) == text.count("Slowest at the limit") > 0
+    assert set(named) <= set(PROBE_CASES)
