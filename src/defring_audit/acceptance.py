@@ -3,11 +3,12 @@
 Each criterion is a self-contained check with its own independent route
 (hand-counted values, or an oracle below, which the tests also use: the
 cofactor expansion of one integer matrix, by Kronecker substitution, for
-the charpoly; enumeration of G for the splitting density).  ``run_all``
-executes them in order and reports exact pass/fail verdicts with elapsed
-times; the CLI subcommand ``verify-all`` and the pytest acceptance module
-both drive this registry.  Random draws go through ``_below``, which takes
-the same Mersenne Twister words as ``randrange``, ``choice`` and ``randint``.
+the charpoly's coefficient tuple; enumeration of G for the splitting
+density).  ``run_all`` executes them in order and reports exact pass/fail
+verdicts with elapsed times; the CLI subcommand ``verify-all`` and the
+pytest acceptance module both drive this registry.  Random draws go
+through ``_below``, which takes the same Mersenne Twister words as
+``randrange``, ``choice`` and ``randint``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from . import taylor
 from .ff import (
     InternalCheckError,
     MatrixFF,
-    PolyFF,
     _echelon,
     charpoly,
     is_prime,
@@ -55,8 +55,9 @@ class CriterionResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def cofactor_charpoly(M: MatrixFF) -> PolyFF:
-    """det(T*I - M) by cofactor expansion of one integer matrix.
+def cofactor_charpoly(M: MatrixFF) -> tuple[int, ...]:
+    """Coefficients of det(T*I - M), lowest degree first, by cofactor
+    expansion of one integer matrix.
 
     A route apart from the production charpoly: it calls no field
     arithmetic.  Each entry of T*I - M becomes one integer by Kronecker
@@ -108,7 +109,7 @@ def cofactor_charpoly(M: MatrixFF) -> PolyFF:
                 for i, g in enumerate(f.modulus):
                     c[top - m + i] = (c[top - m + i] - lead * g) % p
         coeffs.append(f.encode(c[:m]))
-    return PolyFF(f, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def enumerated_xi(problem: dens.SplitDensityProblem) -> frozenset[tuple[int, int, int]]:

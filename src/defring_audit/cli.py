@@ -162,14 +162,11 @@ def _lie_from_json(obj) -> ledger.LieDims:
         return ledger.gn_dims(read_int(obj["gn"], "'gn'", "MAX_LEDGER_INT"))
     if isinstance(obj, dict):
         try:
-            return ledger.LieDims(
-                dim_g=read_int(obj["dim_g"], "'dim_g'", "MAX_LEDGER_INT"),
-                dim_g_der=read_int(obj["dim_g_der"], "'dim_g_der'", "MAX_LEDGER_INT"),
-                dim_g_ab=read_int(obj["dim_g_ab"], "'dim_g_ab'", "MAX_LEDGER_INT"),
-                dim_b_der=read_int(obj["dim_b_der"], "'dim_b_der'", "MAX_LEDGER_INT"),
-                dim_z=(read_int(obj["dim_z"], "'dim_z'", "MAX_LEDGER_INT")
-                       if "dim_z" in obj else None),
-            )
+            # every field but the derived dim_z is required: a missing key is a KeyError
+            return ledger.LieDims(**{
+                key: read_int(obj[key], f"'{key}'", "MAX_LEDGER_INT")
+                for key in ledger.LieDims._fields if key in obj or key != "dim_z"
+            })
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad Lie dimensions: {exc}") from exc
     raise ScenarioError("'lie' must be {'gn': n} or explicit dimensions")

@@ -299,7 +299,10 @@ def build_group(spec) -> FiniteGroup:
         if kind == "elementary_abelian_2":
             return elementary_abelian_2(read_int(spec["k"], "group spec 'k'"))
         if kind == "product":
-            factors = [build_group(s) for s in spec["factors"]]
+            factors = spec["factors"]
+            if not isinstance(factors, list):
+                raise ValueError(f"product 'factors' must be a list, got {factors!r}")
+            factors = [build_group(s) for s in factors]
             if not factors:
                 raise ValueError("product needs at least one factor")
             out = factors[0]

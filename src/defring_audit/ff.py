@@ -27,17 +27,18 @@ caller asks which kind of field it holds.
 ``PrimeField`` and its builder ``_table_ops`` are the only readers of
 the tables.
 
-Polynomials are coefficient lists, computed on in a field's own operations:
-Rabin's test of a modulus (over ``mk_field(p)``) and distinct-degree
-factorization share one remainder, gcd and Frobenius step, and neither
-forms a product of two polynomials.
+Polynomials are coefficient lists or tuples, lowest degree first (``charpoly``
+returns a tuple), computed on in a field's own operations: Rabin's test of
+a modulus (over ``mk_field(p)``) and distinct-degree factorization share
+one remainder, gcd and Frobenius step, and neither forms a product of two
+polynomials.
 
 Eigenvalues live in the splitting field L = F_{q^D} of the characteristic
 polynomial over K = F_q.  The roots in K come from a scan of K; the rest
 is split by distinct-degree factorization, whose factor degrees give D, so
 L is the only extension field built.  A root of a degree-e factor is
 sought only in L's subfield of q^e elements, each candidate costing one
-Horner evaluation, and ``embed_field`` finds its root in the same way.
+Horner evaluation, and ``embed_field`` finds its root with the same scan.
 
 ``Record`` is the immutable base of the validated inputs of every layer.
 """
@@ -657,7 +658,8 @@ def embed_field(sub: PrimeField, ext: PrimeField) -> Callable[[int], int]:
     The generator of the subfield is sent to the smallest root (by
     integer encoding) of the subfield modulus in the extension, so the
     embedding is deterministic.  The roots are sought only in the
-    extension's subfield of sub.order elements, where they all lie.
+    extension's subfield of sub.order elements, where they all lie, and
+    the scan stops once all m of them are found.
     Prime subfields embed as constants.
     """
     if sub == ext:
@@ -666,34 +668,14 @@ def embed_field(sub: PrimeField, ext: PrimeField) -> Callable[[int], int]:
         raise ValueError("target is not an extension of the source field")
     if sub.m == 1:
         return lambda a: a
-    horner = ext.horner
-    root = min((z for z in ext.subfield(sub.order) if horner(sub.modulus, z) == 0), default=None)
-    if root is None:
+    roots, _ = _peel_roots(list(sub.modulus), ext.subfield(sub.order), ext)
+    if not roots:
         raise InternalCheckError("subfield modulus has no root in extension")
+    root = min(roots)
     powers = [1]
     for _ in range(sub.m - 1):
         powers.append(ext.mul(powers[-1], root))
     return lambda a: ext.dot(sub.coeffs(a), powers)
-
-
-# ---------------------------------------------------------------------------
-# Polynomials over a PrimeField
-# ---------------------------------------------------------------------------
-
-
-class PolyFF(Record):
-    """Polynomial over a PrimeField; coefficients lowest degree first."""
-
-    __slots__ = _fields = ("field", "coeffs")
-
-    def __init__(self, field: PrimeField, coeffs: tuple[int, ...]):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self._store(field=field, coeffs=tuple(c))
-
-    def __repr__(self) -> str:
-        return f"PolyFF({self.field!r}, {self.coeffs})"
 
 
 # ---------------------------------------------------------------------------
@@ -929,8 +911,8 @@ def mat_inverse(M: MatrixFF) -> MatrixFF:
     return MatrixFF(M.field, n, n, [x for row in reduced for x in row[n:]])
 
 
-def charpoly(M: MatrixFF) -> PolyFF:
-    """Monic characteristic polynomial det(T*I - M) in O(n^3) field operations.
+def charpoly(M: MatrixFF) -> tuple[int, ...]:
+    """Coefficients of det(T*I - M), lowest degree first, in O(n^3) field operations.
 
     M is brought to an upper Hessenberg matrix H by similarity transforms:
     for each column, a row swap with the matching column swap, then row i
@@ -984,7 +966,7 @@ def charpoly(M: MatrixFF) -> PolyFF:
             if c:
                 p[:i] = axpy(p[:i], mul(t, c), polys[i - 1])
         polys.append(p)
-    return PolyFF(f, tuple(polys[n]))
+    return tuple(polys[n])
 
 
 def is_unipotent(M: MatrixFF) -> bool:
@@ -1084,7 +1066,7 @@ def eigenvalues_in_splitting_field(M: MatrixFF) -> tuple[PrimeField, tuple[int, 
         return K, ()
     if K.order > MAX_FIELD_ORDER:
         raise _over_budget(MAX_FIELD_ORDER)
-    roots, rest = _peel_roots(list(chi.coeffs), K.elements(), K)
+    roots, rest = _peel_roots(list(chi), K.elements(), K)
     if len(rest) == 1:
         return K, tuple(sorted(roots))
     degrees = _factor_degrees(rest, K, MAX_FIELD_ORDER)

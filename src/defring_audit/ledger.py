@@ -3,12 +3,14 @@
 Everything here is exact integer arithmetic over immutable settings.  A
 setting records Lie-algebra dimensions together with a list of typed
 places (finite away from l, above l, archimedean), each carrying a local
-condition; the checker chains the per-place relative dimensions into the
-generator-count bound gamma - r0 and, on the dual side, assembles the
-Greenberg-Wiles formula into a dual-Selmer vanishing verdict.  Verdicts
-carry the full per-place table so a failed audit can be replayed by
-hand.  ``audit`` and the rank-n preset ``gn_audit`` give both checks as
-a report's ``(verdicts, diagnostics, ok)``, in JSON values only.
+condition.  ``framework_check`` walks the places once: it chains their
+relative dimensions into gamma, compares that sum with gamma's closed
+form, and bounds the generator count by gamma - r0.  On the dual side,
+``dual_selmer_verdict`` sums the Greenberg-Wiles formula into a
+dual-Selmer vanishing verdict.  Verdicts carry the full per-place table
+so a failed audit can be replayed by hand.  ``audit`` and the rank-n
+preset ``gn_audit`` give both checks as a report's
+``(verdicts, diagnostics, ok)``, in JSON values only.
 """
 
 from __future__ import annotations
@@ -204,36 +206,6 @@ def _require_part1_configuration(setting: DeformationSetting) -> None:
             raise ValueError("part-1 configuration needs 'sm' at every ell-place")
 
 
-def gamma(setting: DeformationSetting) -> int:
-    """Relative dimension of the framed min/sm global ring.
-
-    Computed two ways: the per-place sum
-    (#S_l - 1) dim g^ab + d_sm(l) + d_arch(inf) + d_min(S)
-    and the closed form
-    #S_l dim g + [F:Q] dim b^der - dim g^ab - sum(delta).
-    When the setting is degrees-complete the two must agree; the closed
-    form presumes one archimedean place per real embedding, so a
-    disagreement signals inconsistent degree data.
-    """
-    _require_part1_configuration(setting)
-    lie = setting.lie
-    per_place = (setting.s_ell_count - 1) * lie.dim_g_ab + sum(
-        expected_local_dim(lie, p) for p in setting.places
-    )
-    closed = (
-        setting.s_ell_count * lie.dim_g
-        + setting.deg_F * lie.dim_b_der
-        - lie.dim_g_ab
-        - setting.sum_delta()
-    )
-    if setting.degrees_complete and per_place != closed:
-        raise ValueError(
-            f"gamma mismatch: per-place sum {per_place} != closed form {closed} "
-            f"(inconsistent degree or archimedean-place data)"
-        )
-    return per_place
-
-
 class PlaceDim(NamedTuple):
     index: int
     kind: str
@@ -255,25 +227,44 @@ class FrameworkVerdict(NamedTuple):
 
 
 def framework_check(setting: DeformationSetting) -> FrameworkVerdict:
-    """Smoothness verdict for the framed min/sm ring.
+    """Smoothness verdict for the framed min/sm ring, in one pass over the places.
+
+    gamma, the relative dimension of the framed global ring, is the
+    per-place sum
+    (#S_l - 1) dim g^ab + d_sm(l) + d_arch(inf) + d_min(S),
+    checked against the closed form
+    #S_l dim g + [F:Q] dim b^der - dim g^ab - sum(delta).
+    When the setting is degrees-complete the two must agree; the closed
+    form presumes one archimedean place per real embedding, so a
+    disagreement signals inconsistent degree data.
 
     gen_I = sum over ell-places of (d_sm - d_crys) bounds the number of
     relations; the ring is formally smooth when gen_I <= gamma - r0, and
     in the degrees-complete case both sides equal
     [F:Q] dim b^der - sum(delta), so the margin is exactly zero.
     """
+    _require_part1_configuration(setting)
     lie = setting.lie
-    g = gamma(setting)
-    r = r0(lie, setting.s_ell_count)
+    count = setting.s_ell_count
+    g = (count - 1) * lie.dim_g_ab
     gen_i = 0
     diagnostics = []
     for idx, p in enumerate(setting.places):
         dim = expected_local_dim(lie, p)
+        g += dim
         diagnostics.append(
             PlaceDim(idx, p.kind, p.condition, p.local_degree, p.delta, dim)
         )
         if p.kind == KIND_ELL:
             gen_i += dim - _crys_dim(lie, p.local_degree)
+    sum_delta = setting.sum_delta()
+    closed = count * lie.dim_g + setting.deg_F * lie.dim_b_der - lie.dim_g_ab - sum_delta
+    if setting.degrees_complete and g != closed:
+        raise ValueError(
+            f"gamma mismatch: per-place sum {g} != closed form {closed} "
+            f"(inconsistent degree or archimedean-place data)"
+        )
+    r = r0(lie, count)
     gen_bound = g - r
     margin = gen_bound - gen_i
     return FrameworkVerdict(
@@ -283,33 +274,8 @@ def framework_check(setting: DeformationSetting) -> FrameworkVerdict:
         gen_I=gen_i,
         margin=margin,
         smooth=gen_i <= gen_bound,
-        unframed_dim=setting.deg_F * lie.dim_b_der - setting.sum_delta(),
+        unframed_dim=setting.deg_F * lie.dim_b_der - sum_delta,
         diagnostics=tuple(diagnostics),
-    )
-
-
-class SelmerInput(Record):
-    """Global h^0 terms and per-place (dim L_v, h^0_v) pairs."""
-
-    __slots__ = _fields = ("h0_global", "h0_global_dual", "local_pairs")
-
-    def __init__(
-        self, h0_global: int, h0_global_dual: int, local_pairs: tuple[tuple[int, int], ...],
-    ):
-        local_pairs = tuple(tuple(p) for p in local_pairs)
-        if h0_global < 0 or h0_global_dual < 0:
-            raise ValueError("global h^0 terms must be nonnegative")
-        if any(l < 0 or h < 0 for l, h in local_pairs):
-            raise ValueError("local entries must be nonnegative")
-        self._store(h0_global=h0_global, h0_global_dual=h0_global_dual, local_pairs=local_pairs)
-
-
-def greenberg_wiles_diff(si: SelmerInput) -> int:
-    """dim H^1_L - dim H^1_{L-perp} = h0 - h0_dual + sum(dim L_v - h0_v)."""
-    return (
-        si.h0_global
-        - si.h0_global_dual
-        + sum(l - h for l, h in si.local_pairs)
     )
 
 
@@ -330,9 +296,11 @@ def dual_selmer_verdict(
     Local conditions are assembled per place: at S, dim L_v = h^0_v; at
     ell-places, dim L_v = h^0_v + [F_v:Q_l] dim g^der; at infinity,
     L_v = 0 with the archimedean h^0 total pinned by the identity
-    sum = [F:Q] (dim g^der - dim b^der).  The tangent dimension is
-    [F:Q] dim b^der, and the dual dimension is tangent minus the
-    Greenberg-Wiles difference.  All delta must vanish.
+    sum = [F:Q] (dim g^der - dim b^der).  The Greenberg-Wiles difference
+    dim H^1_L - dim H^1_{L-perp} = h^0 - h^0_dual + sum(dim L_v - h^0_v)
+    then has the terms [F_v:Q_l] dim g^der at ell, -h^0_v at infinity and
+    0 at S.  The tangent dimension is [F:Q] dim b^der, and the dual
+    dimension is tangent minus that difference.  All delta must vanish.
 
     ``h0_locals`` is a sequence aligned with ``setting.places``; when
     omitted, each place's ``h0_local`` (default 0) is used.
@@ -358,15 +326,8 @@ def dual_selmer_verdict(
             f"archimedean h^0 total {arch_total} violates the required identity "
             f"value {required}"
         )
-    pairs = []
-    for p, h in zip(places, h0_locals):
-        if p.kind == KIND_S:
-            pairs.append((h, h))
-        elif p.kind == KIND_ELL:
-            pairs.append((h + p.local_degree * lie.dim_g_der, h))
-        else:
-            pairs.append((0, h))
-    diff = greenberg_wiles_diff(SelmerInput(h0_global, h0_global_dual, tuple(pairs)))
+    ell_degree = sum(p.local_degree for p in places if p.kind == KIND_ELL)
+    diff = h0_global - h0_global_dual + ell_degree * lie.dim_g_der - arch_total
     tangent_dim = setting.deg_F * lie.dim_b_der
     dual_dim = tangent_dim - diff
     if dual_dim < 0:

@@ -52,7 +52,7 @@ def satisfies_one_condition(X: MatrixFF) -> bool:
     # the binomial coefficients lie in F_p, encoded alike in every F_{p^m}
     n, p = X.rows, X.field.p
     target = tuple(math.comb(n, k) * (-1) ** (n - k) % p for k in range(n + 1))
-    return charpoly(X).coeffs == target
+    return charpoly(X) == target
 
 
 def qpower_conjugacy(X: MatrixFF, phi: MatrixFF, q: int) -> bool:

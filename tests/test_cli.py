@@ -237,6 +237,17 @@ def test_density_k_outside_the_budget_exits_two(tmp_path, capsys, k):
     assert f"MAX_DENSITY_K = {MAX_DENSITY_K}" in report["error"]
 
 
+@pytest.mark.parametrize("factors", [{"S3": 1, "Z2": "x"}, "S3"], ids=["object", "string"])
+def test_product_factors_that_are_not_a_list_exit_two(tmp_path, capsys, factors):
+    # the keys of an object, or the characters of a string, are no factor list
+    gamma = {"type": "product", "factors": factors}
+    path = _write(tmp_path, {"mode": "density", "gamma": gamma, "k": 1})
+    assert run_scenario(path) == EXIT_INVALID
+    report = _last_json(capsys)
+    assert report["invalid"] is True
+    assert report["error"] == f"bad gamma spec: product 'factors' must be a list, got {factors!r}"
+
+
 def test_main_density_k_outside_the_budget_exits_two(capsys):
     assert main(["density", "--gamma", "S3", "--k", str(MAX_DENSITY_K + 1)]) == EXIT_INVALID
     assert "MAX_DENSITY_K" in capsys.readouterr().err

@@ -4,19 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defring_audit import ledger
 from defring_audit.ledger import (
     DeformationSetting,
     LieDims,
     PlaceSpec,
-    SelmerInput,
     arch_place,
     crys_place,
     dual_selmer_verdict,
     expected_local_dim,
     framework_check,
-    gamma,
     gn_dims,
-    greenberg_wiles_diff,
     min_place,
     r0,
     sm_place,
@@ -125,15 +123,15 @@ def test_r0_examples():
 
 
 def test_gamma_worked_example():
-    assert gamma(_gn_setting(2, 2, 1, [1, 1])) == 30
+    assert framework_check(_gn_setting(2, 2, 1, [1, 1])).gamma == 30
 
 
 def test_gamma_with_deltas():
-    assert gamma(_gn_setting(2, 2, 1, [1, 1], deltas=[1, 0])) == 29
+    assert framework_check(_gn_setting(2, 2, 1, [1, 1], deltas=[1, 0])).gamma == 29
 
 
 def test_gamma_minimal_example():
-    assert gamma(_gn_setting(1, 1, 0, [1])) == 4
+    assert framework_check(_gn_setting(1, 1, 0, [1])).gamma == 4
 
 
 def test_gamma_flags_inconsistent_arch_count():
@@ -141,7 +139,7 @@ def test_gamma_flags_inconsistent_arch_count():
         gn_dims(2), 2, (min_place(), sm_place(1), sm_place(1), arch_place())
     )
     with pytest.raises(ValueError, match="mismatch"):
-        gamma(bad)
+        framework_check(bad)
 
 
 def test_gamma_requires_part1_conditions():
@@ -150,13 +148,27 @@ def test_gamma_requires_part1_conditions():
         (unrestricted_s_place(), sm_place(1), sm_place(1), arch_place(), arch_place()),
     )
     with pytest.raises(ValueError):
-        gamma(s)
+        framework_check(s)
     s2 = DeformationSetting(
         gn_dims(2), 2,
         (min_place(), crys_place(1), sm_place(1), arch_place(), arch_place()),
     )
     with pytest.raises(ValueError):
-        gamma(s2)
+        framework_check(s2)
+
+
+def test_framework_check_computes_each_place_dimension_once(monkeypatch):
+    calls = []
+    expected = ledger.expected_local_dim
+
+    def counted(lie, place):
+        calls.append(place)
+        return expected(lie, place)
+
+    monkeypatch.setattr(ledger, "expected_local_dim", counted)
+    setting = _gn_setting(2, 2, 1, [1, 1])
+    assert framework_check(setting).gamma == 30
+    assert calls == list(setting.places)
 
 
 def test_framework_check_worked_example():
@@ -235,19 +247,23 @@ def test_taylor_wiles_sum_examples():
 
 
 def test_greenberg_wiles_diff_examples():
-    assert greenberg_wiles_diff(SelmerInput(0, 0, ((2, 1), (3, 3), (0, 0)))) == 1
-    assert greenberg_wiles_diff(SelmerInput(4, 4, ((5, 5), (2, 2)))) == 0
-    assert (
-        greenberg_wiles_diff(SelmerInput(0, 0, ((4, 0), (4, 0), (0, 0), (0, 1), (0, 1))))
-        == 6
+    # dual_dim = [F:Q] dim b^der - (h0 - h0_dual + sum(dim L_v - h0_v)), where
+    # dim L_v - h0_v is 0 at S, [F_v:Q_l] dim g^der at ell and -h0_v at infinity
+    setting = DeformationSetting(
+        gn_dims(2), 2, (min_place(), sm_place(2), arch_place(), arch_place())
     )
-
-
-def test_selmer_input_validation():
-    with pytest.raises(ValueError):
-        SelmerInput(-1, 0, ())
-    with pytest.raises(ValueError):
-        SelmerInput(0, 0, ((1, -1),))
+    h0s = [3, 2, 1, 1]  # the difference is h0 - h0_dual + 0 + 2 * 4 - 2
+    assert dual_selmer_verdict(setting, 0, 0, h0s) == (True, 0, 6)
+    assert dual_selmer_verdict(setting, 0, 2, h0s) == (False, 2, 6)
+    assert dual_selmer_verdict(setting, 1, 1, h0s) == (False, 0, 6)
+    with pytest.raises(ValueError, match="^negative dual-Selmer dimension"):
+        dual_selmer_verdict(setting, 1, 0, h0s)
+    # one ell degree against [F:Q] = 3: the difference is 0 + 1 * 2 - 3
+    partial = DeformationSetting(
+        LieDims(3, 2, 1, 1), 3, (min_place(), sm_place(1), arch_place()),
+        degrees_complete=False,
+    )
+    assert dual_selmer_verdict(partial, 0, 0, [4, 0, 3]) == (False, 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +293,15 @@ def test_dual_selmer_rejects_bad_arch_total():
     setting = _gn_setting(2, 2, 1, [1, 1])
     with pytest.raises(ValueError, match="archimedean"):
         dual_selmer_verdict(setting, 0, 0, [0, 0, 0, 2, 1])
+
+
+def test_dual_selmer_rejects_negative_h0():
+    setting = _gn_setting(2, 2, 1, [1, 1])
+    for h0_global, h0_global_dual in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="^global h\\^0 values must be nonnegative$"):
+            dual_selmer_verdict(setting, h0_global, h0_global_dual, [0, 0, 0, 1, 1])
+    with pytest.raises(ValueError, match="^local h\\^0 values must be nonnegative$"):
+        dual_selmer_verdict(setting, 0, 0, [0, -1, 0, 1, 1])
 
 
 def test_dual_selmer_uses_place_h0_when_not_supplied():

@@ -1,6 +1,6 @@
 """The record contract of the layers' input and result types.
 
-Nine validated inputs are ``ff.Record`` subclasses and seven results are
+Seven validated inputs are ``ff.Record`` subclasses and seven results are
 ``typing.NamedTuple``s.  Each is built by keyword with its defaults, is
 immutable, and (for the inputs) compares and hashes by its field values;
 every validation error keeps its message.
@@ -15,7 +15,7 @@ import pytest
 from defring_audit.acceptance import CriterionResult
 from defring_audit.cohomology import CohomologyDims, CyclicAction, InvolutionSpec, antidiagonal_ones
 from defring_audit.density import BoundCertificate, SplitDensityProblem, symmetric_group
-from defring_audit.ff import MatrixFF, PolyFF, Record, mk_field
+from defring_audit.ff import MatrixFF, Record, mk_field
 from defring_audit.ledger import (
     DeformationSetting,
     DualSelmerVerdict,
@@ -23,7 +23,6 @@ from defring_audit.ledger import (
     LieDims,
     PlaceDim,
     PlaceSpec,
-    SelmerInput,
 )
 from defring_audit.partitions import LemmaReport, Partition
 
@@ -40,11 +39,6 @@ ELL = PlaceSpec(kind="ell", condition="sm", local_degree=1)
 #           the same arguments with one field changed)
 VALIDATED = {
     Partition: ({"parts": [3, 1]}, {"parts": (3, 1), "n": 4}, {"parts": (2, 2)}),
-    PolyFF: (
-        {"field": F5, "coeffs": (1, 2, 0, 0)},
-        {"field": F5, "coeffs": (1, 2)},
-        {"field": F5, "coeffs": (1, 3)},
-    ),
     LieDims: (
         {"dim_g": 5, "dim_g_der": 4, "dim_g_ab": 1, "dim_b_der": 3},
         {"dim_g": 5, "dim_g_der": 4, "dim_g_ab": 1, "dim_b_der": 3, "dim_z": 1},
@@ -60,11 +54,6 @@ VALIDATED = {
         {"lie": LIE, "deg_F": 1, "places": [ELL, ARCH]},
         {"lie": LIE, "deg_F": 1, "places": (ELL, ARCH), "degrees_complete": True},
         {"lie": LIE, "deg_F": 1, "places": [ELL]},
-    ),
-    SelmerInput: (
-        {"h0_global": 0, "h0_global_dual": 1, "local_pairs": [[2, 1]]},
-        {"h0_global": 0, "h0_global_dual": 1, "local_pairs": ((2, 1),)},
-        {"h0_global": 0, "h0_global_dual": 1, "local_pairs": [[2, 0]]},
     ),
     SplitDensityProblem: (
         {"gamma": S3, "subgroup": {S3.identity}, "k": 1},
@@ -106,8 +95,10 @@ def _build(cls):
 
 
 def test_every_record_is_listed():
-    assert len(ALL) == 16
+    assert len(ALL) == 14
     assert all(issubclass(cls, Record) for cls in VALIDATED)
+    # a record that refuses nothing validates nothing
+    assert set(VALIDATED) <= {cls for cls, _, _ in REFUSED}
     assert all(issubclass(cls, tuple) and hasattr(cls, "_asdict") for cls in RESULTS)
 
 
@@ -150,7 +141,8 @@ def test_assigning_an_attribute_raises(cls):
     assert getattr(record, name) == value
 
 
-@pytest.mark.parametrize("cls, kwargs, message", [
+# (class, keyword arguments it refuses, the message)
+REFUSED = [
     (Partition, {"parts": ()}, "partition must be nonempty"),
     (Partition, {"parts": (2, 0)}, "parts must be positive"),
     (Partition, {"parts": (1, 2)}, "parts must be weakly decreasing"),
@@ -179,10 +171,10 @@ def test_assigning_an_attribute_raises(cls):
      "at least one place is required"),
     (DeformationSetting, {"lie": LIE, "deg_F": 2, "places": [ELL]},
      "degrees-complete setting needs ell degrees summing to deg_F (1 != 2)"),
-    (SelmerInput, {"h0_global": -1, "h0_global_dual": 0, "local_pairs": []},
-     "global h^0 terms must be nonnegative"),
-    (SelmerInput, {"h0_global": 0, "h0_global_dual": 0, "local_pairs": [(1, -1)]},
-     "local entries must be nonnegative"),
+    (SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity}, "k": 65},
+     "k must be an integer with 1 <= k <= MAX_DENSITY_K = 64, got 65"),
+    (SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity}, "k": True},
+     "k must be an integer with 1 <= k <= MAX_DENSITY_K = 64, got True"),
     (SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity}, "k": 0},
      "k must be an integer with 1 <= k <= MAX_DENSITY_K = 64, got 0"),
     (SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity, 1, 2}, "k": 1},
@@ -196,7 +188,10 @@ def test_assigning_an_attribute_raises(cls):
     (InvolutionSpec, {"n": 3, "J": J2}, "J must be n x n"),
     (InvolutionSpec, {"n": 2, "J": MatrixFF.from_rows(F5, [[1, 1], [0, 1]])},
      "J must be symmetric or antisymmetric, or the twist is no involution"),
-])
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, message", REFUSED)
 def test_validation_messages_are_unchanged(cls, kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**kwargs)
