@@ -12,10 +12,13 @@ irreducible modulus (coefficients compared constant term first).  This
 makes every computation reproducible across runs and platforms.
 
 A field picks its arithmetic once, when built: F_p computes on residues
-mod p, and for m >= 2 every operation walks log/antilog tables of a
-primitive element and a Zech-logarithm table, which change no encoding
-and no result.  Their size caps extension fields at MAX_FIELD_ORDER =
-2^20 elements, which is also the cap of the splitting-field search.
+mod p, and for m >= 2 every product walks log/antilog tables of a
+primitive element, which change no encoding and no result.  A sum in
+F_{2^m} is the XOR of two encodings, whose base-2 digits are bits (Lidl &
+Niederreiter, Finite Fields, ch. 2); for odd p it walks a Zech-logarithm
+table, which F_{2^m} never builds.  The tables' size caps extension
+fields at MAX_FIELD_ORDER = 2^20 elements, which is also the cap of the
+splitting-field search.
 Prime fields F_p need no tables; p is capped only by the exact primality
 test, at MAX_PRIMALITY_N.
 
@@ -28,17 +31,20 @@ caller asks which kind of field it holds.
 the tables.
 
 Polynomials are coefficient lists or tuples, lowest degree first (``charpoly``
-returns a tuple), computed on in a field's own operations: Rabin's test of
-a modulus (over ``mk_field(p)``) and distinct-degree factorization share
-one remainder, gcd and Frobenius step, and neither forms a product of two
-polynomials.
+returns a tuple), computed on in a field's own operations: Ben-Or's test
+of a modulus (over ``mk_field(p)``) and distinct-degree factorization
+share one remainder, gcd and Frobenius step, and neither forms a product
+of two polynomials.
 
 Eigenvalues live in the splitting field L = F_{q^D} of the characteristic
 polynomial over K = F_q.  The roots in K come from a scan of K; the rest
 is split by distinct-degree factorization, whose factor degrees give D, so
 L is the only extension field built.  A root of a degree-e factor is
 sought only in L's subfield of q^e elements, each candidate costing one
-Horner evaluation, and ``embed_field`` finds its root with the same scan.
+Horner evaluation.  A root found brings its whole orbit under z -> z^q,
+the other roots of its irreducible factor, so the scan divides them all
+out at once and stops when the quotient is constant.  ``embed_field``
+finds its root with the same scan.
 
 ``Record`` is the immutable base of the validated inputs of every layer.
 """
@@ -56,6 +62,10 @@ from .limits import MAX_FIELD_ORDER, MAX_PRIMALITY_N
 
 class ScanBudgetExceeded(ValueError):
     """The splitting field of a characteristic polynomial is beyond the budget."""
+
+
+class ReducibleModulus(ValueError):
+    """A PrimeField modulus of degree >= 2 that is not irreducible over F_p."""
 
 
 class InternalCheckError(RuntimeError):
@@ -261,24 +271,23 @@ def _minus_t(x: list[int], K: PrimeField) -> list[int]:
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Rabin's irreducibility test for a monic polynomial over F_p.
+    """Ben-Or's irreducibility test for a monic polynomial over F_p.
 
-    A poly of degree m is irreducible iff T^(p^m) = T mod poly and
-    gcd(T^(p^(m/r)) - T, poly) = 1 for each prime r | m.  The powers
-    T^(p^k) mod poly, k <= m, come from m Frobenius steps.
+    A poly of degree m is reducible iff it has an irreducible factor of
+    some degree d <= m/2, that is iff gcd(T^(p^d) - T, poly) != 1 for some
+    d <= m/2 (Ben-Or 1981).  Each d costs one Frobenius step and one gcd,
+    and the test stops at the first d that finds a factor.
     """
     m = len(poly) - 1
     if m < 1:
         return False
-    if m == 1:
-        return True
     K = mk_field(p)
-    frob = [[0, 1]]  # frob[k] = T^(p^k) mod poly
-    for _ in range(m):
-        frob.append(_frobenius(frob[-1], poly, K))
-    return frob[m] == [0, 1] and all(
-        len(_pgcd(_minus_t(frob[m // r], K), poly, K)) == 1 for r in _prime_divisors(m)
-    )
+    frob = [0, 1]  # T^(p^d) mod poly
+    for _ in range(m // 2):
+        frob = _frobenius(frob, poly, K)
+        if len(_pgcd(_minus_t(frob, K), poly, K)) > 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +304,14 @@ def _check_field_order(p: int, m: int) -> None:
         )
 
 
-def _log_tables(p: int, m: int, modulus: Sequence[int]) -> tuple[list, list, list]:
+def _log_tables(p: int, m: int, modulus: Sequence[int]) -> tuple[list, list, list | None]:
     """Antilog, log and Zech tables of the field F_p[T]/(modulus), m >= 2.
 
     With g the smallest primitive element by encoding and q = p^m:
     ``exp[i] = g^i`` for 0 <= i < 2(q-1), so a sum of two logs needs no
     reduction; ``log[a]`` is the log of a nonzero a and ``log[0]`` is None;
     ``zech[n] = log(1 + g^n)`` for 0 <= n < q-1, None where 1 + g^n = 0.
+    For p = 2 a sum is the XOR of two encodings, so ``zech`` is None.
 
     The tables are filled by walks x -> xT, one for each coset of <T>, and
     no polynomial product is formed.  If T has order q - 1, then g = T and
@@ -398,8 +408,17 @@ def _log_tables(p: int, m: int, modulus: Sequence[int]) -> tuple[list, list, lis
             walk(h, i, step)
     if log.count(None) != 1:
         raise InternalCheckError(f"the cosets of <T> do not cover F_{p}^{m}")
-    # 1 + x changes only the constant digit of x
-    zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in exp]
+    if p == 2:
+        return exp + exp, log, None
+    # 1 + x changes only the constant digit of x: log(1 + x) is log[x + 1],
+    # or log[x + 1 - p] where that digit is p - 1.  log_succ holds it for
+    # every x, from two slices, and is freed before exp + exp is formed,
+    # so the build's peak memory does not rise.
+    log_succ = log[1:]
+    log_succ.append(None)  # x = q - 1 ends in the digit p - 1: set next
+    log_succ[p - 1 :: p] = log[::p]
+    zech = list(map(log_succ.__getitem__, exp))
+    del log_succ
     return exp + exp, log, zech
 
 
@@ -448,27 +467,15 @@ def _residue_ops(p: int) -> tuple[Callable, ...]:
 
 def _table_ops(f: PrimeField) -> tuple[Callable, ...]:
     """The operations of F_{p^m}, m >= 2, in ``PrimeField``'s order, as
-    walks of ``f``'s tables instead of calls to the field per entry."""
+    walks of ``f``'s tables instead of calls to the field per entry.
+
+    Products are antilogs of sums of logs.  In characteristic 2 a sum is
+    the XOR of the two encodings (their digits are bits) and -a = a; for
+    odd p a sum goes through the Zech table, a + b = a (1 + b/a).
+    """
     exp, log, zech = f._exp, f._log, f._zech
     q = f.order
     n = q - 1
-    log_minus_one = 0 if f.p == 2 else n >> 1  # -1 = g^((q-1)/2) for odd q
-
-    def add(a: int, b: int) -> int:
-        if not a:
-            return b
-        if not b:
-            return a
-        la = log[a]
-        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
-        z = zech[log[b] - la]
-        return 0 if z is None else exp[la + z]
-
-    def neg(a: int) -> int:
-        return exp[log[a] + log_minus_one] if a else 0
-
-    def sub(a: int, b: int) -> int:
-        return add(a, neg(b))
 
     def mul(a: int, b: int) -> int:
         return exp[log[a] + log[b]] if a and b else 0
@@ -489,6 +496,53 @@ def _table_ops(f: PrimeField) -> tuple[Callable, ...]:
     def scale(c: int, y: list[int]) -> list[int]:
         lc = log[c]
         return [exp[lc + log[b]] if b else 0 for b in y]
+
+    if zech is None:
+
+        def neg(a: int) -> int:
+            return a
+
+        def axpy(x: list[int], c: int, y: list[int]) -> list[int]:
+            if not c:
+                return list(x)
+            lc = log[c]
+            return [a ^ exp[lc + log[b]] if b else a for a, b in zip(x, y)]
+
+        def dot(x: Sequence[int], y: Sequence[int]) -> int:
+            s = 0
+            for a, b in zip(x, y):
+                if a and b:
+                    s ^= exp[log[a] + log[b]]
+            return s
+
+        def horner(c: Sequence[int], x: int) -> int:
+            if not x:
+                return c[0] if c else 0
+            lx = log[x]
+            s = 0
+            for a in reversed(c):
+                s = exp[log[s] + lx] ^ a if s else a
+            return s
+
+        return operator.xor, neg, operator.xor, mul, inv, power, scale, axpy, dot, horner
+
+    log_minus_one = n >> 1  # -1 = g^((q-1)/2) for odd q
+
+    def add(a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
+        z = zech[log[b] - la]
+        return 0 if z is None else exp[la + z]
+
+    def neg(a: int) -> int:
+        return exp[log[a] + log_minus_one] if a else 0
+
+    def sub(a: int, b: int) -> int:
+        return add(a, neg(b))
 
     def axpy(x: list[int], c: int, y: list[int]) -> list[int]:
         if not c:
@@ -577,7 +631,7 @@ class PrimeField:
             ops = _residue_ops(p)
         else:
             if not _is_irreducible(self.modulus, p):
-                raise ValueError(f"modulus {self.modulus} is not irreducible over F_{p}")
+                raise ReducibleModulus(f"modulus {self.modulus} is not irreducible over F_{p}")
             self._exp, self._log, self._zech = _log_tables(p, m, self.modulus)
             ops = _table_ops(self)
         (self.add, self.neg, self.sub, self.mul, self.inv, self.pow,
@@ -642,13 +696,17 @@ def mk_field(p: int, m: int = 1) -> PrimeField:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
-        # Horner at every r in F_p^* at once: a root r is a factor T - r, and
-        # a reducible candidate of degree m <= 3 has a factor of degree 1
+        # Horner at every r in F_p^* at once: a root r is a factor T - r
         values = [1] * (p - 1)
         for c in reversed(tail):
             values = [(v * r + c) % p for r, v in enumerate(values, 1)]
-        if 0 not in values and (m <= 3 or _is_irreducible(tail + (1,), p)):
-            return PrimeField(p, m, tail + (1,))
+        if 0 not in values:
+            # PrimeField tests irreducibility itself, so each candidate is
+            # tested once; only that test's refusal moves the scan on
+            try:
+                return PrimeField(p, m, tail + (1,))
+            except ReducibleModulus:
+                continue
     raise InternalCheckError("no irreducible modulus found")
 
 
@@ -658,8 +716,9 @@ def embed_field(sub: PrimeField, ext: PrimeField) -> Callable[[int], int]:
     The generator of the subfield is sent to the smallest root (by
     integer encoding) of the subfield modulus in the extension, so the
     embedding is deterministic.  The roots are sought only in the
-    extension's subfield of sub.order elements, where they all lie, and
-    the scan stops once all m of them are found.
+    extension's subfield of sub.order elements, where they all lie; the
+    modulus is irreducible over F_p, so its m roots are the orbit of the
+    first one found under z -> z^p, and the scan stops there.
     Prime subfields embed as constants.
     """
     if sub == ext:
@@ -668,7 +727,7 @@ def embed_field(sub: PrimeField, ext: PrimeField) -> Callable[[int], int]:
         raise ValueError("target is not an extension of the source field")
     if sub.m == 1:
         return lambda a: a
-    roots, _ = _peel_roots(list(sub.modulus), ext.subfield(sub.order), ext)
+    roots, _ = _peel_roots(list(sub.modulus), ext.subfield(sub.order), ext, ext.p)
     if not roots:
         raise InternalCheckError("subfield modulus has no root in extension")
     root = min(roots)
@@ -987,23 +1046,43 @@ def _over_budget(limit: int) -> ScanBudgetExceeded:
 
 
 def _peel_roots(
-    poly: list[int], candidates: Iterable[int], f: PrimeField
+    poly: list[int], candidates: Iterable[int], f: PrimeField, q: int
 ) -> tuple[list[int], list[int]]:
     """The roots of the monic ``poly`` among ``candidates``, with multiplicity,
-    and the quotient left once they are divided out.  Each candidate costs
-    one Horner evaluation; synthetic division runs only at a root."""
-    horner, add, mul = f.horner, f.add, f.mul
+    and the quotient left once they are divided out.
+
+    ``poly``'s coefficients lie in the subfield of q elements, so the roots
+    of each of its irreducible factors form one orbit under z -> z^q (von
+    zur Gathen & Gerhard, Modern Computer Algebra, ch. 14): a root z brings
+    z^q, z^(q^2), ... with it, and each is divided out as often as it is a
+    root.  ``candidates`` must hold whole orbits for the quotient to be
+    free of them.  A candidate costs one Horner evaluation, and each root
+    one more per further copy tried; the scan stops once the quotient is
+    constant.  A conjugate that is no root raises InternalCheckError.
+    """
+    horner, add, mul, power = f.horner, f.add, f.mul, f.pow
     roots: list[int] = []
     for z in candidates:
-        # the quotient stays monic, and a constant 1 has no root
-        while horner(poly, z) == 0:
-            # synthetic division by T - z: q_(n-1) = c_n, q_(i-1) = c_i + z q_i
-            poly = poly[1:]
-            for i in range(len(poly) - 2, -1, -1):
-                poly[i] = add(poly[i], mul(z, poly[i + 1]))
-            roots.append(z)
-        if len(poly) == 1:
+        if len(poly) == 1:  # the quotient stays monic, and 1 has no root
             break
+        if horner(poly, z):
+            continue
+        w = z
+        while True:
+            # w is a root: divide out T - w as often as it is one, by
+            # synthetic division: d_(n-1) = c_n, d_(i-1) = c_i + w d_i
+            while True:
+                poly = poly[1:]
+                for i in range(len(poly) - 2, -1, -1):
+                    poly[i] = add(poly[i], mul(w, poly[i + 1]))
+                roots.append(w)
+                if len(poly) == 1 or horner(poly, w):
+                    break
+            w = power(w, q)
+            if w == z:
+                break
+            if horner(poly, w):
+                raise InternalCheckError(f"the conjugate {w} of the root {z} is not a root")
     return roots, poly
 
 
@@ -1066,7 +1145,7 @@ def eigenvalues_in_splitting_field(M: MatrixFF) -> tuple[PrimeField, tuple[int, 
         return K, ()
     if K.order > MAX_FIELD_ORDER:
         raise _over_budget(MAX_FIELD_ORDER)
-    roots, rest = _peel_roots(list(chi), K.elements(), K)
+    roots, rest = _peel_roots(list(chi), K.elements(), K, K.order)
     if len(rest) == 1:
         return K, tuple(sorted(roots))
     degrees = _factor_degrees(rest, K, MAX_FIELD_ORDER)
@@ -1079,7 +1158,7 @@ def eigenvalues_in_splitting_field(M: MatrixFF) -> tuple[PrimeField, tuple[int, 
     roots = [emb(z) for z in roots]
     rest = [emb(c) for c in rest]
     for e in sorted(set(degrees)):
-        found, rest = _peel_roots(rest, L.subfield(K.order**e), L)
+        found, rest = _peel_roots(rest, L.subfield(K.order**e), L, K.order)
         roots += found
     if len(rest) != 1:
         raise InternalCheckError("a factor's roots are missing from its subfield")

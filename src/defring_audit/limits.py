@@ -28,9 +28,10 @@ MAX_CYCLIC_ORDER = 4096
 MAX_INVOLUTION_N = 12  # the twisted involution acts on n^2 x n^2 matrices
 # rows and columns of a sigma, J or check-type matrix.  Not yet a probe
 # case (ROADMAP item 5); the slowest input known at the limit is a dense
-# 12 x 12 sigma of order 4096 over F_2^20, ~2 s in a fresh process, ~1.5 s
-# of it building the field and ~0.02 s the norm; a check-type matrix takes
-# < 0.05 s after the field is built (2-core Xeon, Python 3.11).
+# 12 x 12 sigma of order 4096 over F_2^20, ~0.9 s and 121 MB in a fresh
+# process, 0.5-0.7 s of it building the field and < 0.01 s the norm; a
+# check-type matrix takes < 0.05 s after the field is built (2-core Xeon,
+# Python 3.11).
 MAX_MATRIX_DIM = 12
 
 # places of a ledger setting, counted for gn-audit as s_count +

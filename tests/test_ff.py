@@ -19,6 +19,7 @@ from defring_audit.ff import (
     MAX_PRIMALITY_N,
     MatrixFF,
     PrimeField,
+    ReducibleModulus,
     ScanBudgetExceeded,
     _check_field_order,
     _digits,
@@ -496,7 +497,10 @@ def _order_of_t(f):
 @pytest.mark.parametrize("p,m", _extension_fields(2**12) + [(101, 2)])
 def test_log_tables_match_the_schoolbook_oracle(p, m):
     f = mk_field(p, m)
-    assert (f._exp, f._log, f._zech) == _log_tables_oracle(p, m, f.modulus)
+    exp, log, zech = _log_tables_oracle(p, m, f.modulus)
+    assert (f._exp, f._log) == (exp, log)
+    # a sum in characteristic 2 is a XOR, so no Zech table is built
+    assert f._zech == (None if p == 2 else zech)
 
 
 def test_the_generator_is_the_smallest_primitive_element_by_brute_force():
@@ -682,8 +686,20 @@ def test_constructor_accepts_bools_and_empty_matrices():
 
 
 def test_prime_field_rejects_a_reducible_modulus():
-    with pytest.raises(ValueError, match="not irreducible"):
+    with pytest.raises(ReducibleModulus, match="not irreducible"):
         PrimeField(2, 2, (1, 0, 1))  # T^2 + 1 = (T + 1)^2
+
+
+def test_the_modulus_scan_moves_on_only_from_a_reducible_candidate(fresh_field_cache,
+                                                                   monkeypatch):
+    def broken(*args):
+        raise ValueError("table build failed")
+
+    monkeypatch.setattr(ff, "_log_tables", broken)
+    # over F_{2^5} and F_{3^4} the scan's first root-free candidate is reducible
+    for p, m in ((2, 2), (2, 5), (3, 4)):
+        with pytest.raises(ValueError, match="^table build failed$"):
+            fresh_field_cache(p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -1181,7 +1197,10 @@ def fresh_field_cache(monkeypatch):
     return cached
 
 
-@pytest.mark.parametrize("p, m, big_m", [(2, 2, 4), (3, 2, 4), (2, 3, 6), (2, 2, 12)])
+@pytest.mark.parametrize(
+    "p, m, big_m",
+    [(2, 2, 4), (3, 2, 4), (2, 3, 6), (2, 2, 12), (2, 4, 8), (5, 2, 4), (7, 2, 4)],
+)
 def test_embed_field_sends_the_generator_to_the_smallest_root(fresh_field_cache, p, m, big_m):
     sub, ext = mk_field(p, m), mk_field(p, big_m)
 
@@ -1193,8 +1212,11 @@ def test_embed_field_sends_the_generator_to_the_smallest_root(fresh_field_cache,
         return value
 
     roots = [z for z in ext.elements() if modulus_at(z) == 0]
+    # building sub and ext the first time builds F_p for their irreducibility
+    # tests; the root search itself builds no field
+    misses = fresh_field_cache.cache_info().misses
     emb = embed_field(sub, ext)
-    assert fresh_field_cache.cache_info().misses == 0  # the root search builds no field
+    assert fresh_field_cache.cache_info().misses == misses
     assert emb(p) == min(roots)  # the encoding p is the generator T
     for a, b in itertools.product(sub.elements(), repeat=2):
         assert emb(sub.mul(a, b)) == ext.mul(emb(a), emb(b))
@@ -1491,7 +1513,14 @@ def test_subfield_lists_each_element_of_the_subfield_once(p, m):
         assert len(got) == order and set(got) == want
 
 
-@pytest.mark.parametrize("field", [F2, F5, F101, mk_field(2, 4), mk_field(3, 2)], ids=repr)
+# every F_{2^m} up to m = 12, whose sums are XORs, odd fields, whose sums
+# walk the Zech table, and prime fields
+VECTOR_FIELDS = [mk_field(2, m) for m in range(2, 13)] + [
+    F2, F5, F101, mk_field(3, 2), mk_field(3, 5), mk_field(5, 2), mk_field(7, 3), mk_field(101, 2)
+]
+
+
+@pytest.mark.parametrize("field", VECTOR_FIELDS, ids=repr)
 def test_vector_horner_matches_field_horner(field):
     horner = field.horner
     rng = random.Random(f"horner {field!r}")
@@ -1501,6 +1530,134 @@ def test_vector_horner_matches_field_horner(field):
     for c in polys:
         for x in range(min(field.order, 16)):
             assert horner(c, x) == _field_horner(field, c, x), (c, x)
+
+
+@pytest.mark.parametrize("f", VECTOR_FIELDS, ids=repr)
+def test_vector_ops_match_the_element_operations(f):
+    rng = random.Random(f"vector ops {f!r}")
+
+    def row(n):
+        return [rng.choice([0, 1, rng.randrange(f.order)]) for _ in range(n)]
+
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        x, y = row(n), row(n)
+        c = rng.choice([0, 1, f.order - 1, rng.randrange(f.order)])
+        assert f.axpy(x, c, y) == [f.sub(a, f.mul(c, b)) for a, b in zip(x, y)]
+        if c:  # the pivots of an elimination, the one caller, are nonzero
+            assert f.scale(c, y) == [f.mul(c, b) for b in y]
+        total = 0
+        for a, b in zip(x, y):
+            total = f.add(total, f.mul(a, b))
+        assert f.dot(x, y) == total
+        assert f.dot(x, y[: n // 2]) == f.dot(x[: n // 2], y)  # zip stops at the shorter
+
+
+def _scan_roots(f, poly, candidates):
+    """The exhaustive root scan: every candidate, divided out by synthetic
+    division as often as it is a root, with no orbit taken and no early stop."""
+    roots = []
+    for z in candidates:
+        while len(poly) > 1:
+            quot, rem = _divide_by_linear(f, poly, z)
+            if rem:
+                break
+            roots.append(z)
+            poly = quot
+    return roots, poly
+
+
+def _irreducible_products(K, rng, count):
+    """Seeded products of monic irreducible factors over K of degree at most 3,
+    some repeated, as (product, factor degrees)."""
+    pool = []
+    while len(pool) < 12:
+        g = [rng.randrange(K.order) for _ in range(rng.randint(1, 3))] + [1]
+        # a factor of degree at most 3 with no root in K is irreducible
+        if len(g) == 2 or all(_field_horner(K, g, z) for z in K.elements()):
+            pool.append(g)
+    for _ in range(count):
+        poly, degrees = [1], []
+        for g in rng.sample(pool, rng.randint(1, 3)):
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                poly = _poly_mul(K, poly, g)
+            degrees.append(len(g) - 1)
+        yield poly, degrees
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+def test_orbit_peeling_matches_the_exhaustive_scan(p, m):
+    K = mk_field(p, m)
+    rng = random.Random(f"orbit peeling {p}^{m}")
+    multiple = 0
+    for poly, degrees in _irreducible_products(K, rng, 25):
+        D = math.lcm(*degrees)
+        if K.order**D > 2**14:
+            continue
+        L = mk_field(p, m * D)
+        emb = embed_field(K, L)
+        got = want = [emb(c) for c in poly]
+        # the subfields in the order eigenvalues_in_splitting_field scans them
+        for e in sorted(set(degrees)):
+            candidates = L.subfield(K.order**e) if L != K else K.elements()
+            roots, got = ff._peel_roots(got, candidates, L, K.order)
+            oracle_roots, want = _scan_roots(L, want, candidates)
+            assert sorted(roots) == sorted(oracle_roots), (poly, e)
+            assert got == want, (poly, e)
+            multiple += len(roots) > len(set(roots))
+        assert got == [1] and want == [1]
+        # and in one pass over the whole field
+        if L.order <= 2**10:
+            everything = [emb(c) for c in poly]
+            roots, rest = ff._peel_roots(everything, L.elements(), L, K.order)
+            assert (sorted(roots), rest) == (sorted(_scan_roots(L, everything, L.elements())[0]), [1])
+    assert multiple >= 3  # repeated roots were peeled
+
+
+@pytest.mark.parametrize("p, m, big_m", [(2, 4, 8), (3, 3, 3), (5, 2, 4)])
+def test_one_root_brings_its_whole_orbit(p, m, big_m):
+    # the modulus of F_{p^m} is irreducible over F_p: from any one of its
+    # roots, the scan divides out all m, each as often as it is a root
+    sub, ext = mk_field(p, m), mk_field(p, big_m)
+    modulus = list(sub.modulus)
+    orbit, _ = _scan_roots(ext, modulus, ext.elements())
+    for power in (1, 2, 3):
+        poly = [1]
+        for _ in range(power):
+            poly = _poly_mul(ext, poly, modulus)
+        for z in orbit:
+            roots, rest = ff._peel_roots(poly, [z], ext, p)
+            assert sorted(roots) == sorted(orbit * power) and rest == [1]
+
+
+@pytest.mark.parametrize("p, m, big_m", [(2, 4, 8), (2, 3, 6), (3, 2, 4), (2, 5, 10)])
+def test_embed_field_stops_at_the_orbit_of_its_first_root(p, m, big_m):
+    # one evaluation per candidate up to the first root, then one per other
+    # root of its orbit and one per root to find that it is simple; the last
+    # quotient is 1 and needs none
+    sub, ext = mk_field(p, m), mk_field(p, big_m)
+    candidates = ext.subfield(sub.order)
+    first = next(i for i, z in enumerate(candidates) if ext.horner(list(sub.modulus), z) == 0)
+    counted, calls = copy.copy(ext), [0]
+    horner = ext.horner
+
+    def counting(c, x):
+        calls[0] += 1
+        return horner(c, x)
+
+    counted.horner = counting
+    assert embed_field(sub, counted)(p) == embed_field(sub, ext)(p)
+    assert calls[0] == first + 1 + 2 * (m - 1)
+
+
+def test_a_conjugate_that_is_no_root_is_an_internal_error():
+    # T - w for a w of F_4 outside F_2 has coefficients in F_4, not in F_2:
+    # w^2 is no root, and claiming q = 2 is caught
+    F4 = mk_field(2, 2)
+    w = next(z for z in F4.elements() if F4.mul(z, z) != z)
+    assert ff._peel_roots([F4.neg(w), 1], F4.elements(), F4, 4) == ([w], [1])
+    with pytest.raises(ff.InternalCheckError, match="is not a root"):
+        ff._peel_roots([F4.neg(w), 1], F4.elements(), F4, 2)
 
 
 # ---------------------------------------------------------------------------
