@@ -494,6 +494,8 @@ def _table_ops(f: PrimeField) -> tuple[Callable, ...]:
         return exp[log[a] * e % n]
 
     def scale(c: int, y: list[int]) -> list[int]:
+        if not c:
+            return [0] * len(y)
         lc = log[c]
         return [exp[lc + log[b]] if b else 0 for b in y]
 

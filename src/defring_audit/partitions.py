@@ -10,9 +10,10 @@ the Young diagram.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from itertools import compress
+from typing import Iterable, Iterator, NamedTuple
 
-from .ff import MatrixFF, PrimeField, Record, _echelon, mk_field
+from .ff import MatrixFF, PrimeField, Record, mk_field
 from .limits import MAX_VERIFY_N
 
 
@@ -97,6 +98,30 @@ def nabla_matrix(lam: Partition, field: PrimeField) -> MatrixFF:
     return MatrixFF(field, n, n, entries)
 
 
+def _pivot_rows(field: PrimeField, rows: Iterable[list[int]], n: int) -> dict[int, list[int]]:
+    """An echelon basis of the span of ``rows``, keyed by leading column.
+
+    Each row is reduced against the pivots found so far: while its
+    leading entry sits in a pivot's column it is cleared by one ``axpy``,
+    which moves the lead right.  A row that survives becomes a pivot,
+    scaled to a leading 1; a row that vanishes adds nothing.  Leading
+    columns come from ``compress``, so zero entries cost no Python step.
+    The number of pivots is the rank.
+    """
+    scale, axpy, inv = field.scale, field.axpy, field.inv
+    cols = range(n)
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        while (lead := next(compress(cols, row), None)) is not None:
+            pivot = pivots.get(lead)
+            if pivot is None:
+                c = row[lead]
+                pivots[lead] = row if c == 1 else scale(inv(c), row)
+                break
+            row = axpy(row, row[lead], pivot)
+    return pivots
+
+
 def kernel_sequence(M: MatrixFF) -> Partition:
     """The partition (s_1, ..., s_r) with s_i = dim ker(M-I)^i - dim ker(M-I)^{i-1}.
 
@@ -104,40 +129,43 @@ def kernel_sequence(M: MatrixFF) -> Partition:
     The kernels of the powers grow until they stop for good, so M is
     unipotent iff they reach dimension n before a step adds nothing.
     No power and no matrix product is formed: with A = M - I, the row
-    space of A^i is the row space of A^(i-1) times A.  Each step maps
-    every row r of an echelon basis of the current row space to
-    r A = -sum_j r_j N_j, for the rows N_j of N = I - M (one ``axpy`` per
-    nonzero r_j), and re-echelons.  N = -A has A's row space, so the
-    first basis is N's echelon form.
+    space of A^i is the row space of A^(i-1) times A.  A step maps each
+    pivot row r of the current row space to r A, the row of A at r's
+    leading 1 plus one ``axpy`` per further nonzero r_j, and
+    ``_pivot_rows`` reduces each image against the pivots the step has
+    found so far.  So a step is one pass over its images, and its rank is
+    its number of pivots.  The first step reduces the rows of A.
     """
     if M.rows != M.cols or M.rows == 0:
         raise ValueError("kernel sequence needs a nonempty square matrix")
     n = M.rows
     f = M.field
-    axpy = f.axpy
-    identity = [0] * (n * n)
-    identity[:: n + 1] = [1] * n
-    flat = axpy(identity, 1, M.entries)  # I - M
-    N = [flat[i * n : (i + 1) * n] for i in range(n)]
-    basis = _echelon(f, list(N), n)  # _echelon replaces rows, never edits one
+    axpy, neg, sub = f.axpy, f.neg, f.sub
+    cols = range(n)
+    flat = list(M.entries)
+    for i in range(0, n * n, n + 1):
+        flat[i] = sub(flat[i], 1)
+    A = [flat[i * n : (i + 1) * n] for i in cols]  # the rows of M - I
+
+    def image(r: list[int]) -> list[int]:
+        nonzero = compress(cols, r)  # the first is r's leading 1
+        acc = A[next(nonzero)]
+        for j in nonzero:
+            acc = axpy(acc, neg(r[j]), A[j])
+        return acc
+
+    pivots = _pivot_rows(f, A, n)
     seq = []
     prev = 0  # dim ker (M-I)^0 = dim ker I = 0
     while True:
-        cur = n - len(basis)
+        cur = n - len(pivots)
         if cur == prev:
             raise ValueError("not unipotent")
         seq.append(cur - prev)
         if cur == n:
             return Partition(tuple(seq))
         prev = cur
-        images = []
-        for r in basis:
-            acc = [0] * n
-            for j, c in enumerate(r):
-                if c:
-                    acc = axpy(acc, c, N[j])
-            images.append(acc)
-        basis = _echelon(f, images, n)
+        pivots = _pivot_rows(f, map(image, pivots.values()), n)
 
 
 def theta(lam: Partition, field: PrimeField | None = None) -> Partition:

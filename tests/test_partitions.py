@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from defring_audit import limits
 from defring_audit.ff import (
     MatrixFF,
+    _echelon,
     block_diag,
     is_unipotent,
     kernel_dim,
@@ -248,30 +249,123 @@ def test_kernel_sequence_matches_oracle_on_seeded_conjugates(field):
                 assert kernel_sequence(M) == want
 
 
-def test_kernel_sequence_echelons_once_per_step_and_forms_no_product(monkeypatch):
+def _echelon_kernel_sequence(M, dims):
+    """The former ``kernel_sequence``: each step lists the images of an
+    echelon basis and re-echelons them with ``_echelon``.  Appends
+    dim ker(M-I)^i to ``dims`` at each step, the stalling one included."""
+    n = M.rows
+    f = M.field
+    axpy = f.axpy
+    identity = [0] * (n * n)
+    identity[:: n + 1] = [1] * n
+    flat = axpy(identity, 1, M.entries)  # I - M
+    N = [flat[i * n : (i + 1) * n] for i in range(n)]
+    basis = _echelon(f, list(N), n)
+    seq = []
+    prev = 0
+    while True:
+        cur = n - len(basis)
+        dims.append(cur)
+        if cur == prev:
+            raise ValueError("not unipotent")
+        seq.append(cur - prev)
+        if cur == n:
+            return Partition(tuple(seq))
+        prev = cur
+        images = []
+        for r in basis:
+            acc = [0] * n
+            for j, c in enumerate(r):
+                if c:
+                    acc = axpy(acc, c, N[j])
+            images.append(acc)
+        basis = _echelon(f, images, n)
+
+
+def _counting_pivot_rows(monkeypatch, dims):
+    """Patch ``_pivot_rows`` to append n - rank, the kernel dimension of
+    the step, to ``dims`` at each reduction pass."""
     import defring_audit.partitions as partitions_module
 
-    echelons = []
-    real_echelon = partitions_module._echelon
+    real = partitions_module._pivot_rows
 
-    def counting_echelon(field, rows, ncols, full=False):
-        echelons.append(len(rows))
-        return real_echelon(field, rows, ncols, full)
+    def counting(field, rows, n):
+        pivots = real(field, rows, n)
+        dims.append(n - len(pivots))
+        return pivots
+
+    monkeypatch.setattr(partitions_module, "_pivot_rows", counting)
+
+
+def _assert_matches_echelon_kernel(M, got_dims):
+    want_dims = []
+    try:
+        want = _echelon_kernel_sequence(M, want_dims)
+    except ValueError:
+        got_dims.clear()
+        with pytest.raises(ValueError, match="^not unipotent$"):
+            kernel_sequence(M)
+    else:
+        got_dims.clear()
+        assert kernel_sequence(M) == want
+    # the same kernel dimension at every step, so a stall shows at the same step
+    assert got_dims == want_dims
+
+
+# F_4 and F_8 add by XOR, F_9 and F_25 through the Zech table
+ECHELON_ORACLE_FIELDS = [F2, F5, F101, mk_field(2, 2), mk_field(2, 3), mk_field(3, 2), mk_field(5, 2)]
+
+
+@pytest.mark.parametrize("field", ECHELON_ORACLE_FIELDS, ids=repr)
+def test_kernel_sequence_matches_the_echelon_kernel(field, monkeypatch):
+    dims = []
+    _counting_pivot_rows(monkeypatch, dims)
+    rng = random.Random(f"echelon kernel {field!r}")
+    q = field.order
+    for n in range(1, 13):
+        while True:
+            P = MatrixFF(field, n, n, [rng.randrange(q) for _ in range(n * n)])
+            if mat_rank(P) == n:
+                break
+        P_inv = mat_inverse(P)
+        lams = list(partitions_of(n))
+        for lam in lams:
+            _assert_matches_echelon_kernel(nabla_matrix(lam, field), dims)
+        # dense conjugates P nabla P^-1, so each step does real elimination
+        for lam in rng.sample(lams, min(len(lams), 8)):
+            _assert_matches_echelon_kernel(P * nabla_matrix(lam, field) * P_inv, dims)
+        # not unipotent: a block c != 1 beside a unipotent block stalls the
+        # kernels once the unipotent part is used up, at step len(conjugate) + 1
+        for lam in rng.sample(lams, min(len(lams), 4)):
+            c = rng.choice([x for x in range(q) if x != 1])
+            M = block_diag([nabla_matrix(lam, field), MatrixFF(field, 1, 1, [c])])
+            _assert_matches_echelon_kernel(M, dims)
+            assert len(dims) == len(conjugate(lam).parts) + 1
+            Q = MatrixFF(field, n + 1, n + 1, [rng.randrange(q) for _ in range((n + 1) ** 2)])
+            if mat_rank(Q) == n + 1:
+                _assert_matches_echelon_kernel(Q * M * mat_inverse(Q), dims)
+                assert len(dims) == len(conjugate(lam).parts) + 1
+        M = MatrixFF(field, n, n, [rng.randrange(q) for _ in range(n * n)])
+        _assert_matches_echelon_kernel(M, dims)
+
+
+def test_kernel_sequence_echelons_once_per_step_and_forms_no_product(monkeypatch):
+    dims = []
+    _counting_pivot_rows(monkeypatch, dims)
 
     def refused_mul(self, other):
         raise AssertionError("kernel_sequence formed a matrix product")
 
-    monkeypatch.setattr(partitions_module, "_echelon", counting_echelon)
     monkeypatch.setattr(MatrixFF, "__mul__", refused_mul)
     for lam in (Partition((4,)), Partition((2, 2)), Partition((1, 1, 1, 1))):
-        echelons.clear()
+        dims.clear()
         seq = kernel_sequence(nabla_matrix(lam, F5))
-        assert len(echelons) == len(seq.parts)
-    echelons.clear()
+        assert len(dims) == len(seq.parts)
+    dims.clear()
     with pytest.raises(ValueError, match="not unipotent"):
         kernel_sequence(MatrixFF.from_rows(F5, [[1, 1, 0], [0, 1, 0], [0, 0, 2]]))
-    # kernels of dimension 1, 2, 2: the third step shows the stall
-    assert len(echelons) == 3
+    # kernels of dimension 1, 2, 2: the third reduction pass shows the stall
+    assert dims == [1, 2, 2]
 
 
 @settings(max_examples=60)

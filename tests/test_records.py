@@ -98,7 +98,7 @@ def test_every_record_is_listed():
     assert len(ALL) == 14
     assert all(issubclass(cls, Record) for cls in VALIDATED)
     # a record that refuses nothing validates nothing
-    assert set(VALIDATED) <= {cls for cls, _, _ in REFUSED}
+    assert set(VALIDATED) <= {row.values[0] for row in REFUSED}
     assert all(issubclass(cls, tuple) and hasattr(cls, "_asdict") for cls in RESULTS)
 
 
@@ -141,53 +141,60 @@ def test_assigning_an_attribute_raises(cls):
     assert getattr(record, name) == value
 
 
+def _refused(tag, cls, kwargs, message):
+    """A row of REFUSED under the fixed id class-tag-message, so adding or
+    deleting a row renames no other test.  The tags are the positional ids
+    the rows had before ids were fixed; a new row takes any unused tag."""
+    return pytest.param(cls, kwargs, message, id=f"{cls.__name__}-{tag}-{message}")
+
+
 # (class, keyword arguments it refuses, the message)
 REFUSED = [
-    (Partition, {"parts": ()}, "partition must be nonempty"),
-    (Partition, {"parts": (2, 0)}, "parts must be positive"),
-    (Partition, {"parts": (1, 2)}, "parts must be weakly decreasing"),
-    (LieDims, {"dim_g": -1, "dim_g_der": 0, "dim_g_ab": -1, "dim_b_der": 0},
-     "dimensions must be nonnegative"),
-    (LieDims, {"dim_g": 5, "dim_g_der": 4, "dim_g_ab": 2, "dim_b_der": 3},
-     "dim_g must equal dim_g_der + dim_g_ab"),
-    (LieDims, {"dim_g": 5, "dim_g_der": 4, "dim_g_ab": 1, "dim_b_der": 5},
-     "dim_b_der cannot exceed dim_g_der"),
-    (LieDims, {"dim_g": 5, "dim_g_der": 4, "dim_g_ab": 1, "dim_b_der": 3, "dim_z": 2},
-     "dim_z must equal dim_g - dim_g_der"),
-    (PlaceSpec, {"kind": "x"}, "unknown place kind 'x'"),
-    (PlaceSpec, {"kind": "S", "condition": "x"}, "unknown condition 'x'"),
-    (PlaceSpec, {"kind": "ell", "condition": "min", "local_degree": 1},
-     "condition 'min' only applies at S-places"),
-    (PlaceSpec, {"kind": "S", "condition": "crys"}, "condition 'crys' only applies at ell-places"),
-    (PlaceSpec, {"kind": "ell", "condition": "sm"}, "ell-places need a local degree >= 1"),
-    (PlaceSpec, {"kind": "S", "local_degree": 1}, "only ell-places carry a local degree"),
-    (PlaceSpec, {"kind": "ell", "condition": "sm", "local_degree": 1, "delta": -1},
-     "delta must be nonnegative"),
-    (PlaceSpec, {"kind": "ell", "condition": "crys", "local_degree": 1, "delta": 1},
-     "delta is only meaningful for the sm condition"),
-    (PlaceSpec, {"kind": "arch", "h0_local": -1}, "h0_local must be nonnegative"),
-    (DeformationSetting, {"lie": LIE, "deg_F": 0, "places": [ARCH]}, "deg_F must be >= 1"),
-    (DeformationSetting, {"lie": LIE, "deg_F": 1, "places": []},
-     "at least one place is required"),
-    (DeformationSetting, {"lie": LIE, "deg_F": 2, "places": [ELL]},
-     "degrees-complete setting needs ell degrees summing to deg_F (1 != 2)"),
-    (SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity}, "k": 65},
-     "k must be an integer with 1 <= k <= MAX_DENSITY_K = 64, got 65"),
-    (SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity}, "k": True},
-     "k must be an integer with 1 <= k <= MAX_DENSITY_K = 64, got True"),
-    (SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity}, "k": 0},
-     "k must be an integer with 1 <= k <= MAX_DENSITY_K = 64, got 0"),
-    (SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity, 1, 2}, "k": 1},
-     "H must be a genuine subgroup of Gamma"),
-    (CyclicAction, {"order": 0, "sigma": SWAP}, "group order must be >= 1"),
-    (CyclicAction, {"order": 2, "sigma": MatrixFF(F5, 1, 2, (1, 0))},
-     "generator matrix must be square"),
-    (CyclicAction, {"order": 3, "sigma": SWAP}, "sigma^n must be the identity"),
-    (InvolutionSpec, {"n": 2, "J": antidiagonal_ones(2, F2)},
-     "the twisted involution needs odd characteristic"),
-    (InvolutionSpec, {"n": 3, "J": J2}, "J must be n x n"),
-    (InvolutionSpec, {"n": 2, "J": MatrixFF.from_rows(F5, [[1, 1], [0, 1]])},
-     "J must be symmetric or antisymmetric, or the twist is no involution"),
+    _refused("kwargs0", Partition, {"parts": ()}, "partition must be nonempty"),
+    _refused("kwargs1", Partition, {"parts": (2, 0)}, "parts must be positive"),
+    _refused("kwargs2", Partition, {"parts": (1, 2)}, "parts must be weakly decreasing"),
+    _refused("kwargs3", LieDims, {"dim_g": -1, "dim_g_der": 0, "dim_g_ab": -1, "dim_b_der": 0},
+        "dimensions must be nonnegative"),
+    _refused("kwargs4", LieDims, {"dim_g": 5, "dim_g_der": 4, "dim_g_ab": 2, "dim_b_der": 3},
+        "dim_g must equal dim_g_der + dim_g_ab"),
+    _refused("kwargs5", LieDims, {"dim_g": 5, "dim_g_der": 4, "dim_g_ab": 1, "dim_b_der": 5},
+        "dim_b_der cannot exceed dim_g_der"),
+    _refused("kwargs6", LieDims, {"dim_g": 5, "dim_g_der": 4, "dim_g_ab": 1, "dim_b_der": 3, "dim_z": 2},
+        "dim_z must equal dim_g - dim_g_der"),
+    _refused("kwargs7", PlaceSpec, {"kind": "x"}, "unknown place kind 'x'"),
+    _refused("kwargs8", PlaceSpec, {"kind": "S", "condition": "x"}, "unknown condition 'x'"),
+    _refused("kwargs9", PlaceSpec, {"kind": "ell", "condition": "min", "local_degree": 1},
+        "condition 'min' only applies at S-places"),
+    _refused("kwargs10", PlaceSpec, {"kind": "S", "condition": "crys"}, "condition 'crys' only applies at ell-places"),
+    _refused("kwargs11", PlaceSpec, {"kind": "ell", "condition": "sm"}, "ell-places need a local degree >= 1"),
+    _refused("kwargs12", PlaceSpec, {"kind": "S", "local_degree": 1}, "only ell-places carry a local degree"),
+    _refused("kwargs13", PlaceSpec, {"kind": "ell", "condition": "sm", "local_degree": 1, "delta": -1},
+        "delta must be nonnegative"),
+    _refused("kwargs14", PlaceSpec, {"kind": "ell", "condition": "crys", "local_degree": 1, "delta": 1},
+        "delta is only meaningful for the sm condition"),
+    _refused("kwargs15", PlaceSpec, {"kind": "arch", "h0_local": -1}, "h0_local must be nonnegative"),
+    _refused("kwargs16", DeformationSetting, {"lie": LIE, "deg_F": 0, "places": [ARCH]}, "deg_F must be >= 1"),
+    _refused("kwargs17", DeformationSetting, {"lie": LIE, "deg_F": 1, "places": []},
+        "at least one place is required"),
+    _refused("kwargs18", DeformationSetting, {"lie": LIE, "deg_F": 2, "places": [ELL]},
+        "degrees-complete setting needs ell degrees summing to deg_F (1 != 2)"),
+    _refused("kwargs19", SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity}, "k": 65},
+        "k must be an integer with 1 <= k <= MAX_DENSITY_K = 64, got 65"),
+    _refused("kwargs20", SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity}, "k": True},
+        "k must be an integer with 1 <= k <= MAX_DENSITY_K = 64, got True"),
+    _refused("kwargs21", SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity}, "k": 0},
+        "k must be an integer with 1 <= k <= MAX_DENSITY_K = 64, got 0"),
+    _refused("kwargs22", SplitDensityProblem, {"gamma": S3, "subgroup": {S3.identity, 1, 2}, "k": 1},
+        "H must be a genuine subgroup of Gamma"),
+    _refused("kwargs23", CyclicAction, {"order": 0, "sigma": SWAP}, "group order must be >= 1"),
+    _refused("kwargs24", CyclicAction, {"order": 2, "sigma": MatrixFF(F5, 1, 2, (1, 0))},
+        "generator matrix must be square"),
+    _refused("kwargs25", CyclicAction, {"order": 3, "sigma": SWAP}, "sigma^n must be the identity"),
+    _refused("kwargs26", InvolutionSpec, {"n": 2, "J": antidiagonal_ones(2, F2)},
+        "the twisted involution needs odd characteristic"),
+    _refused("kwargs27", InvolutionSpec, {"n": 3, "J": J2}, "J must be n x n"),
+    _refused("kwargs28", InvolutionSpec, {"n": 2, "J": MatrixFF.from_rows(F5, [[1, 1], [0, 1]])},
+        "J must be symmetric or antisymmetric, or the twist is no involution"),
 ]
 
 
