@@ -24,6 +24,11 @@ IRREDUCIBLE = {
 }
 
 
+def _hilbert(n, p):
+    """The n x n Hilbert matrix mod p, entries (i + j + 1)^-1: dense and symmetric."""
+    return [[pow(i + j + 1, -1, p) for j in range(n)] for i in range(n)]
+
+
 def _density(gamma):
     return {"mode": "density", "gamma": gamma, "k": 1}
 
@@ -54,6 +59,11 @@ CASES = {
     # T^2 + T + 1 gives T order 3, so the tables are walked as 342,056 cosets
     "F1013^2": ("MAX_FIELD_ORDER", {"mode": "partition", "op": "theta", "partition": "2,1",
                                     "p": 1013, "m": 2}, "theta"),
+    # a dense symmetric J makes the 144 x 144 sigma dense: the largest
+    # elimination the CLI admits
+    "involution12": ("MAX_INVOLUTION_N", {"mode": "cohomology", "op": "involution", "n": 12,
+                                          "J": {"p": 1021, "m": 1, "rows": _hilbert(12, 1021)}},
+                     "minus_eigenspace_dim"),
     "gn-audit": ("MAX_PLACES", ["gn-audit", "--n", "1000000", "--degF", "1", "--s", "9998",
                               "--ell", "1"], "smooth"),
     "theta80": ("MAX_PARTITION_N", ["partition", "theta", "80"], "theta"),
@@ -130,7 +140,7 @@ def probe(name):
     proc.stdout.close()
     result = (out.split() or ["-"])[0]
     # ru_maxrss is in KiB on Linux
-    print(f"{name:>9} {CASES[name][0]:>15} {result:>21} {wall:>7.2f} "
+    print(f"{name:>12} {CASES[name][0]:>16} {result:>21} {wall:>7.2f} "
           f"{usage.ru_maxrss / 1024:>9.1f} {proc.returncode:>4}")
     return proc.returncode
 
@@ -142,7 +152,7 @@ def main():
     args = ap.parse_args()
     if args.child:
         return run_case(args.child)
-    print(f"{'case':>9} {'cap':>15} {'result':>21} {'wall_s':>7} {'maxrss_MB':>9} {'exit':>4}")
+    print(f"{'case':>12} {'cap':>16} {'result':>21} {'wall_s':>7} {'maxrss_MB':>9} {'exit':>4}")
     codes = [probe(name) for name in args.case or CASES]
     return 1 if any(codes) else 0
 

@@ -28,7 +28,7 @@ from . import taylor
 from .ff import (
     InternalCheckError,
     MatrixFF,
-    _echelon,
+    _gauss_jordan,
     charpoly,
     is_prime,
     kernel_dim,
@@ -159,8 +159,8 @@ def random_involution(rng: random.Random, field, d: int) -> MatrixFF:
         P = _below(rng, field.order, d * d)
         cols = [P[j::d] for j in range(d)]  # the rows of P^t
         aug = [col + field.scale(s, col) for col, s in zip(cols, signs)]
-        reduced = _echelon(field, aug, d, full=True)
-        if len(reduced) == d:
+        reduced = _gauss_jordan(field, aug, d)
+        if reduced is not None:
             return MatrixFF(field, d, d, [row[d + i] for i in range(d) for row in reduced])
 
 

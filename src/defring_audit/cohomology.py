@@ -17,7 +17,8 @@ from .ff import (
     MatrixFF,
     PrimeField,
     Record,
-    _echelon,
+    _pivot_rows,
+    _shifted_rows,
     mat_inverse,
     mat_rank,
 )
@@ -139,11 +140,7 @@ def eigenspace_dim(M: MatrixFF, scalar: int) -> int:
     """dim ker(M - scalar * I)."""
     if M.rows != M.cols:
         raise ValueError("eigenspace of a non-square matrix")
-    f = M.field
-    rows = M.to_lists()
-    for i, row in enumerate(rows):
-        row[i] = f.sub(row[i], scalar)
-    return M.cols - len(_echelon(f, rows, M.cols))
+    return M.cols - len(_pivot_rows(M.field, _shifted_rows(M, scalar), M.cols))
 
 
 def antidiagonal_ones(n: int, field: PrimeField) -> MatrixFF:

@@ -22,11 +22,12 @@ splitting-field search.
 Prime fields F_p need no tables; p is capped only by the exact primality
 test, at MAX_PRIMALITY_N.
 
-Rank, kernel dimensions, eigenspaces and inverses share one elimination
-kernel, ``_echelon``, and the characteristic polynomial comes from a
-Hessenberg reduction in O(n^3).  They and the matrix product work a row
-at a time through the field's ``scale``, ``axpy`` and ``dot``, so no
-caller asks which kind of field it holds.
+Rank, kernel dimensions, eigenspaces, kernel sequences and inverses
+share one elimination kernel, ``_pivot_rows``; an inverse adds
+back-substitution (Gauss-Jordan).  The characteristic polynomial comes
+from a Hessenberg reduction in O(n^3).  They and the matrix product work
+a row at a time through the field's ``scale``, ``axpy`` and ``dot``, so
+no caller asks which kind of field it holds.
 ``PrimeField`` and its builder ``_table_ops`` are the only readers of
 the tables.
 
@@ -506,7 +507,7 @@ def _table_ops(f: PrimeField) -> tuple[Callable, ...]:
 
         def axpy(x: list[int], c: int, y: list[int]) -> list[int]:
             if not c:
-                return list(x)
+                return list(x[: len(y)])
             lc = log[c]
             return [a ^ exp[lc + log[b]] if b else a for a, b in zip(x, y)]
 
@@ -548,7 +549,7 @@ def _table_ops(f: PrimeField) -> tuple[Callable, ...]:
 
     def axpy(x: list[int], c: int, y: list[int]) -> list[int]:
         if not c:
-            return list(x)
+            return list(x[: len(y)])
         lc = (log[c] + log_minus_one) % n  # log(-c)
         out = []
         for a, b in zip(x, y):
@@ -608,9 +609,11 @@ class PrimeField:
     :func:`_log_tables` for m >= 2.  Either gives the scalar ``add``,
     ``neg``, ``sub``, ``mul``, ``inv`` and ``pow(a, e)`` on encoded
     elements; ``scale(c, y)`` = c*y, ``axpy(x, c, y)`` = x - c*y and
-    ``dot(x, y)`` = the sum of the x_j y_j on lists (zip stops at the
-    shorter one); and ``horner(c, x)``, the polynomial with coefficients c
-    (lowest degree first) at x.
+    ``dot(x, y)`` = the sum of the x_j y_j on lists (``axpy`` and ``dot``
+    stop at the shorter list); and ``horner(c, x)``, the polynomial with
+    coefficients c (lowest degree first) at x.  Every arithmetic gives the
+    same results on the domain, encodings in [0, q); ``MatrixFF`` refuses
+    entries outside it, where they differ.
     """
 
     __slots__ = (
@@ -915,44 +918,63 @@ def block_diag(blocks: Sequence[MatrixFF], field: PrimeField | None = None) -> M
     return MatrixFF(field, n, n, entries)
 
 
-def _echelon(
-    field: PrimeField, rows: list[list[int]], ncols: int, full: bool = False
-) -> list[list[int]]:
-    """Row echelon form of ``rows``; the list is consumed, each row replaced, never edited.
+def _pivot_rows(field: PrimeField, rows: Iterable[list[int]], n: int) -> dict[int, list[int]]:
+    """An echelon basis of the span of ``rows``, keyed by leading column.
 
-    Pivots are sought in the first ``ncols`` columns, but each row
-    operation acts on the whole row, so columns past ``ncols`` (an
-    augmented block) ride along.  Returns the pivot rows in pivot order,
-    each scaled to a leading 1; their number is the rank of the first
-    ``ncols`` columns.  With ``full`` every pivot column is also cleared
-    above its pivot (Gauss-Jordan), giving the reduced echelon form.
+    Each row is reduced against the pivots found so far: while its
+    leading entry, sought in the first ``n`` columns, sits in a pivot's
+    column, one ``axpy`` clears it and moves the lead right.  A row that
+    survives becomes a pivot, scaled to a leading 1.  Columns past ``n``
+    ride along, and no row is edited.  Leading columns come from
+    ``compress``, so zero entries cost no Python step.  The number of
+    pivots is the rank of the first ``n`` columns.
     """
-    scale, axpy = field.scale, field.axpy
-    nrows = len(rows)
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        for r in range(rank, nrows):
-            if rows[r][col]:
+    scale, axpy, inv, compress = field.scale, field.axpy, field.inv, itertools.compress
+    cols = range(n)
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        while (lead := next(compress(cols, row), None)) is not None:
+            pivot = pivots.get(lead)
+            if pivot is None:
+                c = row[lead]
+                pivots[lead] = row if c == 1 else scale(inv(c), row)
                 break
-        else:
-            continue
-        pivot = rows[r] if rows[r][col] == 1 else scale(field.inv(rows[r][col]), rows[r])
-        rows[r] = rows[rank]
-        rows[rank] = pivot
-        for i in range(0 if full else rank + 1, nrows):
-            c = rows[i][col]
-            if c and i != rank:
-                rows[i] = axpy(rows[i], c, pivot)
-        rank += 1
-    del rows[rank:]
+            row = axpy(row, row[lead], pivot)
+    return pivots
+
+
+def _gauss_jordan(field: PrimeField, rows: list[list[int]], n: int) -> list[list[int]] | None:
+    """Gauss-Jordan on rows [A | B], A n x n: the rows [I | A^-1 B], or None if A is singular.
+
+    Back-substitution clears each column of ``_pivot_rows``' echelon basis
+    above its pivot, from the last column up.
+    """
+    pivots = _pivot_rows(field, rows, n)
+    if len(pivots) < n:
+        return None
+    axpy = field.axpy
+    reduced = [pivots[col] for col in range(n)]
+    for col in range(n - 1, 0, -1):
+        pivot = reduced[col]
+        for i in range(col):
+            c = reduced[i][col]
+            if c:
+                reduced[i] = axpy(reduced[i], c, pivot)
+    return reduced
+
+
+def _shifted_rows(M: MatrixFF, scalar: int) -> list[list[int]]:
+    """The rows of M - scalar * I, for a square M."""
+    sub = M.field.sub
+    rows = M.to_lists()
+    for i, row in enumerate(rows):
+        row[i] = sub(row[i], scalar)
     return rows
 
 
 def mat_rank(M: MatrixFF) -> int:
     """Rank by exact Gaussian elimination."""
-    return len(_echelon(M.field, M.to_lists(), M.cols))
+    return len(_pivot_rows(M.field, M.to_lists(), M.cols))
 
 
 def kernel_dim(M: MatrixFF) -> int:
@@ -966,8 +988,8 @@ def mat_inverse(M: MatrixFF) -> MatrixFF:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
     aug = [row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(M.to_lists())]
-    reduced = _echelon(M.field, aug, n, full=True)
-    if len(reduced) < n:
+    reduced = _gauss_jordan(M.field, aug, n)
+    if reduced is None:
         raise ValueError("singular matrix")
     return MatrixFF(M.field, n, n, [x for row in reduced for x in row[n:]])
 

@@ -25,7 +25,9 @@ MAX_PRIMALITY_N = 3_317_044_064_679_887_385_961_981
 
 # sigma^order = I and the norm each take O(log order) matrix products
 MAX_CYCLIC_ORDER = 4096
-MAX_INVOLUTION_N = 12  # the twisted involution acts on n^2 x n^2 matrices
+# the twisted involution acts on n^2 x n^2 matrices.  Slowest at the limit:
+# case `involution12`, a dense J and so a dense sigma: 0.4-0.6 s, 19 MB.
+MAX_INVOLUTION_N = 12
 # rows and columns of a sigma, J or check-type matrix.  Not yet a probe
 # case (ROADMAP item 5); the slowest input known at the limit is a dense
 # 12 x 12 sigma of order 4096 over F_2^20, ~0.9 s and 121 MB in a fresh

@@ -11,9 +11,9 @@ the Young diagram.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .ff import MatrixFF, PrimeField, Record, mk_field
+from .ff import MatrixFF, PrimeField, Record, _pivot_rows, _shifted_rows, mk_field
 from .limits import MAX_VERIFY_N
 
 
@@ -98,30 +98,6 @@ def nabla_matrix(lam: Partition, field: PrimeField) -> MatrixFF:
     return MatrixFF(field, n, n, entries)
 
 
-def _pivot_rows(field: PrimeField, rows: Iterable[list[int]], n: int) -> dict[int, list[int]]:
-    """An echelon basis of the span of ``rows``, keyed by leading column.
-
-    Each row is reduced against the pivots found so far: while its
-    leading entry sits in a pivot's column it is cleared by one ``axpy``,
-    which moves the lead right.  A row that survives becomes a pivot,
-    scaled to a leading 1; a row that vanishes adds nothing.  Leading
-    columns come from ``compress``, so zero entries cost no Python step.
-    The number of pivots is the rank.
-    """
-    scale, axpy, inv = field.scale, field.axpy, field.inv
-    cols = range(n)
-    pivots: dict[int, list[int]] = {}
-    for row in rows:
-        while (lead := next(compress(cols, row), None)) is not None:
-            pivot = pivots.get(lead)
-            if pivot is None:
-                c = row[lead]
-                pivots[lead] = row if c == 1 else scale(inv(c), row)
-                break
-            row = axpy(row, row[lead], pivot)
-    return pivots
-
-
 def kernel_sequence(M: MatrixFF) -> Partition:
     """The partition (s_1, ..., s_r) with s_i = dim ker(M-I)^i - dim ker(M-I)^{i-1}.
 
@@ -131,21 +107,19 @@ def kernel_sequence(M: MatrixFF) -> Partition:
     No power and no matrix product is formed: with A = M - I, the row
     space of A^i is the row space of A^(i-1) times A.  A step maps each
     pivot row r of the current row space to r A, the row of A at r's
-    leading 1 plus one ``axpy`` per further nonzero r_j, and
-    ``_pivot_rows`` reduces each image against the pivots the step has
-    found so far.  So a step is one pass over its images, and its rank is
-    its number of pivots.  The first step reduces the rows of A.
+    leading 1 plus one ``axpy`` per further nonzero r_j, and the one
+    elimination kernel, ``ff._pivot_rows``, reduces each image against the
+    pivots the step has found so far.  So a step is one pass over its
+    images, and its rank is its number of pivots.  The first step reduces
+    the rows of A.
     """
     if M.rows != M.cols or M.rows == 0:
         raise ValueError("kernel sequence needs a nonempty square matrix")
     n = M.rows
     f = M.field
-    axpy, neg, sub = f.axpy, f.neg, f.sub
+    axpy, neg = f.axpy, f.neg
     cols = range(n)
-    flat = list(M.entries)
-    for i in range(0, n * n, n + 1):
-        flat[i] = sub(flat[i], 1)
-    A = [flat[i * n : (i + 1) * n] for i in cols]  # the rows of M - I
+    A = _shifted_rows(M, 1)  # the rows of M - I
 
     def image(r: list[int]) -> list[int]:
         nonzero = compress(cols, r)  # the first is r's leading 1

@@ -384,14 +384,14 @@ F49 = mk_field(7, 2)
 def _count_eliminations(monkeypatch):
     """Patch the elimination kernel, where ff and cohomology call it; list the column counts."""
     columns = []
-    real = ff._echelon
+    real = ff._pivot_rows
 
-    def counted(field, rows, ncols, full=False):
+    def counted(field, rows, ncols):
         columns.append(ncols)
-        return real(field, rows, ncols, full)
+        return real(field, rows, ncols)
 
-    monkeypatch.setattr(ff, "_echelon", counted)
-    monkeypatch.setattr(coh, "_echelon", counted)
+    monkeypatch.setattr(ff, "_pivot_rows", counted)
+    monkeypatch.setattr(coh, "_pivot_rows", counted)
     return columns
 
 

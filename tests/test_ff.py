@@ -23,10 +23,11 @@ from defring_audit.ff import (
     ScanBudgetExceeded,
     _check_field_order,
     _digits,
-    _echelon,
     _encode,
     _frobenius,
+    _gauss_jordan,
     _is_irreducible,
+    _pivot_rows,
     _power,
     _prime_divisors,
     block_diag,
@@ -41,6 +42,7 @@ from defring_audit.ff import (
     mk_field,
     nilpotent_block,
 )
+from oracles import _echelon
 
 F2 = mk_field(2)
 F3 = mk_field(3)
@@ -1083,33 +1085,76 @@ def test_charpoly_matches_sympy_integer_charpoly_mod_p(p):
         assert charpoly(MatrixFF(f, n, n, es)) == tuple(int(c) % p for c in reversed(want))
 
 
+# F_4 adds by XOR and F_9 through the Zech table
+ELIMINATION_FIELDS = [F2, F5, mk_field(2, 2), mk_field(3, 2)]
+
+
+def _seeded_rows(rng, f, nrows, ncols):
+    """Mostly sparse rows, now and then with a zero row or a zero column."""
+    rows = [[rng.choice([0, 0, 1, f.neg(1), rng.randrange(f.order)]) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if rng.random() < 0.3:
+        col = rng.randrange(ncols)
+        for row in rows:
+            row[col] = 0
+    return rows
+
+
 def test_echelon_full_gives_the_reduced_form_with_augmented_columns():
     # [M | I] reduces to [I | M^-1]; pivots are sought in the first 2 columns only
     M = MatrixFF.from_rows(F5, [[2, 1], [1, 1]])
     rows = [row + [1 if j == i else 0 for j in range(2)] for i, row in enumerate(M.to_lists())]
-    reduced = _echelon(F5, rows, 2, full=True)
+    reduced = _gauss_jordan(F5, rows, 2)
     assert [row[:2] for row in reduced] == [[1, 0], [0, 1]]
     assert MatrixFF.from_rows(F5, [row[2:] for row in reduced]) * M == MatrixFF.identity(F5, 2)
-    # without full, rows above a pivot keep their entries; rank counts pivot rows
-    assert _echelon(F5, [[1, 2, 3], [0, 1, 4], [1, 3, 7]], 3) == [[1, 2, 3], [0, 1, 4]]
+    assert _gauss_jordan(F5, [[1, 2, 3], [2, 4, 1]], 2) is None
+    # the former Gauss-Jordan, _echelon with full=True, as the oracle: the
+    # same rows [I | X] when A is invertible, None exactly when it is not
+    for f in ELIMINATION_FIELDS:
+        rng = random.Random(f"gauss-jordan {f!r}")
+        outcomes = {True: 0, False: 0}
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            rows = _seeded_rows(rng, f, n, n + rng.randint(0, 3))
+            want = _echelon(f, [list(row) for row in rows], n, full=True)
+            outcomes[len(want) == n] += 1
+            for given in (rows, [tuple(row) for row in rows]):
+                before = copy.deepcopy(given)
+                got = _gauss_jordan(f, given, n)
+                assert given == before
+                if len(want) < n:
+                    assert got is None
+                else:
+                    assert [list(row) for row in got] == want
+        assert min(outcomes.values()) > 20, outcomes
 
 
-@pytest.mark.parametrize("f", [F2, F5], ids=repr)
+@pytest.mark.parametrize("f", ELIMINATION_FIELDS, ids=repr)
 def test_echelon_replaces_rows_and_never_edits_one(f):
-    # kernel_sequence re-reads the rows it passed in; over F_2 every pivot is 1
-    # and is used as it is, so a returned row may be an input row, unedited
+    # _pivot_rows against the former kernel, _echelon; over F_2 every pivot
+    # is 1 and is used as it is, so a pivot may be an input row, unedited
     rng = random.Random(f"echelon contract {f!r}")
+
+    def reduced(rows, ncols):
+        return _echelon(f, [list(row[:ncols]) for row in rows], ncols, full=True)
+
     for _ in range(200):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.choice([0, 1, rng.randrange(f.order)]) for _ in range(ncols + 2)]
-                for _ in range(nrows)]
-        before = [list(row) for row in rows]
-        for full in (False, True):
-            reduced = _echelon(f, list(rows), ncols, full)
-            assert rows == before
-            assert len(reduced) == mat_rank(MatrixFF.from_rows(f, [r[:ncols] for r in rows]))
-            for row in reduced:
-                assert next(x for x in row[:ncols] if x) == 1
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+        rows = _seeded_rows(rng, f, nrows, ncols + 2)  # two augmented columns ride along
+        for given in (rows, [tuple(row) for row in rows]):
+            before = copy.deepcopy(given)
+            pivots = _pivot_rows(f, given, ncols)
+            assert given == before
+            assert len(pivots) == len(reduced(rows, ncols))
+            for lead, pivot in pivots.items():
+                assert pivot[lead] == 1 and not any(pivot[:lead])
+            # the same row space in the first ncols columns, and each whole
+            # pivot row lies in the span of the whole rows
+            assert reduced(pivots.values(), ncols) == reduced(rows, ncols)
+            whole = ncols + 2
+            assert len(reduced(rows + list(pivots.values()), whole)) == len(reduced(rows, whole))
 
 
 # ---------------------------------------------------------------------------
@@ -1550,6 +1595,95 @@ def test_vector_ops_match_the_element_operations(f):
             total = f.add(total, f.mul(a, b))
         assert f.dot(x, y) == total
         assert f.dot(x, y[: n // 2]) == f.dot(x[: n // 2], y)  # zip stops at the shorter
+
+
+# ---------------------------------------------------------------------------
+# one contract for every field arithmetic
+# ---------------------------------------------------------------------------
+
+# residues mod p, each with a primitive root (the last p is the largest prime
+# below MAX_PRIMALITY_N, and 2 generates its F_p^*); tables with XOR sums;
+# tables with Zech sums, whose primitive element is the tables' own
+CONTRACT_FIELDS = (
+    [pytest.param(mk_field(p), g, id=f"residues-F_{p}")
+     for p, g in [(2, 1), (5, 2), (101, 2), (3317044064679887385961813, 2)]]
+    + [pytest.param(f, f._exp[1], id=f"xor-{f!r}") for f in map(mk_field, [2] * 11, range(2, 13))]
+    + [pytest.param(f, f._exp[1], id=f"zech-{f!r}")
+       for f in itertools.starmap(mk_field, [(3, 2), (3, 5), (5, 2), (7, 3), (101, 2)])]
+)
+
+
+def _schoolbook_mul(f, a, b):
+    """a b as digit polynomials over F_p, reduced mod the modulus."""
+    p = f.p
+
+    def digits(x):
+        return [x // p**i % p for i in range(f.m)]
+
+    return sum(c * p**i for i, c in enumerate(_prem(_pmul(digits(a), digits(b), p), f.modulus, p)))
+
+
+def _schoolbook_pow(f, a, e):
+    """a^e, a != 0 or e >= 0, by square-and-multiply on the schoolbook product;
+    for a != 0 the exponent is taken mod q - 1, so e < 0 needs no inverse."""
+    if a == 0:
+        return 0 if e else 1
+    result, e = 1, e % (f.order - 1)
+    while e:
+        if e & 1:
+            result = _schoolbook_mul(f, result, a)
+        a = _schoolbook_mul(f, a, a)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("f, g", CONTRACT_FIELDS)
+def test_every_field_arithmetic_meets_the_schoolbook_contract(f, g):
+    # each of the ten operations, on encodings in [0, q); row operations zip
+    # their lists, stopping at the shorter one
+    q = f.order
+    rng = random.Random(f"schoolbook contract {f!r}")
+
+    def sub(a, b):
+        return _digit_add(f, a, _digit_neg(f, b))
+
+    def mul(a, b):
+        return _schoolbook_mul(f, a, b)
+
+    elements = [0, 1, _digit_neg(f, 1), g, _schoolbook_pow(f, g, -1), q - 1]
+    elements += [rng.randrange(q) for _ in range(8)]
+    for a in elements:
+        assert f.neg(a) == _digit_neg(f, a)
+        for b in elements:
+            assert f.add(a, b) == _digit_add(f, a, b)
+            assert f.sub(a, b) == sub(a, b)
+            assert f.mul(a, b) == mul(a, b)
+        exponents = [0, 1, 2, q - 2, q - 1, q, rng.randrange(3 * q)]
+        if a:
+            assert f.inv(a) == _schoolbook_pow(f, a, q - 2)
+            exponents += [-e for e in exponents]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                f.inv(a)
+            with pytest.raises(ZeroDivisionError):
+                f.pow(a, -1)
+        for e in exponents:
+            assert f.pow(a, e) == _schoolbook_pow(f, a, e), e
+
+    def row():
+        return [rng.choice(elements) for _ in range(rng.randint(0, 5))]
+
+    for _ in range(40):
+        x, y, c = row(), row(), rng.choice(elements)
+        assert f.scale(c, y) == [mul(c, b) for b in y]
+        assert f.axpy(x, c, y) == [sub(a, mul(c, b)) for a, b in zip(x, y)]
+        dot = horner = 0
+        for a, b in zip(x, y):
+            dot = _digit_add(f, dot, mul(a, b))
+        for i, a in enumerate(x):
+            horner = _digit_add(f, horner, mul(a, _schoolbook_pow(f, c, i)))
+        assert f.dot(x, y) == dot
+        assert f.horner(x, c) == horner
 
 
 def _scan_roots(f, poly, candidates):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from defring_audit import limits
 from defring_audit.ff import (
     MatrixFF,
-    _echelon,
     block_diag,
     is_unipotent,
     kernel_dim,
@@ -27,6 +26,7 @@ from defring_audit.partitions import (
     theta,
     verify_conjugation_lemma,
 )
+from oracles import _echelon
 
 F2 = mk_field(2)
 F3 = mk_field(3)

@@ -44,6 +44,13 @@ def test_density_probe_runs_its_cheapest_case(run_script):
     assert (row["case"], row["result"], row["exit"]) == ("S6", "59/64", "0")
 
 
+def test_involution_probe_runs_the_largest_elimination(run_script):
+    # the 144 x 144 sigma of a dense symmetric J; the symmetric twist's
+    # (-1)-eigenspace has dimension n(n+1)/2
+    row = run_probe_case(run_script, "involution12")
+    assert (row["case"], row["result"], row["exit"]) == ("involution12", "78", "0")
+
+
 def test_every_probe_case_names_a_cap():
     caps = {name for name in vars(limits) if name.startswith("MAX_")}
     assert {cap for cap, _, _ in PROBE_CASES.values()} <= caps
