@@ -10,7 +10,9 @@ ok)`` built from JSON values only (dict, list, str, int, bool, None), which
 the report holds as they are; gn-audit's is ``ledger.gn_audit``.  Exit
 codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid input.
 A reader that closes stdout early (``| head``) gets no traceback and
-leaves the exit code unchanged.
+leaves the exit code unchanged.  Each subcommand but ``run`` and
+``verify-all`` is one scenario, each flag the key of its name, except
+``--degF`` (``deg_F``), ``--s`` (``s_count``) and ``--ell`` (``ell_degrees``).
 """
 
 from __future__ import annotations
@@ -426,10 +428,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None)
 
     p_gn = sub.add_parser("gn-audit", help="preset rank-n framework audit")
+    p_gn.set_defaults(mode="gn-audit")
     p_gn.add_argument("--n", type=_int_arg, required=True)
-    p_gn.add_argument("--degF", type=_int_arg, required=True)
-    p_gn.add_argument("--s", type=_int_arg, default=0)
-    p_gn.add_argument("--ell", type=str, required=True,
+    p_gn.add_argument("--degF", dest="deg_F", metavar="DEGF", type=_int_arg, required=True)
+    p_gn.add_argument("--s", dest="s_count", metavar="S", type=_int_arg, default=0)
+    p_gn.add_argument("--ell", dest="ell_degrees", metavar="ELL", type=str, required=True,
                       help="comma-separated local degrees, e.g. 1,1")
     p_gn.add_argument("--out", default=None)
 
@@ -439,20 +442,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_part = sub.add_parser("partition", help="Young diagram operations")
     part_sub = p_part.add_subparsers(dest="subop", required=True)
     pc = part_sub.add_parser("conjugate")
+    pc.set_defaults(mode="partition", op="conjugate")
     pc.add_argument("partition")
     pt = part_sub.add_parser("theta")
+    pt.set_defaults(mode="partition", op="theta")
     pt.add_argument("partition")
     pt.add_argument("--p", type=_int_arg, default=5)
     pt.add_argument("--m", type=_int_arg, default=1)
     pv = part_sub.add_parser("verify-lemma")
+    pv.set_defaults(mode="partition", op="verify-lemma")
     pv.add_argument("--n", type=_int_arg, required=True)
 
     p_coh = sub.add_parser("cohom", help="cyclic cohomology dimensions")
     coh_sub = p_coh.add_subparsers(dest="subop", required=True)
     cc = coh_sub.add_parser("cyclic")
+    cc.set_defaults(mode="cohomology", op="cyclic")
     cc.add_argument("--order", type=_int_arg, required=True)
     cc.add_argument("--sigma", type=str, required=True, help="matrix JSON")
     ci = coh_sub.add_parser("involution")
+    ci.set_defaults(mode="cohomology", op="involution")
     ci.add_argument("--n", type=_int_arg, required=True)
     ci.add_argument("--J", type=str, default="antidiag")
     ci.add_argument("--p", type=_int_arg, default=5)
@@ -461,12 +469,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tay = sub.add_parser("taylor", help="threshold and type arithmetic")
     tay_sub = p_tay.add_subparsers(dest="subop", required=True)
     tt = tay_sub.add_parser("threshold")
+    tt.set_defaults(mode="taylor", op="threshold")
     tt.add_argument("--q", type=_int_arg, required=True)
     tt.add_argument("--n", type=_int_arg, required=True)
     tc = tay_sub.add_parser("check-type")
+    tc.set_defaults(mode="taylor", op="check-type")
     tc.add_argument("--matrix", type=str, required=True, help="matrix JSON")
 
     p_den = sub.add_parser("density", help="splitting density on Gamma x (Z/2)^k x Z/2")
+    p_den.set_defaults(mode="density")
     p_den.add_argument("--gamma", type=str, default="trivial")
     p_den.add_argument("--subgroup", type=str, default="trivial")
     p_den.add_argument("--k", type=_int_arg, required=True)
@@ -492,31 +503,19 @@ def _ell_degrees(text: str) -> list[int]:
         raise ScenarioError("--ell must be comma-separated integers") from None
 
 
-# (command, subop) -> the scenario payload its parsed arguments stand for;
-# subop is None for a command without subcommands.
-_PAYLOADS = {
-    ("partition", "conjugate"): lambda a: {
-        "mode": "partition", "op": "conjugate", "partition": a.partition},
-    ("partition", "theta"): lambda a: {
-        "mode": "partition", "op": "theta", "partition": a.partition, "p": a.p, "m": a.m},
-    ("partition", "verify-lemma"): lambda a: {
-        "mode": "partition", "op": "verify-lemma", "n": a.n},
-    ("cohom", "cyclic"): lambda a: {
-        "mode": "cohomology", "op": "cyclic", "order": a.order,
-        "sigma": _decode_json(a.sigma, "bad inline JSON")},
-    ("cohom", "involution"): lambda a: {
-        "mode": "cohomology", "op": "involution", "n": a.n, "p": a.p, "m": a.m,
-        "J": a.J if a.J == "antidiag" else _decode_json(a.J, "bad inline JSON")},
-    ("taylor", "threshold"): lambda a: {
-        "mode": "taylor", "op": "threshold", "q": a.q, "n": a.n},
-    ("taylor", "check-type"): lambda a: {
-        "mode": "taylor", "op": "check-type", "matrix": _decode_json(a.matrix, "bad inline JSON")},
-    ("density", None): lambda a: {
-        "mode": "density", "gamma": a.gamma, "subgroup": a.subgroup, "k": a.k},
-    ("gn-audit", None): lambda a: {
-        "mode": "gn-audit", "n": a.n, "deg_F": a.degF, "s_count": a.s,
-        "ell_degrees": _ell_degrees(a.ell)},
-}
+def _payload(args) -> dict:
+    """The scenario of a payload subcommand: its flags, under their scenario keys.
+
+    ``--sigma``, ``--matrix`` and ``--J`` (unless ``antidiag``) are decoded as inline JSON.
+    """
+    payload = {key: value for key, value in vars(args).items()
+               if key not in ("command", "subop", "seed", "out")}
+    for key in ("sigma", "matrix", "J"):
+        if key in payload and not (key == "J" and payload[key] == "antidiag"):
+            payload[key] = _decode_json(payload[key], "bad inline JSON")
+    if "ell_degrees" in payload:
+        payload["ell_degrees"] = _ell_degrees(payload["ell_degrees"])
+    return payload
 
 
 def main(argv=None) -> int:
@@ -527,8 +526,7 @@ def main(argv=None) -> int:
         if args.command == "verify-all":
             max_n = read_int(args.max_n, "--max-n", "MAX_VERIFY_N", low=1)
         else:
-            build = _PAYLOADS[args.command, getattr(args, "subop", None)]
-            report = run_scenario_obj(build(args))
+            report = run_scenario_obj(_payload(args))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

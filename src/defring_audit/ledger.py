@@ -95,8 +95,6 @@ class PlaceSpec(Record):
             raise ValueError("condition 'min' only applies at S-places")
         if condition in (COND_SM, COND_CRYS) and kind != KIND_ELL:
             raise ValueError(f"condition {condition!r} only applies at ell-places")
-        if kind == KIND_ARCH and condition != COND_UNRESTRICTED:
-            raise ValueError("archimedean places are unrestricted")
         if kind == KIND_ELL:
             if local_degree < 1:
                 raise ValueError("ell-places need a local degree >= 1")

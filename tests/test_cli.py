@@ -677,7 +677,7 @@ def test_main_verify_all_smoke(capsys):
     assert out.count("PASS") == 12
 
 
-# one (argv, equivalent scenario) pair for every entry of the subcommand table
+# one (argv, equivalent scenario) pair for every payload subcommand
 _SIGMA = {"p": 3, "m": 1, "rows": [[1, 0], [0, 2]]}
 _J = {"p": 5, "m": 1, "rows": [[0, 1], [4, 0]]}
 _UNIPOTENT = {"p": 5, "m": 1, "rows": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]}
@@ -732,9 +732,41 @@ def _argparse_commands() -> set:
 
 
 def test_subcommand_table_covers_every_argparse_subcommand():
-    from defring_audit.cli import _PAYLOADS
+    assert _argparse_commands() == set(_SUBCOMMAND_CASES)
 
-    assert set(_PAYLOADS) == _argparse_commands() == set(_SUBCOMMAND_CASES)
+
+# the flag defaults a subcommand adds to its case's scenario
+_DEFAULTS_FILLED_IN = {("cohom", "involution"): {"p": 5, "m": 1}}
+
+
+@pytest.mark.parametrize("key", list(_SUBCOMMAND_CASES), ids=str)
+def test_parsed_flags_are_the_scenario_of_the_subcommand(key):
+    from defring_audit.cli import _build_parser, _payload
+
+    argv, scenario = _SUBCOMMAND_CASES[key]
+    expected = {**scenario, **_DEFAULTS_FILLED_IN.get(key, {})}
+    assert _payload(_build_parser().parse_args(argv)) == expected
+
+
+def test_renamed_gn_audit_flags_keep_their_metavars_in_the_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gn-audit", "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    for flag in ("--degF DEGF", "--s S", "--ell ELL"):
+        assert flag in help_text
+
+
+def test_every_readme_cli_line_exits_zero(capsys):
+    import shlex
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("defring-audit ")]
+    assert len(lines) >= 10
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == EXIT_OK, line
+    capsys.readouterr()
 
 
 def _without_elapsed(report):
@@ -1067,6 +1099,109 @@ def test_the_verify_cap_is_the_lemma_cap(capsys):
     assert capsys.readouterr().err == (
         "error: --max-n must satisfy 1 <= max-n <= MAX_VERIFY_N = 12, got 13\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# refusals and failed checks that scenarios reach: each exact line and exit code
+# ---------------------------------------------------------------------------
+
+_LEDGER_ARCH = {
+    "mode": "ledger", "lie": {"gn": 2}, "deg_F": 1,
+    "places": [{"kind": "S", "condition": "min"},
+               {"kind": "ell", "condition": "sm", "local_degree": 1}, {"kind": "arch"}],
+}
+
+
+def _theta_over(**field):
+    return {"mode": "partition", "op": "theta", "partition": "2,1", **field}
+
+
+def _density_of(gamma, subgroup="trivial"):
+    return {"mode": "density", "gamma": gamma, "subgroup": subgroup, "k": 1}
+
+
+def _check_type(rows):
+    return {"mode": "taylor", "op": "check-type", "matrix": {"p": 5, "rows": rows}}
+
+
+def _coprime(ell):
+    return {"mode": "taylor", "op": "coprime", "ell": ell, "q": 2, "n": 2}
+
+
+# (scenario, exit code, path to the line in the report, the line)
+_REPORTED_LINES = {
+    "coprime-fails": (_coprime(3), EXIT_MATH_FAIL,
+                      ("diagnostics", "violated"), "gcd(ell, q^(n!)-1) = 1"),
+    "coprime-holds": (_coprime(5), EXIT_OK, ("verdicts", "coprime"), True),
+    "dual-selmer-fails": (
+        dict(_LEDGER_ARCH, h0_global_dual=1, h0_locals=[0, 0, 1]), EXIT_MATH_FAIL,
+        ("diagnostics", "violated_dual"), "dual-Selmer dimension must vanish"),
+    "h0-locals-misaligned": (
+        dict(_LEDGER_ARCH, h0_locals=[0, 0]), EXIT_INVALID,
+        ("error",), "h0_locals must align with the setting's places"),
+    "gn-zero": (
+        dict(_LEDGER_ARCH, lie={"gn": 0}), EXIT_INVALID, ("error",), "n must be >= 1"),
+    "place-without-kind": (
+        dict(_LEDGER_ARCH, places=[{"condition": "min"}]), EXIT_INVALID,
+        ("error",), "each place needs at least a 'kind'"),
+    "gn-audit-n-zero": (
+        {"mode": "gn-audit", "n": 0, "deg_F": 1, "ell_degrees": [1]}, EXIT_INVALID,
+        ("error",), "need n >= 1, deg_F >= 1, s_count >= 0"),
+    "gn-audit-ell-degree-zero": (
+        {"mode": "gn-audit", "n": 2, "deg_F": 2, "ell_degrees": [0, 2]}, EXIT_INVALID,
+        ("error",), "each ell degree must be >= 1"),
+    "gn-audit-ell-degrees-string": (
+        {"mode": "gn-audit", "n": 2, "deg_F": 1, "ell_degrees": "1"}, EXIT_INVALID,
+        ("error",), "'ell_degrees' must be a list, got '1'"),
+    "gamma-trivial-spec": (
+        _density_of({"type": "trivial"}), EXIT_OK, ("verdicts", "density"), "3/4"),
+    "gamma-empty-product": (
+        _density_of({"type": "product", "factors": []}), EXIT_INVALID,
+        ("error",), "bad gamma spec: product needs at least one factor"),
+    "gamma-unknown-constructor": (
+        _density_of({"type": "bogus"}), EXIT_INVALID,
+        ("error",), "bad gamma spec: unknown group constructor 'bogus'"),
+    "subgroup-generator-out-of-range": (
+        _density_of("S3", [99]), EXIT_INVALID,
+        ("error",), "bad subgroup generators: generator 99 out of range"),
+    "subgroup-cycles-without-parentheses": (
+        _density_of("S3", "12"), EXIT_INVALID, ("error",), "bad cycle notation '12'"),
+    "subgroup-integer": (
+        _density_of("S3", 5), EXIT_INVALID,
+        ("error",), "subgroup must be 'trivial', 'full', generators or cycles"),
+    "field-degree-zero": (
+        _theta_over(p=5, m=0), EXIT_INVALID,
+        ("error",), "bad field spec: extension degree must be >= 1"),
+    "field-composite-p": (
+        _theta_over(p=4, m=2), EXIT_INVALID, ("error",), "bad field spec: 4 is not prime"),
+    "matrix-ragged-rows": (
+        {"mode": "cohomology", "op": "cyclic", "order": 2,
+         "sigma": {"p": 5, "rows": [[1, 0], [0]]}}, EXIT_INVALID,
+        ("error",), "bad matrix: ragged rows"),
+    "check-type-non-square": (
+        _check_type([[1, 0]]), EXIT_INVALID,
+        ("error",), "kernel sequence needs a nonempty square matrix"),
+    "check-type-empty": (
+        _check_type([]), EXIT_INVALID,
+        ("error",), "kernel sequence needs a nonempty square matrix"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REPORTED_LINES))
+def test_scenario_reports_its_exact_line_and_exit_code(tmp_path, capsys, case):
+    scenario, code, path, line = _REPORTED_LINES[case]
+    assert main(["run", _write(tmp_path, scenario)]) == code
+    report = _last_json(capsys)
+    for key in path:
+        report = report[key]
+    assert report == line
+
+
+def test_a_batch_item_that_is_no_object_is_reported_invalid(tmp_path, capsys):
+    assert main(["run", _write(tmp_path, [_OK_ITEM, 1])]) == EXIT_INVALID
+    first, second = _last_json(capsys)
+    assert first["ok"] is True
+    assert second == {"error": "a scenario must be a JSON object", "ok": False, "invalid": True}
 
 
 # ---------------------------------------------------------------------------

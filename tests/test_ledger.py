@@ -70,6 +70,18 @@ def test_place_spec_validation():
         PlaceSpec("ell", "crys", local_degree=1, delta=1)
 
 
+@pytest.mark.parametrize("condition, line", [
+    ("min", "condition 'min' only applies at S-places"),
+    ("sm", "condition 'sm' only applies at ell-places"),
+    ("crys", "condition 'crys' only applies at ell-places"),
+])
+def test_an_archimedean_place_is_unrestricted_by_the_checks_on_conditions(condition, line):
+    with pytest.raises(ValueError) as exc:
+        PlaceSpec("arch", condition)
+    assert str(exc.value) == line
+    assert PlaceSpec("arch").condition == "unrestricted"
+
+
 def test_setting_requires_complete_degrees():
     with pytest.raises(ValueError):
         DeformationSetting(gn_dims(2), 2, (min_place(), sm_place(1), arch_place()))
